@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .cuts import (
     Cut,
+    ValidationReport,
     build_cut,
     cut_exists,
     cut_type,
@@ -23,21 +24,7 @@ from .cuts import (
     validate_cut,
     DEFAULT_ENUMERATION_LIMIT,
 )
-from .errors import (
-    CriterionFailed,
-    DecompositionFailure,
-    Divisible,
-    ExplosionGuard,
-    GeneratorNotSpecialLinear,
-    InternalInvariantViolation,
-    IsoSearchExhausted,
-    McKayError,
-    NotAdmissible,
-    NotDivisible,
-    NotInvariant,
-    SingularMatrix,
-    TooLarge,
-)
+from .errors import InternalInvariantViolation, McKayError
 from .lattice import (
     AbelianQuotient,
     LatticeBasis,
@@ -60,21 +47,12 @@ from .monomial_group import (
     group_from_basis,
     semidirect_check,
 )
-from .skew import (
-    detect_loops,
-    dual_twist_action,
-    loop_witness,
-    skew_quiver,
-    transport_cut,
-    unskew_round_trip,
-)
+from .skew import loop_witness, skew_quiver, transport_cut, unskew_round_trip
 
 __all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_INADMISSIBLE = 3
-EXIT_INTERNAL = 4
 EXIT_DISCREPANCY = 5
 
 
@@ -141,13 +119,9 @@ def _skew_doc(s) -> dict:
     vertices = [
         {
             "id": i,
-            "label": f"{_coset_label(v.orbit_rep)}/{v.irrep}"
-            if isinstance(v.orbit_rep, tuple)
-            else f"{v.orbit_rep}/{v.irrep}",
+            "label": f"{_coset_label(v.orbit_rep)}/{v.irrep}",
             "irrep": v.irrep,
-            "orbit_rep": list(v.orbit_rep)
-            if isinstance(v.orbit_rep, tuple)
-            else v.orbit_rep,
+            "orbit_rep": list(v.orbit_rep),
             "orbit_size": v.orbit_size,
             "dimension": v.dimension,
         }
@@ -170,6 +144,16 @@ def _skew_doc(s) -> dict:
         "arrows": arrows,
         "loops": loops,
         "group_order": s.group_size,
+    }
+
+
+def _validation_doc(report: ValidationReport) -> dict:
+    return {
+        "squares_balanced": report.squares_balanced,
+        "cycles_unit_degree": report.cycles_unit_degree,
+        "degree_zero_acyclic": report.degree_zero_acyclic,
+        "passed": report.passed,
+        "witnesses": list(report.witnesses),
     }
 
 
@@ -249,7 +233,6 @@ def _cmd_cut_build(args) -> dict:
     gamma = _parse_triple(args.gamma, "gamma")
     cut = build_cut(basis, gamma)
     q = build_quiver(AbelianQuotient(basis))
-    report = validate_cut(q, cut)
     doc = {
         "schema": 1,
         "command": "cut-build",
@@ -257,13 +240,7 @@ def _cmd_cut_build(args) -> dict:
         "cut": {
             "arrow_ids": [q.arrow_index(a) for a in cut.arrows],
             "type": list(cut_type(cut)),
-            "validation": {
-                "squares_balanced": report.squares_balanced,
-                "cycles_unit_degree": report.cycles_unit_degree,
-                "degree_zero_acyclic": report.degree_zero_acyclic,
-                "passed": report.passed,
-                "witnesses": list(report.witnesses),
-            },
+            "validation": _validation_doc(validate_cut(q, cut)),
         },
     }
     doc.update(_quiver_doc(q, cut))
@@ -289,7 +266,6 @@ def _cmd_cut_validate(args) -> dict:
         cut = build_cut(basis, _parse_triple(args.gamma, "gamma"))
     else:
         raise ValueError("cut-validate needs --gamma or --arrow-ids")
-    report = validate_cut(q, cut)
     doc = {
         "schema": 1,
         "command": "cut-validate",
@@ -298,13 +274,7 @@ def _cmd_cut_validate(args) -> dict:
             "arrow_ids": [q.arrow_index(a) for a in cut.arrows],
             "type": list(cut_type(cut)),
         },
-        "validation": {
-            "squares_balanced": report.squares_balanced,
-            "cycles_unit_degree": report.cycles_unit_degree,
-            "degree_zero_acyclic": report.degree_zero_acyclic,
-            "passed": report.passed,
-            "witnesses": list(report.witnesses),
-        },
+        "validation": _validation_doc(validate_cut(q, cut)),
     }
     doc.update(_quiver_doc(q, cut))
     return doc
@@ -386,8 +356,7 @@ def _cmd_classify(args) -> dict:
         }
     else:
         witness = loop_witness(basis, args.kind)
-        loops = detect_loops(s)
-        if not loops:
+        if not s.loops():
             raise InternalInvariantViolation(
                 "no loops on the skew quiver although 3 does not divide |N|"
             )
@@ -629,24 +598,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             out = _to_dot(doc)
         else:
             out = _to_text(doc)
-    except (NotAdmissible, NotDivisible, Divisible, CriterionFailed, DecompositionFailure) as e:
+    except (McKayError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except (InternalInvariantViolation, NotInvariant, IsoSearchExhausted) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (
-        SingularMatrix,
-        GeneratorNotSpecialLinear,
-        ExplosionGuard,
-        TooLarge,
-        ValueError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except McKayError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return getattr(e, "exit_code", EXIT_INVALID)
     sys.stdout.write(out)
     return code
 

@@ -28,6 +28,7 @@ __all__ = [
     "ElementaryCycle",
     "CommutativitySquare",
     "ActionElement",
+    "GroupAction",
     "QuiverAction",
     "build_quiver",
     "elementary_cycles",
@@ -169,9 +170,6 @@ class ActionElement:
     type_map: tuple[int, int, int]
     type_scalars: tuple[int, int, int]
 
-    def act_vertex(self, v: tuple[int, int]) -> tuple[int, int]:
-        return self.vertex_map[v]
-
     def act_type(self, i: int) -> int:
         return self.type_map[i - 1]
 
@@ -196,70 +194,106 @@ def _compose(
 
 
 @dataclass(frozen=True, eq=False)
+class GroupAction:
+    """A finite group acting on a finite point set.
+
+    Elements are indices into `names`, in element order with the identity
+    first; `table[a][b]` is the index of a after b, and `maps[g][v]` is the
+    image of the point v under element g.
+    """
+
+    names: tuple[str, ...]
+    table: tuple[tuple[int, ...], ...]
+    maps: tuple
+    points: tuple
+
+    @classmethod
+    def from_keys(cls, names, keys, compose, maps, points) -> GroupAction:
+        """The action whose Cayley table is read off distinct element keys
+        under their composition; raises unless they close up into a group
+        with the first key as identity."""
+        index = {k: i for i, k in enumerate(keys)}
+        if len(index) != len(keys):
+            raise InternalInvariantViolation("group elements are not distinct")
+        try:
+            table = tuple(tuple(index[compose(a, b)] for b in keys) for a in keys)
+        except KeyError:
+            raise InternalInvariantViolation("group elements are not closed") from None
+        if table[0] != tuple(range(len(keys))):
+            raise InternalInvariantViolation("the first element is not the identity")
+        return cls(tuple(names), table, tuple(maps), tuple(points))
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        return tuple(row.index(0) for row in self.table)
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        out = []
+        for g in range(len(self.names)):
+            k, x = 1, g
+            while x != 0:
+                x, k = self.table[x][g], k + 1
+            out.append(k)
+        return tuple(out)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple, ...]:
+        """Orbits as sorted tuples, listed by their least member, which is
+        the orbit representative."""
+        seen: set = set()
+        orbits = []
+        for v in self.points:
+            if v in seen:
+                continue
+            orbit = tuple(sorted({m[v] for m in self.maps}))
+            seen.update(orbit)
+            orbits.append(orbit)
+        return tuple(orbits)
+
+    @cached_property
+    def orbit_of(self) -> dict:
+        return {v: orbit for orbit in self.orbits for v in orbit}
+
+    def stabilizer(self, v) -> tuple[int, ...]:
+        return tuple(g for g, m in enumerate(self.maps) if m[v] == v)
+
+    def transversal_element(self, v) -> int:
+        """First element, in element order, mapping v's representative to v."""
+        rep = self.orbit_of[v][0]
+        return next(g for g, m in enumerate(self.maps) if m[rep] == v)
+
+    def diagonal_transversal(self, o1: tuple, o2: tuple) -> tuple[tuple, ...]:
+        """One pair per diagonal orbit on o1 x o2, each the first in row order."""
+        seen: set = set()
+        reps = []
+        for u1 in o1:
+            for u2 in o2:
+                if (u1, u2) in seen:
+                    continue
+                reps.append((u1, u2))
+                seen.update((m[u1], m[u2]) for m in self.maps)
+        return tuple(reps)
+
+
+@dataclass(frozen=True, eq=False)
 class QuiverAction:
-    """The symmetry group (C3 for kind C, S3 for kind D) acting on a quiver."""
+    """The symmetry group (C3 for kind C, S3 for kind D) acting on a quiver;
+    `group` holds its table and vertex maps in the order of `elements`."""
 
     quiver: TypedQuiver
     kind: str
     root_order: int
     scalars: tuple[int, int, int] | None
     elements: tuple[ActionElement, ...]
+    group: GroupAction
 
     @cached_property
     def _by_name(self) -> dict[str, ActionElement]:
         return {e.name: e for e in self.elements}
 
-    @cached_property
-    def _by_type_map(self) -> dict[tuple[int, int, int], str]:
-        return {e.type_map: e.name for e in self.elements}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.elements)
-
-    @property
-    def identity_name(self) -> str:
-        return self.elements[0].name
-
     def element(self, name: str) -> ActionElement:
         return self._by_name[name]
-
-    def mul(self, a: str, b: str) -> str:
-        """Name of the element acting as a after b."""
-        ea, eb = self._by_name[a], self._by_name[b]
-        tmap = tuple(ea.type_map[eb.type_map[i] - 1] for i in range(3))
-        return self._by_type_map[tmap]  # type: ignore[index]
-
-    def inv(self, a: str) -> str:
-        for b in self.names:
-            if self.mul(a, b) == self.identity_name:
-                return b
-        raise InternalInvariantViolation(f"no inverse for action element {a}")
-
-    def act_vertex(self, name: str, v: tuple[int, int]) -> tuple[int, int]:
-        return self._by_name[name].vertex_map[v]
-
-    def vertex_orbits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Orbits as sorted tuples, listed by their least member."""
-        seen: set[tuple[int, int]] = set()
-        orbits = []
-        for v in self.quiver.vertices:
-            if v in seen:
-                continue
-            orbit = sorted({e.vertex_map[v] for e in self.elements})
-            seen.update(orbit)
-            orbits.append(tuple(orbit))
-        return tuple(orbits)
-
-    def stabilizer(self, v: tuple[int, int]) -> tuple[str, ...]:
-        return tuple(e.name for e in self.elements if e.vertex_map[v] == v)
-
-    def transversal_element(self, rep: tuple[int, int], v: tuple[int, int]) -> str:
-        """First element in canonical order mapping rep to v."""
-        for e in self.elements:
-            if e.vertex_map[rep] == v:
-                return e.name
-        raise ValueError(f"{v} is not in the orbit of {rep}")
 
     def fixed_vertices(self, name: str) -> tuple[tuple[int, int], ...]:
         e = self._by_name[name]
@@ -299,12 +333,12 @@ def k_action(
     check_admissible(q.quotient.basis, kind)
     red = q.quotient.reduce
 
-    if kind == "C":
-        m = root_order if root_order is not None else 1
-        if scalars is not None:
-            raise ValueError("kind C admits no involution scalars")
-    else:
-        m = root_order if root_order is not None else 2
+    m = root_order if root_order is not None else {"C": 1, "D": 2}[kind]
+    if m < 1:
+        raise ValueError(f"root order must be positive, got {m}")
+    if kind == "C" and scalars is not None:
+        raise ValueError("kind C admits no involution scalars")
+    if kind == "D":
         if m % 2:
             raise ValueError(f"kind D needs an even root order, got {m}")
         if scalars is None:
@@ -358,14 +392,15 @@ def k_action(
                 raise InternalInvariantViolation(
                     f"involution {e.name} does not square to the identity"
                 )
-    action = QuiverAction(
-        quiver=q, kind=kind, root_order=m, scalars=scalars, elements=tuple(elements)
+    # Group relations on the permutation parts: distinct and closed.
+    group = GroupAction.from_keys(
+        (e.name for e in elements),
+        [e.type_map for e in elements],
+        lambda a, b: tuple(a[b[i] - 1] for i in range(3)),
+        (e.vertex_map for e in elements),
+        q.vertices,
     )
-    # Group relations on the permutation parts.
-    size = {"C": 3, "D": 6}[kind]
-    if len({e.type_map for e in elements}) != size:
-        raise InternalInvariantViolation("action elements are not distinct")
-    for a in action.names:
-        for b in action.names:
-            action.mul(a, b)
-    return action
+    return QuiverAction(
+        quiver=q, kind=kind, root_order=m, scalars=scalars,
+        elements=tuple(elements), group=group,
+    )

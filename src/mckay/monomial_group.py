@@ -443,8 +443,12 @@ def group_from_basis(
     """
     if kind not in ("A", "C", "D"):
         raise ValueError(f"unknown kind {kind!r}; expected 'A', 'C' or 'D'")
+    if scalars is not None and kind != "D":
+        raise ValueError(f"kind {kind} admits no involution scalars")
     _, d2 = basis.smith_invariants()
     m = root_order if root_order is not None else default_root_order(d2, kind)
+    if m < 1:
+        raise ValueError(f"root order must be positive, got {m}")
     if m % d2:
         raise ValueError(
             f"root order {m} cannot represent a quotient of exponent {d2}"

@@ -8,16 +8,19 @@ the joint stabilizer.  All character values and traces are cyclotomic
 integers, so a non-integer multiplicity can only mean a bookkeeping bug
 and is raised, never rounded.
 
-The same engine is reused for the second (dual) skew of the unskew round
-trip: the carrier abstraction below provides vertices, the acting group,
-and per-block traces; the engine never looks at what the vertices are.
+Both skews of the unskew round trip run through the same engine: a carrier
+supplies a GroupAction (element names, integer Cayley table and vertex maps,
+with orbits, stabilizers and transversals) and per-block dimensions and
+traces; the engine never looks at what the vertices are.  The first skew
+uses the C3 / S3 action on Q_N, the second the dual C3 acting on skew-vertex
+indices, and one degree-transport routine carries a cut through either.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import lcm
-from typing import Hashable, Protocol
+from typing import Callable, Hashable, Iterable, Protocol
 
 from .cuts import Cut, _has_cycle, invariant_cut, validate_cut
 from .cyclotomic import CycInt, root_of_unity
@@ -36,6 +39,7 @@ from .lattice import AbelianQuotient, LatticeBasis, check_admissible
 from .mckay_quiver import (
     ARROW_TYPES,
     Arrow,
+    GroupAction,
     QuiverAction,
     TypedQuiver,
     build_quiver,
@@ -46,10 +50,8 @@ __all__ = [
     "SkewVertex",
     "SkewQuiver",
     "LoopWitness",
-    "DualTwistAction",
     "RoundTripReport",
     "skew_quiver",
-    "detect_loops",
     "loop_witness",
     "transport_cut",
     "dual_twist_action",
@@ -71,54 +73,35 @@ _LABELS_BY_ORDER = {
 class Carrier(Protocol):
     """What the skewing engine needs to know about a quiver with a group action."""
 
-    vertices: tuple[Hashable, ...]
-    names: tuple[str, ...]
-    identity: str
+    group: GroupAction
     cyclotomic_order: int
 
-    def mul(self, a: str, b: str) -> str: ...
-    def inv(self, a: str) -> str: ...
-    def act_vertex(self, name: str, v): ...
     def block_dim(self, v, w) -> int: ...
-    def block_trace(self, name: str, v, w) -> CycInt: ...
-
-
-def _element_order(carrier: Carrier, name: str) -> int:
-    k, x = 1, name
-    while x != carrier.identity:
-        x = carrier.mul(x, name)
-        k += 1
-        if k > 6:
-            raise InternalInvariantViolation(f"element {name} has order > 6")
-    return k
+    def block_trace(self, g: int, v, w) -> CycInt: ...
 
 
 def _char_value(
-    carrier: Carrier, subgroup: tuple[str, ...], label: str, h: str
+    group: GroupAction, w: int, subgroup: tuple[int, ...], label: str, h: int
 ) -> CycInt:
     """chi_label(h) for the stabilizer subgroup, as an exact cyclotomic integer."""
-    w = carrier.cyclotomic_order
     order = len(subgroup)
     if label == "triv":
         return CycInt.integer(w, 1)
     if order == 2:
         if label != "sgn":
             raise ValueError(f"unknown order-2 label {label}")
-        return CycInt.integer(w, 1 if h == carrier.identity else -1)
+        return CycInt.integer(w, 1 if h == 0 else -1)
     if order == 3:
         gen = subgroup[1]
-        if h == carrier.identity:
-            k = 0
-        elif h == gen:
-            k = 1
-        else:
-            if carrier.mul(gen, gen) != h:
-                raise InternalInvariantViolation(f"{h} is not a power of {gen}")
-            k = 2
+        k = {0: 0, gen: 1, group.table[gen][gen]: 2}.get(h)
+        if k is None:
+            raise InternalInvariantViolation(
+                f"{group.names[h]} is not a power of {group.names[gen]}"
+            )
         j = {"omega": 1, "omega2": 2}[label]
         return root_of_unity(w, (w // 3) * ((j * k) % 3))
     if order == 6:
-        o = _element_order(carrier, h)
+        o = group.orders[h]
         if label == "sgn":
             return CycInt.integer(w, -1 if o == 2 else 1)
         if label == "std":
@@ -167,36 +150,18 @@ class SkewQuiver:
         )
 
 
-def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict, dict]:
-    """Core skewing engine; returns vertices, multiplicities, and orbit data."""
-    verts = carrier.vertices
-    names = carrier.names
+def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
+    """Core skewing engine; returns vertices and multiplicities."""
+    group = carrier.group
+    maps, table, inverse = group.maps, group.table, group.inverse
     w = carrier.cyclotomic_order
 
-    orbit_of: dict = {}
-    orbits: list[tuple] = []
-    for v in verts:
-        if v in orbit_of:
-            continue
-        orbit = tuple(sorted({carrier.act_vertex(g, v) for g in names}))
-        orbits.append(orbit)
-        for u in orbit:
-            orbit_of[u] = orbit
-    stab = {
-        v: tuple(g for g in names if carrier.act_vertex(g, v) == v) for v in verts
-    }
-    g_to: dict = {}
-    for orbit in orbits:
-        rep = orbit[0]
-        for u in orbit:
-            for g in names:
-                if carrier.act_vertex(g, rep) == u:
-                    g_to[u] = g
-                    break
+    stab = {v: group.stabilizer(v) for v in group.points}
+    g_to = {v: group.transversal_element(v) for v in group.points}
 
     skew_vertices: list[SkewVertex] = []
     vertex_home: list[tuple] = []  # orbit of each skew vertex
-    for orbit in orbits:
+    for orbit in group.orbits:
         rep = orbit[0]
         for label, deg in _LABELS_BY_ORDER[len(stab[rep])]:
             skew_vertices.append(
@@ -215,19 +180,9 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict, dict]:
     def transversal(o1: tuple, o2: tuple) -> tuple:
         key = (o1, o2)
         got = transversals.get(key)
-        if got is not None:
-            return got
-        seen: set = set()
-        reps = []
-        for u1 in o1:
-            for u2 in o2:
-                if (u1, u2) in seen:
-                    continue
-                reps.append((u1, u2))
-                for g in names:
-                    seen.add((carrier.act_vertex(g, u1), carrier.act_vertex(g, u2)))
-        transversals[key] = tuple(reps)
-        return transversals[key]
+        if got is None:
+            got = transversals[key] = group.diagonal_transversal(o1, o2)
+        return got
 
     mult: dict[tuple[int, int], int] = {}
     nv = len(skew_vertices)
@@ -243,20 +198,15 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict, dict]:
             for (u1, u2) in transversal(o1, o2):
                 if carrier.block_dim(u1, u2) == 0:
                     continue
-                joint = tuple(
-                    h
-                    for h in names
-                    if carrier.act_vertex(h, u1) == u1
-                    and carrier.act_vertex(h, u2) == u2
-                )
+                joint = tuple(h for h in stab[u1] if maps[h][u2] == u2)
                 g1, g2 = g_to[u1], g_to[u2]
-                g1i, g2i = carrier.inv(g1), carrier.inv(g2)
+                g1i, g2i = inverse[g1], inverse[g2]
                 acc = CycInt.zero(w)
                 for h in joint:
-                    h1 = carrier.mul(g1i, carrier.mul(h, g1))
-                    h2 = carrier.mul(g2i, carrier.mul(h, g2))
-                    c1 = _char_value(carrier, stab_a, va.irrep, h1).conjugate()
-                    c2 = _char_value(carrier, stab_b, vb.irrep, h2)
+                    h1 = table[g1i][table[h][g1]]
+                    h2 = table[g2i][table[h][g2]]
+                    c1 = _char_value(group, w, stab_a, va.irrep, h1).conjugate()
+                    c2 = _char_value(group, w, stab_b, vb.irrep, h2)
                     acc = acc + c1 * c2 * carrier.block_trace(h, u1, u2)
                 try:
                     val = acc.divide_exact(len(joint))
@@ -276,14 +226,13 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict, dict]:
             if total:
                 mult[(ai, bi)] = total
 
-    expected = len(verts) * len(names)
+    expected = len(group.points) * len(group.names)
     square_sum = sum(v.dimension ** 2 for v in skew_vertices)
     if square_sum != expected:
         raise InternalInvariantViolation(
             f"sum of squared dimensions {square_sum} != |V| * |K| = {expected}"
         )
-    aux = {"orbit_of": orbit_of, "stab": stab, "g_to": g_to, "orbits": orbits}
-    return tuple(skew_vertices), mult, aux
+    return tuple(skew_vertices), mult
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +245,8 @@ class _QuiverCarrier:
     def __init__(self, quiver: TypedQuiver, action: QuiverAction):
         self.quiver = quiver
         self.action = action
-        self.vertices = quiver.vertices
-        self.names = action.names
-        self.identity = action.identity_name
+        self.group = action.group
         self.cyclotomic_order = lcm(action.root_order, 3)
-
-    def mul(self, a: str, b: str) -> str:
-        return self.action.mul(a, b)
-
-    def inv(self, a: str) -> str:
-        return self.action.inv(a)
-
-    def act_vertex(self, name: str, v):
-        return self.action.act_vertex(name, v)
 
     def _block_types(self, v, w) -> tuple[int, ...]:
         return tuple(
@@ -318,8 +256,8 @@ class _QuiverCarrier:
     def block_dim(self, v, w) -> int:
         return len(self._block_types(v, w))
 
-    def block_trace(self, name: str, v, w) -> CycInt:
-        e = self.action.element(name)
+    def block_trace(self, g: int, v, w) -> CycInt:
+        e = self.action.elements[g]
         scale = self.cyclotomic_order // self.action.root_order
         acc = CycInt.zero(self.cyclotomic_order)
         for i in self._block_types(v, w):
@@ -336,13 +274,12 @@ def skew_quiver(quiver: TypedQuiver, action: QuiverAction) -> SkewQuiver:
     Checks the completeness identity (sum of squared dimensions equals
     |N| * |K|) and 3-regularity weighted by dimensions at every vertex.
     """
-    carrier = _QuiverCarrier(quiver, action)
-    vertices, mult, _ = _demonet(carrier)
+    vertices, mult = _demonet(_QuiverCarrier(quiver, action))
     s = SkewQuiver(
         vertices=vertices,
         mult=mult,
         degrees=None,
-        group_size=len(carrier.vertices) * len(carrier.names),
+        group_size=len(quiver.vertices) * len(action.elements),
         metadata={
             "kind": action.kind,
             "root_order": action.root_order,
@@ -358,11 +295,6 @@ def skew_quiver(quiver: TypedQuiver, action: QuiverAction) -> SkewQuiver:
                 f"vertex {i}: weighted degree ({out_sum}, {in_sum}) != 3*{dims[i]}"
             )
     return s
-
-
-def detect_loops(s: SkewQuiver) -> tuple[tuple[int, int], ...]:
-    """Vertices carrying loops, as (vertex index, loop multiplicity) pairs."""
-    return s.loops()
 
 
 @dataclass(frozen=True)
@@ -397,7 +329,7 @@ def loop_witness(basis: LatticeBasis, kind: str) -> LoopWitness:
     x1 = quotient.reduce((-k - 1, k))
     q = build_quiver(quotient)
     act = k_action(q, kind)
-    orbit = tuple(sorted({act.act_vertex(g, x1) for g in act.names}))
+    orbit = act.group.orbit_of[x1]
     x2 = quotient.reduce((x1[0] + 1, x1[1]))
     if x2 not in orbit:
         raise InternalCriterionFailure(f"{x2} escaped the orbit of {x1}")
@@ -428,19 +360,30 @@ def transport_cut(
     report = validate_cut(quiver, cut)
     if not report.passed:
         raise ValueError(f"cut fails validation: {report.witnesses}")
-    orbit_lookup: dict[tuple[int, int], tuple] = {}
-    for orbit in action.vertex_orbits():
-        for v in orbit:
-            orbit_lookup[v] = orbit
+    degrees = _transport(
+        s.vertices,
+        s.mult,
+        action.group.orbit_of,
+        lambda u1, u2: (cut.degree(a) for a in quiver.arrows_between(u1, u2)),
+    )
+    return replace(s, degrees=degrees)
+
+
+def _transport(
+    vertices: tuple[SkewVertex, ...],
+    mult: dict[tuple[int, int], int],
+    orbit_of: dict,
+    block_degrees: Callable[..., Iterable[int]],
+) -> dict[tuple[int, int], int]:
+    """Degrees of the skew blocks: each block takes the common degree of the
+    underlying blocks between its two vertex orbits, and the degree-0 part
+    must stay acyclic."""
     degrees: dict[tuple[int, int], int] = {}
-    for (ai, bi), m in sorted(s.mult.items()):
-        o1 = orbit_lookup[s.vertices[ai].orbit_rep]
-        o2 = orbit_lookup[s.vertices[bi].orbit_rep]
+    for (ai, bi), m in sorted(mult.items()):
+        rep1, rep2 = vertices[ai].orbit_rep, vertices[bi].orbit_rep
         degs = {
-            cut.degree(a)
-            for u1 in o1
-            for u2 in o2
-            for a in quiver.arrows_between(u1, u2)
+            d for u1 in orbit_of[rep1] for u2 in orbit_of[rep2]
+            for d in block_degrees(u1, u2)
         }
         if not degs:
             raise InternalInvariantViolation(
@@ -448,23 +391,17 @@ def transport_cut(
             )
         if len(degs) > 1:
             raise MixedDegrees(
-                f"arrows between orbits of {s.vertices[ai].orbit_rep} and "
-                f"{s.vertices[bi].orbit_rep} carry mixed degrees {sorted(degs)}"
+                f"arrows between orbits of {rep1} and {rep2} carry mixed "
+                f"degrees {sorted(degs)}"
             )
         degrees[(ai, bi)] = degs.pop()
-    _assert_degree_zero_acyclic(len(s.vertices), s.mult, degrees)
-    return replace(s, degrees=degrees)
-
-
-def _assert_degree_zero_acyclic(
-    nv: int, mult: dict[tuple[int, int], int], degrees: dict[tuple[int, int], int]
-) -> None:
-    edges = [(i, j) for (i, j) in mult if degrees.get((i, j)) == 0]
-    cyclic, walk = _has_cycle(tuple(range(nv)), edges)
+    edges = [(i, j) for (i, j) in mult if degrees[(i, j)] == 0]
+    cyclic, walk = _has_cycle(tuple(range(len(vertices))), edges)
     if cyclic:
         raise InternalInvariantViolation(
             f"degree-0 part of the skew quiver has a cycle through {walk}"
         )
+    return degrees
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +410,12 @@ def _assert_degree_zero_acyclic(
 _C3_LABEL_CYCLE = {"triv": "omega", "omega": "omega2", "omega2": "triv"}
 
 
-@dataclass(frozen=True)
-class DualTwistAction:
-    """The character group of C3 acting on the skew quiver by label twist."""
+def dual_twist_action(s: SkewQuiver) -> GroupAction:
+    """The character group of C3 acting on skew-vertex indices by label twist.
 
-    names: tuple[str, str, str]
-    vertex_perm: tuple[int, ...]
-
-    def act_index(self, name: str, i: int) -> int:
-        k = self.names.index(name)
-        for _ in range(k):
-            i = self.vertex_perm[i]
-        return i
-
-
-def dual_twist_action(s: SkewQuiver) -> DualTwistAction:
-    """Generator: (u, phi) -> (u, phi tensor lambda); free-orbit vertices are fixed.
-
-    lambda is the weight-one character of the acting C3 pulled back to the
-    whole group; it is trivial on the diagonal part, so only the
+    Generator: (u, phi) -> (u, phi tensor lambda); free-orbit vertices are
+    fixed.  lambda is the weight-one character of the acting C3 pulled back
+    to the whole group; it is trivial on the diagonal part, so only the
     stabilizer-irrep label moves.
     """
     if s.metadata.get("kind") != "C":
@@ -505,11 +429,13 @@ def dual_twist_action(s: SkewQuiver) -> DualTwistAction:
         else:
             perm.append(index[(v.orbit_rep, _C3_LABEL_CYCLE[v.irrep])])
     p = tuple(perm)
-    triple = [p[i] for i in p]
-    triple = [p[i] for i in triple]
-    if triple != list(range(len(p))):
+    p2 = tuple(p[i] for i in p)
+    points = tuple(range(len(p)))
+    if tuple(p[i] for i in p2) != points:
         raise InternalInvariantViolation("dual twist does not have order 3")
-    return DualTwistAction(names=("1", "g", "g^2"), vertex_perm=p)
+    return GroupAction.from_keys(
+        ("1", "g", "g^2"), (0, 1, 2), lambda a, b: (a + b) % 3, (points, p, p2), points
+    )
 
 
 class _TwistCarrier:
@@ -519,48 +445,25 @@ class _TwistCarrier:
     spaces: each transversal pair (u1, u2) of the underlying vertex
     orbits contributes its arrow count with weight g2^-1 g1 read in the
     original C3; traces are sums of cube roots of unity accordingly.
+    Elements of both C3s are indexed by their exponent of the generator.
     """
 
     def __init__(
         self,
         s: SkewQuiver,
-        twist: DualTwistAction,
+        twist: GroupAction,
         quiver: TypedQuiver,
         action: QuiverAction,
     ):
         self.s = s
-        self.twist = twist
+        self.group = twist
         self.quiver = quiver
         self.action = action
-        self.vertices = tuple(range(len(s.vertices)))
-        self.names = twist.names
-        self.identity = "1"
         self.cyclotomic_order = 3
-        self._orbit_lookup: dict[tuple[int, int], tuple] = {}
-        for orbit in action.vertex_orbits():
-            for v in orbit:
-                self._orbit_lookup[v] = orbit
-        self._g_to: dict[tuple[int, int], str] = {}
-        for orbit in action.vertex_orbits():
-            for u in orbit:
-                self._g_to[u] = action.transversal_element(orbit[0], u)
         self._weights_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-
-    def mul(self, a: str, b: str) -> str:
-        return self.names[(self.names.index(a) + self.names.index(b)) % 3]
-
-    def inv(self, a: str) -> str:
-        return self.names[(-self.names.index(a)) % 3]
-
-    def act_vertex(self, name: str, v: int) -> int:
-        return self.twist.act_index(name, v)
 
     def block_dim(self, v: int, w: int) -> int:
         return self.s.mult.get((v, w), 0)
-
-    def _power_of_t(self, name: str) -> int:
-        # the original action is C3 generated by "t"
-        return {"1": 0, "t": 1, "t^2": 2}[name]
 
     def _weights(self, v: int, w: int) -> tuple[tuple[int, int], ...]:
         """(weight exponent, count) per transversal pair of the underlying orbits."""
@@ -568,22 +471,15 @@ class _TwistCarrier:
         got = self._weights_cache.get(key)
         if got is not None:
             return got
-        act = self.action
-        o1 = self._orbit_lookup[self.s.vertices[v].orbit_rep]
-        o2 = self._orbit_lookup[self.s.vertices[w].orbit_rep]
-        seen: set = set()
+        group = self.action.group
+        o1 = group.orbit_of[self.s.vertices[v].orbit_rep]
+        o2 = group.orbit_of[self.s.vertices[w].orbit_rep]
         out: list[tuple[int, int]] = []
-        for u1 in o1:
-            for u2 in o2:
-                if (u1, u2) in seen:
-                    continue
-                for g in act.names:
-                    seen.add((act.act_vertex(g, u1), act.act_vertex(g, u2)))
-                count = len(self.quiver.arrows_between(u1, u2))
-                if count:
-                    g1, g2 = self._g_to[u1], self._g_to[u2]
-                    delta = act.mul(act.inv(g2), g1)
-                    out.append((self._power_of_t(delta), count))
+        for u1, u2 in group.diagonal_transversal(o1, o2):
+            count = len(self.quiver.arrows_between(u1, u2))
+            if count:
+                g1, g2 = group.transversal_element(u1), group.transversal_element(u2)
+                out.append((group.table[group.inverse[g2]][g1], count))
         weights = tuple(out)
         total = sum(c for _, c in weights)
         if total != self.block_dim(v, w):
@@ -594,13 +490,12 @@ class _TwistCarrier:
         self._weights_cache[key] = weights
         return weights
 
-    def block_trace(self, name: str, v: int, w: int) -> CycInt:
-        m = self.names.index(name)
-        if m == 0:
+    def block_trace(self, g: int, v: int, w: int) -> CycInt:
+        if g == 0:
             return CycInt.integer(3, self.block_dim(v, w))
         acc = CycInt.zero(3)
         for k, count in self._weights(v, w):
-            acc = acc + CycInt.integer(3, count) * root_of_unity(3, (m * k) % 3)
+            acc = acc + CycInt.integer(3, count) * root_of_unity(3, (g * k) % 3)
         return acc
 
 
@@ -637,33 +532,15 @@ def unskew_round_trip(basis: LatticeBasis) -> RoundTripReport:
     s = transport_cut(s, quiver, action, cut)
 
     twist = dual_twist_action(s)
-    carrier = _TwistCarrier(s, twist, quiver, action)
-    vertices2, mult2, aux2 = _demonet(carrier)
-
-    # Transport the degrees through the second skew: a block inherits the
-    # common degree of the S-blocks joining the two twist orbits.
-    orbit_of2 = aux2["orbit_of"]
-    degrees2: dict[tuple[int, int], int] = {}
-    assert s.degrees is not None
-    for (ai, bi), m in sorted(mult2.items()):
-        o1 = orbit_of2[_vertex2_index(vertices2, ai)]
-        o2 = orbit_of2[_vertex2_index(vertices2, bi)]
-        degs = {
-            s.degrees[(i, j)]
-            for i in o1
-            for j in o2
-            if (i, j) in s.mult
-        }
-        if not degs:
-            raise InternalInvariantViolation(
-                f"double-skew block ({ai}, {bi}) has no underlying blocks"
-            )
-        if len(degs) > 1:
-            raise MixedDegrees(
-                f"double-skew block ({ai}, {bi}) sees mixed degrees {sorted(degs)}"
-            )
-        degrees2[(ai, bi)] = degs.pop()
-    _assert_degree_zero_acyclic(len(vertices2), mult2, degrees2)
+    vertices2, mult2 = _demonet(_TwistCarrier(s, twist, quiver, action))
+    # A double-skew block inherits the common degree of the S-blocks
+    # joining the two twist orbits.
+    degrees2 = _transport(
+        vertices2,
+        mult2,
+        twist.orbit_of,
+        lambda i, j: (s.degrees[(i, j)],) if (i, j) in s.mult else (),
+    )
 
     if len(vertices2) != n:
         raise IsoSearchExhausted(
@@ -713,7 +590,3 @@ def unskew_round_trip(basis: LatticeBasis) -> RoundTripReport:
         original_cut=cut,
         recovered_cut=recovered_cut,
     )
-
-
-def _vertex2_index(vertices2: tuple[SkewVertex, ...], i: int):
-    return vertices2[i].orbit_rep

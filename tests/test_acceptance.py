@@ -24,7 +24,6 @@ from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases, is_ad
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
 from mckay.skew import (
-    detect_loops,
     loop_witness,
     skew_quiver,
     transport_cut,
@@ -97,7 +96,7 @@ def test_criterion_3_classification(capsys):
                 )
             else:
                 w = loop_witness(basis, kind)
-                ok = bool(detect_loops(s)) and w.vertex in w.orbit
+                ok = bool(s.loops()) and w.vertex in w.orbit
             if not ok:
                 _verdict(capsys, 3, False, f"{basis.rows} kind {kind}")
             cases += 1
@@ -190,11 +189,11 @@ def test_criterion_6_loop_witness(capsys):
                 s = skew_quiver(quiv, k_action(quiv, "D"))
                 two_loop_dim3 = any(
                     s.vertices[i].dimension == 3 and m == 2
-                    for i, m in detect_loops(s)
+                    for i, m in s.loops()
                 )
                 if not two_loop_dim3:
                     loops = [
-                        (s.vertices[i].dimension, m) for i, m in detect_loops(s)
+                        (s.vertices[i].dimension, m) for i, m in s.loops()
                     ]
                     failures.append(
                         f"C2xC2 kind D: no dimension-3 vertex with exactly 2 "

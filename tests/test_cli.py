@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mckay import cli
+from mckay import cli, errors
 
 
 def run(capsys, *args) -> tuple[int, str]:
@@ -191,6 +191,59 @@ def test_exit_code_closure_guard(capsys, monkeypatch):
     monkeypatch.setenv("MCKAY_MAX_CLOSURE", "5")
     assert cli.main(["group-info", "--basis", "3,0;0,3", "--kind", "C"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.NotAdmissible, 3),
+        (errors.NotDivisible, 3),
+        (errors.Divisible, 3),
+        (errors.CriterionFailed, 3),
+        (errors.DecompositionFailure, 3),
+        (errors.McKayError, 4),
+        (errors.InternalInvariantViolation, 4),
+        (errors.InternalCriterionFailure, 4),
+        (errors.NonIntegralMultiplicity, 4),
+        (errors.MixedDegrees, 4),
+        (errors.NotInvariant, 4),
+        (errors.IsoSearchExhausted, 4),
+        (errors.SingularMatrix, 2),
+        (errors.GeneratorNotSpecialLinear, 2),
+        (errors.ExplosionGuard, 2),
+        (errors.TooLarge, 2),
+        (ValueError, 2),
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_error_exit_code_table(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "quiver", fail)
+    assert cli.main(["quiver", "--basis", "3,0;0,3"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
+
+
+@pytest.mark.parametrize("command", ["group-info", "skew", "classify"])
+@pytest.mark.parametrize("root_order", ["0", "-2"])
+def test_non_positive_root_order_exits_2(capsys, command, root_order):
+    argv = [command, "--basis", "2,0;0,2", "--kind", "D", "--root-order", root_order]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: root order must be positive, got {root_order}\n"
+
+
+@pytest.mark.parametrize("kind", ["A", "C"])
+def test_group_info_rejects_scalars_outside_kind_d(capsys, kind):
+    argv = ["group-info", "--basis", "2,0;0,2", "--kind", kind, "--scalars", "1,1,0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: kind {kind} admits no involution scalars\n"
 
 
 def test_help_exits_zero(capsys):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay.errors import NotAdmissible
+from mckay.errors import InternalInvariantViolation, NotAdmissible
 from mckay.lattice import AbelianQuotient, LatticeBasis
 from mckay.mckay_quiver import (
     ARROW_TYPES,
     Arrow,
+    GroupAction,
     build_quiver,
     commutativity_squares,
     elementary_cycles,
@@ -117,7 +118,7 @@ def test_k_action_fixed_vertices():
     q = _quiver(3, 0, 3)
     act = k_action(q, "C")
     assert act.fixed_vertices("t") == ((0, 0), (1, 2), (2, 1))
-    orbits = act.vertex_orbits()
+    orbits = act.group.orbits
     sizes = sorted(len(o) for o in orbits)
     assert sizes == [1, 1, 1, 3, 3]
 
@@ -126,33 +127,50 @@ def test_k_action_2i():
     q = _quiver(2, 0, 2)
     act = k_action(q, "C")
     assert act.fixed_vertices("t") == ((0, 0),)
-    assert sorted(len(o) for o in act.vertex_orbits()) == [1, 3]
+    assert sorted(len(o) for o in act.group.orbits) == [1, 3]
     act_d = k_action(q, "D")
     assert len(act_d.elements) == 6
-    assert sorted(len(o) for o in act_d.vertex_orbits()) == [1, 3]
+    assert sorted(len(o) for o in act_d.group.orbits) == [1, 3]
     # the free C3 orbit keeps size 3 under S3, so stabilizers have order 2
-    orbit = next(o for o in act_d.vertex_orbits() if len(o) == 3)
+    orbit = next(o for o in act_d.group.orbits if len(o) == 3)
     for v in orbit:
-        assert len(act_d.stabilizer(v)) == 2
+        assert len(act_d.group.stabilizer(v)) == 2
 
 
 def test_group_law_of_the_action():
     q = _quiver(3, 0, 3)
-    act = k_action(q, "D")
-    names = act.names
-    assert len(names) == 6
-    ident = act.identity_name
-    assert act.mul("t", act.mul("t", "t")) == ident
-    assert act.mul("s", "s") == ident
+    group = k_action(q, "D").group
+    assert len(group.names) == 6
+    t, s = group.names.index("t"), group.names.index("s")
+
+    def mul(x, y):
+        return group.table[x][y]
+
+    ident = 0
+    assert group.names[ident] == "1"
+    assert mul(t, mul(t, t)) == ident
+    assert mul(s, s) == ident
     # every element has a two-sided inverse
-    for x in names:
-        assert act.mul(x, act.inv(x)) == ident
-        assert act.mul(act.inv(x), x) == ident
+    for x in range(6):
+        assert mul(x, group.inverse[x]) == ident
+        assert mul(group.inverse[x], x) == ident
     # associativity over all triples
-    for x in names:
-        for y in names:
-            for z in names:
-                assert act.mul(act.mul(x, y), z) == act.mul(x, act.mul(y, z))
+    for x in range(6):
+        for y in range(6):
+            for z in range(6):
+                assert mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+@pytest.mark.parametrize(
+    "keys, modulus",
+    [((0, 1, 1), 3), ((0, 1, 2), 4), ((1, 0, 2), 3)],
+    ids=["not-distinct", "not-closed", "identity-not-first"],
+)
+def test_group_action_rejects_non_groups(keys, modulus):
+    with pytest.raises(InternalInvariantViolation):
+        GroupAction.from_keys(
+            "abc", keys, lambda a, b: (a + b) % modulus, ((), (), ()), ()
+        )
 
 
 def test_action_type_maps():

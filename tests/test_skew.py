@@ -10,7 +10,6 @@ from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
 from mckay.skew import (
-    detect_loops,
     dual_twist_action,
     loop_witness,
     skew_quiver,
@@ -164,7 +163,7 @@ def test_witness_vertex_carries_a_loop():
     ]:
         w = loop_witness(basis, kind)
         _, _, s = _skew(basis, kind)
-        loops = detect_loops(s)
+        loops = s.loops()
         assert loops
         loop_reps = {s.vertices[i].orbit_rep for i, _ in loops}
         assert set(w.orbit) & loop_reps
@@ -173,7 +172,7 @@ def test_witness_vertex_carries_a_loop():
 def test_no_loops_when_divisible():
     for basis, kind in [(LatticeBasis(3, 0, 3), "C"), (LatticeBasis(9, 6, 3), "D")]:
         _, _, s = _skew(basis, kind)
-        assert detect_loops(s) == ()
+        assert s.loops() == ()
 
 
 def test_transport_cut_3i():
@@ -217,7 +216,7 @@ def test_dual_twist_structure():
     basis = LatticeBasis(3, 0, 3)
     _, _, s = _skew(basis, "C")
     tw = dual_twist_action(s)
-    perm = tw.vertex_perm
+    perm = tw.maps[1]
     n = len(perm)
     # order three exactly
     def apply3(i):
