@@ -1,11 +1,19 @@
 """Backtracking isomorphism search for small labeled multidigraphs.
 
-Graphs are given by edge-label maps (i, j) -> hashable; a missing key
-means no edge.  An isomorphism is a vertex bijection f with
-labels_b[(f(i), f(j))] == labels_a[(i, j)] for all ordered pairs.
+Graphs are given by edge-label maps (i, j) -> hashable on the vertices
+0..n-1; a missing key means no edge.  An isomorphism is a vertex bijection
+f with labels_b.get((f(i), f(j))) == labels_a.get((i, j)) for all ordered
+pairs.
+
+The search places vertices connectivity-first and tries candidates in
+ascending order, so the mapping it returns is the first one in that
+order.  Candidates share the vertex's signature (loop label and the sorted
+labels in and out); a candidate is checked against the placed vertices
+adjacent to either endpoint only, so each check costs their degrees.
 """
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from typing import Hashable, Mapping
 
@@ -15,15 +23,24 @@ Label = Hashable
 EdgeMap = Mapping[tuple[int, int], Label]
 
 
-def _signature(v: int, n: int, labels: EdgeMap):
-    loop = labels.get((v, v))
-    outs = sorted(
-        (repr(labels[(v, w)]) for w in range(n) if w != v and (v, w) in labels),
-    )
-    ins = sorted(
-        (repr(labels[(w, v)]) for w in range(n) if w != v and (w, v) in labels),
-    )
-    return (repr(loop), tuple(outs), tuple(ins))
+class _Side:
+    """Loop labels and out/in adjacency dicts (loops excluded) of one graph."""
+
+    def __init__(self, n: int, labels: EdgeMap):
+        self.loop = [labels.get((v, v)) for v in range(n)]
+        self.out: list[dict[int, Label]] = [{} for _ in range(n)]
+        self.into: list[dict[int, Label]] = [{} for _ in range(n)]
+        for (i, j), label in labels.items():
+            if i != j:
+                self.out[i][j] = label
+                self.into[j][i] = label
+
+    def signature(self, v: int):
+        return (
+            repr(self.loop[v]),
+            tuple(sorted(map(repr, self.out[v].values()))),
+            tuple(sorted(map(repr, self.into[v].values()))),
+        )
 
 
 def find_isomorphism(
@@ -34,65 +51,78 @@ def find_isomorphism(
         return []
     if Counter(map(repr, labels_a.values())) != Counter(map(repr, labels_b.values())):
         return None
-    sig_a = [_signature(v, n, labels_a) for v in range(n)]
-    sig_b = [_signature(v, n, labels_b) for v in range(n)]
-    candidates = [
-        [u for u in range(n) if sig_b[u] == sig_a[v]] for v in range(n)
-    ]
+    a, b = _Side(n, labels_a), _Side(n, labels_b)
+    by_signature: dict = {}
+    for u in range(n):
+        by_signature.setdefault(b.signature(u), []).append(u)
+    candidates = [by_signature.get(a.signature(v), []) for v in range(n)]
     if any(not c for c in candidates):
         return None
 
-    # Order vertices connectivity-first so adjacency constraints bite early.
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for (i, j) in labels_a:
-        if i != j:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-    order: list[int] = []
+    # Order vertices connectivity-first so adjacency constraints bite early:
+    # repeatedly the unplaced vertex with the least (-linked, |candidates|, v),
+    # linked counting its placed neighbours.  Keys only fall, so a heap
+    # entry whose link count is stale is skipped when popped.
+    neighbors = [set(a.out[v]) | set(a.into[v]) for v in range(n)]
+    linked = [0] * n
     placed = [False] * n
+    heap = [(0, len(candidates[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    order: list[int] = []
     while len(order) < n:
-        best = None
-        best_key = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            linked = sum(1 for w in neighbors[v] if placed[w])
-            key = (-linked, len(candidates[v]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        order.append(best)  # type: ignore[arg-type]
-        placed[best] = True  # type: ignore[index]
+        minus_linked, _, v = heapq.heappop(heap)
+        if placed[v] or -minus_linked != linked[v]:
+            continue
+        order.append(v)
+        placed[v] = True
+        for w in neighbors[v]:
+            if not placed[w]:
+                linked[w] += 1
+                heapq.heappush(heap, (-linked[w], len(candidates[w]), w))
 
     mapping = [-1] * n
-    used = [False] * n
+    preimage = [-1] * n
 
     def check(v: int, u: int) -> bool:
-        if labels_b.get((u, u)) != labels_a.get((v, v)):
+        if b.loop[u] != a.loop[v]:
             return False
-        for w in range(n):
+        out_a, into_a, out_b, into_b = a.out[v], a.into[v], b.out[u], b.into[u]
+        for w, label in out_a.items():
             fw = mapping[w]
-            if fw < 0 or w == v:
-                continue
-            if labels_b.get((u, fw)) != labels_a.get((v, w)):
+            if fw >= 0 and out_b.get(fw) != label:
                 return False
-            if labels_b.get((fw, u)) != labels_a.get((w, v)):
+        for w, label in into_a.items():
+            fw = mapping[w]
+            if fw >= 0 and into_b.get(fw) != label:
+                return False
+        for y, label in out_b.items():
+            w = preimage[y]
+            if w >= 0 and label != out_a.get(w):
+                return False
+        for y, label in into_b.items():
+            w = preimage[y]
+            if w >= 0 and label != into_a.get(w):
                 return False
         return True
 
-    def dfs(k: int) -> bool:
-        if k == n:
-            return True
+    # Depth-first over `order`; tried[k] is the next candidate index at depth k.
+    tried = [0] * n
+    k = 0
+    while 0 <= k < n:
         v = order[k]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            if check(v, u):
-                mapping[v] = u
-                used[u] = True
-                if dfs(k + 1):
-                    return True
-                mapping[v] = -1
-                used[u] = False
-        return False
-
-    return mapping if dfs(0) else None
+        if mapping[v] >= 0:
+            preimage[mapping[v]] = -1
+            mapping[v] = -1
+        cands = candidates[v]
+        i = tried[k]
+        while i < len(cands) and (preimage[cands[i]] >= 0 or not check(v, cands[i])):
+            i += 1
+        if i == len(cands):
+            tried[k] = 0
+            k -= 1
+            continue
+        tried[k] = i + 1
+        mapping[v] = cands[i]
+        preimage[cands[i]] = v
+        k += 1
+    return mapping if k == n else None

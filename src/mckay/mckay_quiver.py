@@ -61,18 +61,26 @@ class TypedQuiver:
             Arrow(v, i) for v in self.vertices for i in ARROW_TYPES
         )
 
+    @cached_property
+    def successors(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Each vertex's three arrow targets, in type order."""
+        red = self.quotient.reduce
+        return {
+            (x, y): tuple(red((x + dx, y + dy)) for dx, dy in STEPS.values())
+            for x, y in self.vertices
+        }
+
     def target(self, arrow: Arrow) -> tuple[int, int]:
-        dx, dy = STEPS[arrow.type]
-        x, y = arrow.source
-        return self.quotient.reduce((x + dx, y + dy))
+        return self.successors[arrow.source][arrow.type - 1]
 
     def arrow_index(self, arrow: Arrow) -> int:
         return self.quotient.index_of(arrow.source) * 3 + (arrow.type - 1)
 
     def arrows_between(self, source: tuple[int, int], target: tuple[int, int]) -> tuple[Arrow, ...]:
         return tuple(
-            a for i in ARROW_TYPES
-            if self.target(a := Arrow(source, i)) == target
+            Arrow(source, i)
+            for i, t in zip(ARROW_TYPES, self.successors[source])
+            if t == target
         )
 
 

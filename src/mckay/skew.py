@@ -18,7 +18,7 @@ indices, and one degree-transport routine carries a cut through either.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Hashable, Iterable, Protocol
 
@@ -71,13 +71,17 @@ _LABELS_BY_ORDER = {
 
 
 class Carrier(Protocol):
-    """What the skewing engine needs to know about a quiver with a group action."""
+    """What the skewing engine needs to know about a quiver with a group action.
+
+    `out_neighbours(v)` must include every w with `block_dim(v, w) != 0`.
+    """
 
     group: GroupAction
     cyclotomic_order: int
 
     def block_dim(self, v, w) -> int: ...
     def block_trace(self, g: int, v, w) -> CycInt: ...
+    def out_neighbours(self, v) -> Iterable: ...
 
 
 def _char_value(
@@ -151,7 +155,14 @@ class SkewQuiver:
 
 
 def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
-    """Core skewing engine; returns vertices and multiplicities."""
+    """Core skewing engine; returns vertices and multiplicities.
+
+    The group is transitive on O1, so every pair in the diagonal transversal
+    of O1 x O2 starts at the representative of O1; a pair of skew vertices
+    over O1 and O2 can only carry arrows when O2 holds an out-neighbour of
+    that representative.  Only those pairs are visited, in increasing index
+    order.
+    """
     group = carrier.group
     maps, table, inverse = group.maps, group.table, group.inverse
     w = carrier.cyclotomic_order
@@ -161,8 +172,10 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
 
     skew_vertices: list[SkewVertex] = []
     vertex_home: list[tuple] = []  # orbit of each skew vertex
+    over: dict[tuple, range] = {}  # skew-vertex indices over each orbit
     for orbit in group.orbits:
         rep = orbit[0]
+        first = len(skew_vertices)
         for label, deg in _LABELS_BY_ORDER[len(stab[rep])]:
             skew_vertices.append(
                 SkewVertex(
@@ -174,23 +187,45 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                 )
             )
             vertex_home.append(orbit)
+        over[orbit] = range(first, len(skew_vertices))
 
-    transversals: dict[tuple[tuple, tuple], tuple] = {}
+    # Memos local to this call, so a one-shot call gets the whole gain.
+    transversal = cache(group.diagonal_transversal)
 
-    def transversal(o1: tuple, o2: tuple) -> tuple:
-        key = (o1, o2)
-        got = transversals.get(key)
-        if got is None:
-            got = transversals[key] = group.diagonal_transversal(o1, o2)
-        return got
+    @cache
+    def char_pair(sa: tuple, la: str, h1: int, sb: tuple, lb: str, h2: int) -> CycInt:
+        """conj(chi_la(h1)) * chi_lb(h2) on the stabilizers sa and sb."""
+        return (
+            _char_value(group, w, sa, la, h1).conjugate()
+            * _char_value(group, w, sb, lb, h2)
+        )
+
+    @cache
+    def block_terms(u1, u2) -> tuple:
+        """(h1, h2, trace) per element h of the joint stabilizer of u1 and u2,
+        h1 and h2 being h moved into the stabilizers of the representatives."""
+        g1, g2 = g_to[u1], g_to[u2]
+        g1i, g2i = inverse[g1], inverse[g2]
+        return tuple(
+            (
+                table[g1i][table[h][g1]],
+                table[g2i][table[h][g2]],
+                carrier.block_trace(h, u1, u2),
+            )
+            for h in stab[u1]
+            if maps[h][u2] == u2
+        )
+
+    targets: dict[tuple, list[int]] = {}
+    for orbit in group.orbits:
+        homes = {group.orbit_of[u] for u in carrier.out_neighbours(orbit[0])}
+        targets[orbit] = sorted(bi for o in homes for bi in over[o])
 
     mult: dict[tuple[int, int], int] = {}
-    nv = len(skew_vertices)
-    for ai in range(nv):
-        va = skew_vertices[ai]
+    for ai, va in enumerate(skew_vertices):
         o1 = vertex_home[ai]
         stab_a = stab[va.orbit_rep]
-        for bi in range(nv):
+        for bi in targets[o1]:
             vb = skew_vertices[bi]
             o2 = vertex_home[bi]
             stab_b = stab[vb.orbit_rep]
@@ -198,16 +233,11 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
             for (u1, u2) in transversal(o1, o2):
                 if carrier.block_dim(u1, u2) == 0:
                     continue
-                joint = tuple(h for h in stab[u1] if maps[h][u2] == u2)
-                g1, g2 = g_to[u1], g_to[u2]
-                g1i, g2i = inverse[g1], inverse[g2]
+                joint = block_terms(u1, u2)  # one term per joint stabilizer element
                 acc = CycInt.zero(w)
-                for h in joint:
-                    h1 = table[g1i][table[h][g1]]
-                    h2 = table[g2i][table[h][g2]]
-                    c1 = _char_value(group, w, stab_a, va.irrep, h1).conjugate()
-                    c2 = _char_value(group, w, stab_b, vb.irrep, h2)
-                    acc = acc + c1 * c2 * carrier.block_trace(h, u1, u2)
+                for h1, h2, trace in joint:
+                    c = char_pair(stab_a, va.irrep, h1, stab_b, vb.irrep, h2)
+                    acc = acc + c * trace
                 try:
                     val = acc.divide_exact(len(joint))
                 except ValueError:
@@ -250,11 +280,14 @@ class _QuiverCarrier:
 
     def _block_types(self, v, w) -> tuple[int, ...]:
         return tuple(
-            i for i in ARROW_TYPES if self.quiver.target(Arrow(v, i)) == w
+            i for i, t in zip(ARROW_TYPES, self.quiver.successors[v]) if t == w
         )
 
     def block_dim(self, v, w) -> int:
-        return len(self._block_types(v, w))
+        return self.quiver.successors[v].count(w)
+
+    def out_neighbours(self, v) -> tuple:
+        return self.quiver.successors[v]
 
     def block_trace(self, g: int, v, w) -> CycInt:
         e = self.action.elements[g]
@@ -287,12 +320,15 @@ def skew_quiver(quiver: TypedQuiver, action: QuiverAction) -> SkewQuiver:
         },
     )
     dims = [v.dimension for v in s.vertices]
-    for i in range(len(dims)):
-        out_sum = sum(m * dims[j] for (a, j), m in mult.items() if a == i)
-        in_sum = sum(m * dims[a] for (a, j), m in mult.items() if j == i)
-        if out_sum != 3 * dims[i] or in_sum != 3 * dims[i]:
+    out_sum = [0] * len(dims)
+    in_sum = [0] * len(dims)
+    for (a, j), m in mult.items():
+        out_sum[a] += m * dims[j]
+        in_sum[j] += m * dims[a]
+    for i, d in enumerate(dims):
+        if out_sum[i] != 3 * d or in_sum[i] != 3 * d:
             raise InternalInvariantViolation(
-                f"vertex {i}: weighted degree ({out_sum}, {in_sum}) != 3*{dims[i]}"
+                f"vertex {i}: weighted degree ({out_sum[i]}, {in_sum[i]}) != 3*{d}"
             )
     return s
 
@@ -465,6 +501,17 @@ class _TwistCarrier:
     def block_dim(self, v: int, w: int) -> int:
         return self.s.mult.get((v, w), 0)
 
+    @cached_property
+    def _successors(self) -> list[list[int]]:
+        out: list[list[int]] = [[] for _ in self.s.vertices]
+        for (i, j), m in self.s.mult.items():
+            if m:
+                out[i].append(j)
+        return out
+
+    def out_neighbours(self, v: int) -> list[int]:
+        return self._successors[v]
+
     def _weights(self, v: int, w: int) -> tuple[tuple[int, int], ...]:
         """(weight exponent, count) per transversal pair of the underlying orbits."""
         key = (v, w)
@@ -554,10 +601,8 @@ def unskew_round_trip(basis: LatticeBasis) -> RoundTripReport:
     labels_b: dict[tuple[int, int], tuple[int, int]] = {}
     vindex = {v: i for i, v in enumerate(quiver.vertices)}
     for x in quiver.vertices:
-        for y in quiver.vertices:
+        for y in sorted(set(quiver.successors[x])):
             arrows = quiver.arrows_between(x, y)
-            if not arrows:
-                continue
             degs = {cut.degree(a) for a in arrows}
             if len(degs) > 1:
                 raise InternalInvariantViolation(

@@ -13,6 +13,9 @@ from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
 from mckay.skew import (
+    _demonet,
+    _QuiverCarrier,
+    _TwistCarrier,
     dual_twist_action,
     loop_witness,
     skew_quiver,
@@ -297,3 +300,61 @@ def test_round_trip_det12():
 def test_round_trip_needs_divisibility():
     with pytest.raises(NotDivisible):
         unskew_round_trip(LatticeBasis(2, 0, 2))
+
+
+class _Wrapped:
+    """A carrier passing blocks through to another; `every_point` makes its
+    out-neighbours every point, which forces the engine to visit all pairs."""
+
+    def __init__(self, inner, every_point=False):
+        self.inner = inner
+        self.group = inner.group
+        self.cyclotomic_order = inner.cyclotomic_order
+        self.every_point = every_point
+        self.block_dim_calls = 0
+
+    def block_dim(self, v, w):
+        self.block_dim_calls += 1
+        return self.inner.block_dim(v, w)
+
+    def block_trace(self, g, v, w):
+        return self.inner.block_trace(g, v, w)
+
+    def out_neighbours(self, v):
+        return self.group.points if self.every_point else self.inner.out_neighbours(v)
+
+
+def _assert_same_as_all_pairs(carrier):
+    vertices, mult = _demonet(carrier)
+    all_vertices, all_mult = _demonet(_Wrapped(carrier, every_point=True))
+    assert vertices == all_vertices
+    assert list(mult.items()) == list(all_mult.items())
+
+
+@pytest.mark.parametrize(
+    "kind, kw", [("C", {}), ("D", {}), ("D", {"root_order": 4, "scalars": (2, 0, 0)})]
+)
+def test_adjacent_pairs_match_all_pairs(kind, kw):
+    for basis in admissible_bases(36, kind):
+        q = build_quiver(AbelianQuotient(basis))
+        _assert_same_as_all_pairs(_QuiverCarrier(q, k_action(q, kind, **kw)))
+
+
+def test_adjacent_pairs_match_all_pairs_for_the_twist():
+    bases = [b for b in admissible_bases(36, "C") if b.det % 3 == 0]
+    assert bases
+    for basis in bases:
+        q, act, s = _skew(basis, "C")
+        _assert_same_as_all_pairs(_TwistCarrier(s, dual_twist_action(s), q, act))
+
+
+def test_skew_work_grows_linearly():
+    # Block lookups, counted rather than timed: quadrupling det(B) should
+    # about quadruple them (the all-pairs sweep grows them about 16-fold).
+    calls = []
+    for k in (15, 30):
+        q = build_quiver(AbelianQuotient(LatticeBasis(k, 0, k)))
+        carrier = _Wrapped(_QuiverCarrier(q, k_action(q, "C")))
+        _demonet(carrier)
+        calls.append(carrier.block_dim_calls)
+    assert calls[1] <= 5 * calls[0]
