@@ -6,144 +6,5 @@ quivers, cut enumeration and closed-form existence criteria, skew-group
 quivers under the residual C3 or S3 action, and the dual-twist round trip
 recovering a cut from the skew side.
 """
-from __future__ import annotations
-
-from .cuts import (
-    Cut,
-    ValidationReport,
-    build_cut,
-    cut_exists,
-    cut_type,
-    enumerate_cuts,
-    invariant_cut,
-    realized_types,
-    validate_cut,
-)
-from .cyclotomic import CycInt, cyclotomic_polynomial, root_of_unity
-from .errors import (
-    CriterionFailed,
-    DecompositionFailure,
-    Divisible,
-    ExplosionGuard,
-    GeneratorNotSpecialLinear,
-    InternalCriterionFailure,
-    InternalInvariantViolation,
-    IsoSearchExhausted,
-    McKayError,
-    MixedDegrees,
-    NonIntegralMultiplicity,
-    NotAdmissible,
-    NotDivisible,
-    NotInvariant,
-    SingularMatrix,
-    TooLarge,
-)
-from .lattice import (
-    AbelianQuotient,
-    AdmissibilityReport,
-    LatticeBasis,
-    admissibility,
-    admissible_bases,
-    check_admissible,
-    hermite_normal_form,
-    is_admissible,
-)
-from .mckay_quiver import (
-    ActionElement,
-    Arrow,
-    GroupAction,
-    QuiverAction,
-    TypedQuiver,
-    build_quiver,
-    commutativity_squares,
-    elementary_cycles,
-    k_action,
-)
-from .monomial_group import (
-    FiniteMatrixGroup,
-    MonomialMatrix,
-    ComplementReport,
-    closure,
-    conjugacy_classes,
-    diagonal_subgroup,
-    group_from_basis,
-    semidirect_check,
-)
-from .skew import (
-    LoopWitness,
-    RoundTripReport,
-    SkewQuiver,
-    SkewVertex,
-    dual_twist_action,
-    loop_witness,
-    skew_quiver,
-    transport_cut,
-    unskew_round_trip,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianQuotient",
-    "ActionElement",
-    "AdmissibilityReport",
-    "Arrow",
-    "ComplementReport",
-    "CriterionFailed",
-    "Cut",
-    "CycInt",
-    "DecompositionFailure",
-    "Divisible",
-    "ExplosionGuard",
-    "FiniteMatrixGroup",
-    "GeneratorNotSpecialLinear",
-    "GroupAction",
-    "InternalCriterionFailure",
-    "InternalInvariantViolation",
-    "IsoSearchExhausted",
-    "LatticeBasis",
-    "LoopWitness",
-    "McKayError",
-    "MixedDegrees",
-    "MonomialMatrix",
-    "NonIntegralMultiplicity",
-    "NotAdmissible",
-    "NotDivisible",
-    "NotInvariant",
-    "QuiverAction",
-    "RoundTripReport",
-    "SingularMatrix",
-    "SkewQuiver",
-    "SkewVertex",
-    "TooLarge",
-    "TypedQuiver",
-    "ValidationReport",
-    "admissibility",
-    "admissible_bases",
-    "build_cut",
-    "build_quiver",
-    "check_admissible",
-    "closure",
-    "commutativity_squares",
-    "conjugacy_classes",
-    "cut_exists",
-    "cut_type",
-    "cyclotomic_polynomial",
-    "diagonal_subgroup",
-    "dual_twist_action",
-    "elementary_cycles",
-    "enumerate_cuts",
-    "group_from_basis",
-    "hermite_normal_form",
-    "invariant_cut",
-    "is_admissible",
-    "k_action",
-    "loop_witness",
-    "realized_types",
-    "root_of_unity",
-    "semidirect_check",
-    "skew_quiver",
-    "transport_cut",
-    "unskew_round_trip",
-    "validate_cut",
-]

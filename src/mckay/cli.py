@@ -33,6 +33,7 @@ from .lattice import (
     hermite_normal_form,
 )
 from .mckay_quiver import (
+    QuiverAction,
     TypedQuiver,
     build_quiver,
     commutativity_squares,
@@ -40,7 +41,6 @@ from .mckay_quiver import (
     k_action,
 )
 from .monomial_group import (
-    FiniteMatrixGroup,
     MonomialMatrix,
     conjugacy_classes,
     diagonal_subgroup,
@@ -231,8 +231,8 @@ def _cmd_cut_exists(args) -> dict:
 def _cmd_cut_build(args) -> dict:
     basis = _parse_basis(args.basis)
     gamma = _parse_triple(args.gamma, "gamma")
-    cut = build_cut(basis, gamma)
     q = build_quiver(AbelianQuotient(basis))
+    cut = build_cut(q, gamma)
     doc = {
         "schema": 1,
         "command": "cut-build",
@@ -263,7 +263,7 @@ def _cmd_cut_validate(args) -> dict:
             raise ValueError(f"arrow ids {missing} do not exist")
         cut = Cut.of(by_id[i] for i in ids)
     elif args.gamma:
-        cut = build_cut(basis, _parse_triple(args.gamma, "gamma"))
+        cut = build_cut(q, _parse_triple(args.gamma, "gamma"))
     else:
         raise ValueError("cut-validate needs --gamma or --arrow-ids")
     doc = {
@@ -300,11 +300,10 @@ def _cmd_cut_enumerate(args) -> dict:
     }
 
 
-def _build_action(args, basis: LatticeBasis):
+def _build_action(args, basis: LatticeBasis) -> QuiverAction:
     q = build_quiver(AbelianQuotient(basis))
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
-    act = k_action(q, args.kind, scalars=scalars, root_order=args.root_order)
-    return q, act
+    return k_action(q, args.kind, scalars=scalars, root_order=args.root_order)
 
 
 def _action_meta(act) -> dict:
@@ -322,8 +321,8 @@ def _action_meta(act) -> dict:
 
 def _cmd_skew(args) -> dict:
     basis = _parse_basis(args.basis)
-    q, act = _build_action(args, basis)
-    s = skew_quiver(q, act)
+    act = _build_action(args, basis)
+    s = skew_quiver(act)
     doc = {
         "schema": 1,
         "command": "skew",
@@ -337,7 +336,7 @@ def _cmd_classify(args) -> dict:
     basis = _parse_basis(args.basis)
     if args.kind not in ("C", "D"):
         raise ValueError("classify needs kind C or D")
-    q, act = _build_action(args, basis)
+    act = _build_action(args, basis)
     n = basis.det
     doc = {
         "schema": 1,
@@ -345,17 +344,17 @@ def _cmd_classify(args) -> dict:
         "metadata": _metadata(basis, **_action_meta(act)),
         "divisible_by_3": n % 3 == 0,
     }
-    s = skew_quiver(q, act)
+    s = skew_quiver(act)
     if n % 3 == 0:
-        cut = invariant_cut(basis, args.kind)
-        s = transport_cut(s, q, act, cut)
+        cut = invariant_cut(act)
+        s = transport_cut(s, act, cut)
         doc["verdict"] = "cut-exists"
         doc["witness"] = {
-            "invariant_cut_arrow_ids": [q.arrow_index(a) for a in cut.arrows],
+            "invariant_cut_arrow_ids": [act.quiver.arrow_index(a) for a in cut.arrows],
             "invariant_cut_type": list(cut_type(cut)),
         }
     else:
-        witness = loop_witness(basis, args.kind)
+        witness = loop_witness(act)
         if not s.loops():
             raise InternalInvariantViolation(
                 "no loops on the skew quiver although 3 does not divide |N|"
@@ -374,8 +373,8 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_unskew_roundtrip(args) -> dict:
     basis = _parse_basis(args.basis)
-    report = unskew_round_trip(basis)
     q = build_quiver(AbelianQuotient(basis))
+    report = unskew_round_trip(q)
     return {
         "schema": 1,
         "command": "unskew-roundtrip",

@@ -19,14 +19,13 @@ from .errors import (
     NotDivisible,
     TooLarge,
 )
-from .lattice import AbelianQuotient, LatticeBasis, check_admissible
+from .lattice import LatticeBasis
 from .mckay_quiver import (
     Arrow,
+    QuiverAction,
     TypedQuiver,
-    build_quiver,
     commutativity_squares,
     elementary_cycles,
-    k_action,
 )
 
 __all__ = [
@@ -84,29 +83,29 @@ def cut_exists(basis: LatticeBasis, gamma: Sequence[int]) -> bool:
     return (g1 * basis.a) % n == 0 and (g1 * basis.b + g2 * basis.c) % n == 0
 
 
-def _value_function(basis: LatticeBasis, gamma: Sequence[int]) -> dict[tuple[int, int], int]:
+def _value_function(q: TypedQuiver, gamma: Sequence[int]) -> dict[tuple[int, int], int]:
     g1, g2, _ = gamma
-    n = basis.det
+    n = q.quotient.order
     g = gcd(gcd(gamma[0], gamma[1]), gamma[2])
     return {
         (x1, x2): ((g1 * x1 + g2 * x2) % n) // g
-        for (x1, x2) in basis.cosets()
+        for (x1, x2) in q.vertices
     }
 
 
-def build_cut(basis: LatticeBasis, gamma: Sequence[int]) -> Cut:
-    """Construct the cut of type gamma: arrows whose source value exceeds the
-    target value under v(x) = ((gamma1 x1 + gamma2 x2) mod n) / gcd(gamma).
+def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
+    """Construct the cut of type gamma on q: arrows whose source value exceeds
+    the target value under v(x) = ((gamma1 x1 + gamma2 x2) mod n) / gcd(gamma).
 
     The criterion makes v well defined on cosets; smallest nonnegative
     representatives give the comparison.
     """
+    basis = q.quotient.basis
     if not cut_exists(basis, gamma):
         raise CriterionFailed(
             f"no cut of type {tuple(gamma)} exists on det {basis.det}"
         )
-    q = build_quiver(AbelianQuotient(basis))
-    v = _value_function(basis, gamma)
+    v = _value_function(q, gamma)
     picked = [a for a in q.arrows if v[a.source] > v[q.target(a)]]
     cut = Cut.of(picked)
     if cut_type(cut) != tuple(gamma):
@@ -213,14 +212,16 @@ def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
     )
 
 
-def invariant_cut(basis: LatticeBasis, kind: str) -> Cut:
-    """The symmetric cut of type (n/3, n/3, n/3), checked K-invariant.
+def invariant_cut(action: QuiverAction) -> Cut:
+    """The symmetric cut of type (n/3, n/3, n/3) on the acted-on quiver,
+    checked K-invariant.
 
-    Exists exactly when 3 divides n = det(B); the preconditions make the
-    criterion and the invariance provable, so their failure is an
-    internal error, not an input error.
+    Exists exactly when 3 divides n = det(B); the admissibility an action
+    carries makes the criterion and the invariance provable, so their
+    failure is an internal error, not an input error.
     """
-    check_admissible(basis, kind)
+    q = action.quiver
+    basis = q.quotient.basis
     n = basis.det
     if n % 3:
         raise NotDivisible(f"3 does not divide det(B) = {n}")
@@ -229,10 +230,8 @@ def invariant_cut(basis: LatticeBasis, kind: str) -> Cut:
         raise InternalCriterionFailure(
             f"symmetric type {gamma} fails the criterion on an admissible basis"
         )
-    cut = build_cut(basis, gamma)
-    q = build_quiver(AbelianQuotient(basis))
-    act = k_action(q, kind)
-    if not act.is_arrow_set_invariant(cut.arrows):
+    cut = build_cut(q, gamma)
+    if not action.is_arrow_set_invariant(cut.arrows):
         raise InternalCriterionFailure("symmetric cut is not K-invariant")
     report = validate_cut(q, cut)
     if not report.passed:

@@ -63,22 +63,8 @@ class LatticeBasis:
         return self.a * self.c
 
     @property
-    def columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, 0), (self.b, self.c))
-
-    @property
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (0, self.c))
-
-    @staticmethod
-    def from_columns(columns: Iterable[Sequence[int]]) -> LatticeBasis:
-        return hermite_normal_form(columns)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> LatticeBasis:
-        """Normalize an arbitrary integer generator matrix given row by row."""
-        cols = [(rows[0][j], rows[1][j]) for j in range(len(rows[0]))]
-        return hermite_normal_form(cols)
 
     def reduce(self, x: Sequence[int]) -> tuple[int, int]:
         """Canonical coset representative of x in Z^2 / B."""
@@ -110,10 +96,6 @@ class AbelianQuotient:
     @property
     def order(self) -> int:
         return self.basis.det
-
-    @property
-    def invariant_factors(self) -> tuple[int, int]:
-        return self.basis.smith_invariants()
 
     @property
     def cosets(self) -> tuple[tuple[int, int], ...]:
@@ -183,20 +165,26 @@ def conjugate_is_integral(
     return all(e % det == 0 for e in (e11, e12, e21, e22))
 
 
-def divisibility_admissible(basis: LatticeBasis, kind: str) -> bool:
-    """Closed-form admissibility test in terms of a, b, c."""
+def _failed_condition(basis: LatticeBasis, kind: str) -> str | None:
+    """The first closed-form admissibility condition the basis fails, in
+    terms of a, b, c: "factorization", "rotation", "swap", or None."""
     _check_kind(kind)
     if kind == "A":
-        return True
+        return None
     a, b, c = basis.a, basis.b, basis.c
     if a % c or b % c:
-        return False
+        return "factorization"
     k1, k2 = a // c, b // c
     if (k2 * k2 - k2 + 1) % k1:
-        return False
-    if kind == "D":
-        return (k2 - 2) % k1 == 0 and 3 % k1 == 0
-    return True
+        return "rotation"
+    if kind == "D" and ((k2 - 2) % k1 or 3 % k1):
+        return "swap"
+    return None
+
+
+def divisibility_admissible(basis: LatticeBasis, kind: str) -> bool:
+    """Closed-form admissibility test in terms of a, b, c."""
+    return _failed_condition(basis, kind) is None
 
 
 def _check_kind(kind: str) -> None:
@@ -212,8 +200,12 @@ class AdmissibilityReport:
     kind: str
     k1: int | None
     k2: int | None
-    closed_form: bool
+    failed: str | None
     direct: bool
+
+    @property
+    def closed_form(self) -> bool:
+        return self.failed is None
 
     @property
     def admissible(self) -> bool:
@@ -222,11 +214,11 @@ class AdmissibilityReport:
 
 def admissibility(basis: LatticeBasis, kind: str) -> AdmissibilityReport:
     """Run the closed-form and the direct stabilization checks; fail loudly on disagreement."""
-    _check_kind(kind)
+    failed = _failed_condition(basis, kind)
+    by_division = failed is None
     a, b, c = basis.a, basis.b, basis.c
     k1 = a // c if a % c == 0 else None
     k2 = b // c if b % c == 0 else None
-    by_division = divisibility_admissible(basis, kind)
     direct = True
     if kind in ("C", "D"):
         direct = conjugate_is_integral(basis, ROTATION_MATRIX)
@@ -237,7 +229,7 @@ def admissibility(basis: LatticeBasis, kind: str) -> AdmissibilityReport:
             f"admissibility routes disagree on {basis} kind {kind}: "
             f"divisibility={by_division}, conjugation={direct}"
         )
-    return AdmissibilityReport(basis, kind, k1, k2, by_division, direct)
+    return AdmissibilityReport(basis, kind, k1, k2, failed, direct)
 
 
 def is_admissible(basis: LatticeBasis, kind: str) -> bool:
@@ -258,23 +250,17 @@ def check_admissible(basis: LatticeBasis, kind: str) -> None:
     report = admissibility(basis, kind)
     if report.admissible:
         return
-    a, b, c = basis.a, basis.b, basis.c
-    if report.k1 is None or report.k2 is None:
-        raise NotAdmissible(
-            f"basis {basis.rows} does not factor as [[k1*c, k2*c], [0, c]]: "
-            f"c={c} does not divide both {a} and {b}",
-            failed="factorization",
-        )
     k1, k2 = report.k1, report.k2
-    if (k2 * k2 - k2 + 1) % k1:
-        raise NotAdmissible(
-            f"rotation condition fails: k1={k1} does not divide k2^2-k2+1={k2 * k2 - k2 + 1}",
-            failed="rotation",
+    if report.failed == "factorization":
+        message = (
+            f"basis {basis.rows} does not factor as [[k1*c, k2*c], [0, c]]: "
+            f"c={basis.c} does not divide both {basis.a} and {basis.b}"
         )
-    raise NotAdmissible(
-        f"swap condition fails: k1={k1} does not divide gcd(k2-2, 3) with k2={k2}",
-        failed="swap",
-    )
+    elif report.failed == "rotation":
+        message = f"rotation condition fails: k1={k1} does not divide k2^2-k2+1={k2 * k2 - k2 + 1}"
+    else:
+        message = f"swap condition fails: k1={k1} does not divide gcd(k2-2, 3) with k2={k2}"
+    raise NotAdmissible(message, failed=report.failed)
 
 
 def admissible_bases(max_det: int, kind: str) -> list[LatticeBasis]:

@@ -146,10 +146,6 @@ class CommutativitySquare:
     first_path: tuple[Arrow, Arrow]
     second_path: tuple[Arrow, Arrow]
 
-    @property
-    def paths(self) -> tuple[tuple[Arrow, Arrow], tuple[Arrow, Arrow]]:
-        return (self.first_path, self.second_path)
-
 
 def commutativity_squares(q: TypedQuiver) -> tuple[CommutativitySquare, ...]:
     """One square per vertex and unordered type pair; 3 det(B) of them."""
@@ -287,7 +283,11 @@ class GroupAction:
 @dataclass(frozen=True, eq=False)
 class QuiverAction:
     """The symmetry group (C3 for kind C, S3 for kind D) acting on a quiver;
-    `group` holds its table and vertex maps in the order of `elements`."""
+    `group` holds its table and vertex maps in the order of `elements`.
+
+    Only `k_action` builds one, after checking that the basis is admissible
+    for the kind, so every stage that takes an action may rely on that.
+    """
 
     quiver: TypedQuiver
     kind: str

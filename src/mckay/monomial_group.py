@@ -198,9 +198,6 @@ class FiniteMatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: MonomialMatrix) -> bool:
-        return g in set(self.elements)
-
     def identity(self) -> MonomialMatrix:
         return MonomialMatrix.identity(self.root_order)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Protocol
 
 from .cuts import Cut, _has_cycle, invariant_cut, validate_cut
@@ -31,18 +31,16 @@ from .errors import (
     IsoSearchExhausted,
     MixedDegrees,
     NonIntegralMultiplicity,
-    NotDivisible,
     NotInvariant,
 )
 from .graphiso import find_isomorphism
-from .lattice import AbelianQuotient, LatticeBasis, check_admissible
+from .lattice import LatticeBasis
 from .mckay_quiver import (
     ARROW_TYPES,
     Arrow,
     GroupAction,
     QuiverAction,
     TypedQuiver,
-    build_quiver,
     k_action,
 )
 
@@ -139,10 +137,6 @@ class SkewQuiver:
     degrees: dict[tuple[int, int], int] | None
     group_size: int
     metadata: dict
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
     @cached_property
     def dimension_square_sum(self) -> int:
@@ -270,13 +264,24 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
 
 
 class _QuiverCarrier:
-    """Carrier for Q_N with the K-action; traces include the arrow scalars."""
+    """Carrier for Q_N with the K-action; traces include the arrow scalars.
 
-    def __init__(self, quiver: TypedQuiver, action: QuiverAction):
-        self.quiver = quiver
+    The scalars are roots of unity of order M = root_order, but only the
+    subgroup they generate matters: with g the gcd of M and every scalar
+    exponent, the traces live in the field of order lcm(M/g, 3) and use the
+    exponents divided by g, so a large M with scalars of small order costs
+    no more than a small one.
+    """
+
+    def __init__(self, action: QuiverAction):
+        self.quiver = action.quiver
         self.action = action
         self.group = action.group
-        self.cyclotomic_order = lcm(action.root_order, 3)
+        m = action.root_order
+        g = gcd(m, *(x for e in action.elements for x in e.type_scalars))
+        self.cyclotomic_order = lcm(m // g, 3)
+        self._exp_divisor = g
+        self._exp_scale = self.cyclotomic_order // (m // g)
 
     def _block_types(self, v, w) -> tuple[int, ...]:
         return tuple(
@@ -291,28 +296,26 @@ class _QuiverCarrier:
 
     def block_trace(self, g: int, v, w) -> CycInt:
         e = self.action.elements[g]
-        scale = self.cyclotomic_order // self.action.root_order
         acc = CycInt.zero(self.cyclotomic_order)
         for i in self._block_types(v, w):
             if e.act_type(i) == i:
-                acc = acc + root_of_unity(
-                    self.cyclotomic_order, e.scalar_exp(i) * scale
-                )
+                exp = e.scalar_exp(i) // self._exp_divisor * self._exp_scale
+                acc = acc + root_of_unity(self.cyclotomic_order, exp)
         return acc
 
 
-def skew_quiver(quiver: TypedQuiver, action: QuiverAction) -> SkewQuiver:
+def skew_quiver(action: QuiverAction) -> SkewQuiver:
     """The quiver of the skew-group algebra for the K-action on Q_N.
 
     Checks the completeness identity (sum of squared dimensions equals
     |N| * |K|) and 3-regularity weighted by dimensions at every vertex.
     """
-    vertices, mult = _demonet(_QuiverCarrier(quiver, action))
+    vertices, mult = _demonet(_QuiverCarrier(action))
     s = SkewQuiver(
         vertices=vertices,
         mult=mult,
         degrees=None,
-        group_size=len(quiver.vertices) * len(action.elements),
+        group_size=len(action.quiver.vertices) * len(action.elements),
         metadata={
             "kind": action.kind,
             "root_order": action.root_order,
@@ -347,30 +350,27 @@ class LoopWitness:
         return len(self.orbit)
 
 
-def loop_witness(basis: LatticeBasis, kind: str) -> LoopWitness:
+def loop_witness(action: QuiverAction) -> LoopWitness:
     """The witness coset x1 = (-k-1, k) with 3k+1 = 0 mod n, whose K-orbit
     contains x1 + e1; its full connected orbit forces a loop on the skew quiver.
 
     Orbit size is 3 for kind C and 6 for kind D, except for the C2 x C2
     quotient in kind D where the orbit has size 3 and is flagged special.
     """
-    check_admissible(basis, kind)
-    n = basis.det
+    quotient = action.quiver.quotient
+    n = quotient.order
     if n % 3 == 0:
         raise Divisible(f"3 divides det(B) = {n}; no loop witness exists")
     k = (-pow(3, -1, n)) % n
     if (3 * k + 1) % n:
         raise InternalCriterionFailure("modular inverse of 3 is wrong")
-    quotient = AbelianQuotient(basis)
     x1 = quotient.reduce((-k - 1, k))
-    q = build_quiver(quotient)
-    act = k_action(q, kind)
-    orbit = act.group.orbit_of[x1]
+    orbit = action.group.orbit_of[x1]
     x2 = quotient.reduce((x1[0] + 1, x1[1]))
     if x2 not in orbit:
         raise InternalCriterionFailure(f"{x2} escaped the orbit of {x1}")
-    special = kind == "D" and basis.smith_invariants() == (2, 2)
-    expected = 3 if kind == "C" or special else 6
+    special = action.kind == "D" and quotient.basis.smith_invariants() == (2, 2)
+    expected = 3 if action.kind == "C" or special else 6
     if len(orbit) != expected:
         raise InternalCriterionFailure(
             f"orbit of {x1} has size {len(orbit)}, expected {expected}"
@@ -382,9 +382,7 @@ def loop_witness(basis: LatticeBasis, kind: str) -> LoopWitness:
 # Cut transport.
 
 
-def transport_cut(
-    s: SkewQuiver, quiver: TypedQuiver, action: QuiverAction, cut: Cut
-) -> SkewQuiver:
+def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     """Assign degrees to the skew quiver blocks from an invariant cut.
 
     Each multiplicity block inherits the common degree of the underlying
@@ -393,6 +391,7 @@ def transport_cut(
     """
     if not action.is_arrow_set_invariant(cut.arrows):
         raise NotInvariant("the cut is not stable under the symmetry action")
+    quiver = action.quiver
     report = validate_cut(quiver, cut)
     if not report.passed:
         raise ValueError(f"cut fails validation: {report.witnesses}")
@@ -484,16 +483,10 @@ class _TwistCarrier:
     Elements of both C3s are indexed by their exponent of the generator.
     """
 
-    def __init__(
-        self,
-        s: SkewQuiver,
-        twist: GroupAction,
-        quiver: TypedQuiver,
-        action: QuiverAction,
-    ):
+    def __init__(self, s: SkewQuiver, twist: GroupAction, action: QuiverAction):
         self.s = s
         self.group = twist
-        self.quiver = quiver
+        self.quiver = action.quiver
         self.action = action
         self.cyclotomic_order = 3
         self._weights_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -559,7 +552,7 @@ class RoundTripReport:
     recovered_cut: Cut
 
 
-def unskew_round_trip(basis: LatticeBasis) -> RoundTripReport:
+def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     """Skew Q_N by the rotation action, skew again by the dual group, and
     match the result with Q_N carrying the invariant cut.
 
@@ -567,19 +560,14 @@ def unskew_round_trip(basis: LatticeBasis) -> RoundTripReport:
     multiplicities and transported degrees; exhaustion is an error, the
     recovered cut is compared arrow by arrow.
     """
-    check_admissible(basis, "C")
-    n = basis.det
-    if n % 3:
-        raise NotDivisible(f"3 does not divide det(B) = {n}")
-    quotient = AbelianQuotient(basis)
-    quiver = build_quiver(quotient)
     action = k_action(quiver, "C")
-    cut = invariant_cut(basis, "C")
-    s = skew_quiver(quiver, action)
-    s = transport_cut(s, quiver, action, cut)
+    cut = invariant_cut(action)  # raises NotDivisible unless 3 | n
+    n = quiver.quotient.order
+    s = skew_quiver(action)
+    s = transport_cut(s, action, cut)
 
     twist = dual_twist_action(s)
-    vertices2, mult2 = _demonet(_TwistCarrier(s, twist, quiver, action))
+    vertices2, mult2 = _demonet(_TwistCarrier(s, twist, action))
     # A double-skew block inherits the common degree of the S-blocks
     # joining the two twist orbits.
     degrees2 = _transport(
@@ -627,7 +615,7 @@ def unskew_round_trip(basis: LatticeBasis) -> RoundTripReport:
             recovered.append(a)
     recovered_cut = Cut.of(recovered)
     return RoundTripReport(
-        basis=basis,
+        basis=quiver.quotient.basis,
         skew_vertex_count=len(s.vertices),
         double_skew_vertex_count=len(vertices2),
         isomorphism=tuple(mapping),

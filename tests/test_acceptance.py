@@ -72,7 +72,7 @@ def test_criterion_2_build_cut_soundness(capsys):
         for gamma in _types(basis.det):
             if not cut_exists(basis, gamma):
                 continue
-            cut = build_cut(basis, gamma)
+            cut = build_cut(q, gamma)
             ok = cut_type(cut) == gamma and validate_cut(q, cut).passed
             if not ok:
                 _verdict(capsys, 2, False, f"{basis.rows} gamma={gamma}")
@@ -86,17 +86,17 @@ def test_criterion_3_classification(capsys):
         for basis in admissible_bases(48, kind):
             q = _quiver(basis)
             act = k_action(q, kind)
-            s = skew_quiver(q, act)
+            s = skew_quiver(act)
             divisible = basis.det % 3 == 0
             if divisible:
-                cut = invariant_cut(basis, kind)
-                st = transport_cut(s, q, act, cut)
+                cut = invariant_cut(act)
+                st = transport_cut(s, act, cut)
                 degrees = st.degrees
                 ok = set(degrees.values()) <= {0, 1} and _degree_zero_acyclic(
                     len(st.vertices), degrees
                 )
             else:
-                w = loop_witness(basis, kind)
+                w = loop_witness(act)
                 ok = bool(s.loops()) and w.vertex in w.orbit
             if not ok:
                 _verdict(capsys, 3, False, f"{basis.rows} kind {kind}")
@@ -130,7 +130,7 @@ def test_criterion_4_invariant_cut(capsys):
                 continue
             q = _quiver(basis)
             act = k_action(q, kind)
-            cut = invariant_cut(basis, kind)
+            cut = invariant_cut(act)
             ok = act.is_arrow_set_invariant(cut.arrows) and validate_cut(q, cut).passed
             if not ok:
                 _verdict(capsys, 4, False, f"{basis.rows} kind {kind}")
@@ -145,7 +145,7 @@ def test_criterion_5_demonet_consistency(capsys):
             if basis.det * factor > 200:
                 continue
             q = _quiver(basis)
-            s = skew_quiver(q, k_action(q, kind))
+            s = skew_quiver(k_action(q, kind))
             g = group_from_basis(basis, kind)
             dim = {i: v.dimension for i, v in enumerate(s.vertices)}
             degree_ok = all(
@@ -173,7 +173,7 @@ def test_criterion_6_loop_witness(capsys):
             if basis.det % 3 == 0:
                 continue
             n = basis.det
-            w = loop_witness(basis, kind)
+            w = loop_witness(k_action(_quiver(basis), kind))
             q = AbelianQuotient(basis)
             target = q.reduce((w.vertex[0] + 1, w.vertex[1]))
             if target not in w.orbit:
@@ -189,7 +189,7 @@ def test_criterion_6_loop_witness(capsys):
                 # G is S4 (signed permutations of determinant 1) and
                 # V = std x sgn: std and std' carry one loop each.
                 quiv = build_quiver(q)
-                s = skew_quiver(quiv, k_action(quiv, "D"))
+                s = skew_quiver(k_action(quiv, "D"))
                 loops = sorted(
                     (s.vertices[i].dimension, m) for i, m in s.loops()
                 )
@@ -217,7 +217,7 @@ def test_criterion_7_unskew_round_trip(capsys):
     for basis in admissible_bases(27, "C"):
         if basis.det % 3:
             continue
-        report = unskew_round_trip(basis)
+        report = unskew_round_trip(_quiver(basis))
         ok = (
             report.cut_recovered
             and report.double_skew_vertex_count == basis.det

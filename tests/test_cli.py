@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -250,3 +251,50 @@ def test_help_exits_zero(capsys):
     with_help = cli.main(["--help"])
     assert with_help == 0
     capsys.readouterr()
+
+
+_COUNTED = ("build_quiver", "k_action", "check_admissible", "validate_cut")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("classify", "--basis", "3,0;0,3", "--kind", "C"), (1, 1, 1, 2)),
+        (("classify", "--basis", "3,0;0,3", "--kind", "D"), (1, 1, 1, 2)),
+        (("classify", "--basis", "7,3;0,1", "--kind", "C"), (1, 1, 1, 0)),
+        (("classify", "--basis", "2,0;0,2", "--kind", "D"), (1, 1, 1, 0)),
+        (("skew", "--basis", "3,0;0,3", "--kind", "D"), (1, 1, 1, 0)),
+        (("unskew-roundtrip", "--basis", "3,0;0,3"), (1, 1, 1, 2)),
+        (("cut-build", "--basis", "3,2;0,1", "--gamma", "1,1,1"), (1, 0, 0, 1)),
+        (("cut-validate", "--basis", "3,2;0,1", "--gamma", "1,1,1"), (1, 0, 0, 1)),
+    ],
+)
+def test_each_command_builds_the_quiver_and_action_once(monkeypatch, capsys, argv, expected):
+    # Count calls wherever callers look the functions up: every mckay
+    # module namespace that holds one of them.
+    from mckay import cuts, lattice, mckay_quiver
+
+    originals = {
+        "build_quiver": mckay_quiver.build_quiver,
+        "k_action": mckay_quiver.k_action,
+        "check_admissible": lattice.check_admissible,
+        "validate_cut": cuts.validate_cut,
+    }
+    counts = dict.fromkeys(_COUNTED, 0)
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counting(name) for name in _COUNTED}
+    for modname, mod in list(sys.modules.items()):
+        if modname != "mckay" and not modname.startswith("mckay."):
+            continue
+        for name in _COUNTED:
+            if getattr(mod, name, None) is originals[name]:
+                monkeypatch.setattr(mod, name, wrappers[name])
+    assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert tuple(counts[name] for name in _COUNTED) == expected

@@ -42,7 +42,7 @@ def test_cut_exists_frozen():
 def test_build_cut_3i():
     basis = LatticeBasis(3, 0, 3)
     q = build_quiver(AbelianQuotient(basis))
-    cut = build_cut(basis, (3, 3, 3))
+    cut = build_cut(q, (3, 3, 3))
     assert len(cut) == 9
     assert cut_type(cut) == (3, 3, 3)
     # degree-1 arrows leave exactly the cosets with x1 + x2 = 2 mod 3
@@ -53,7 +53,7 @@ def test_build_cut_3i():
 
 def test_build_cut_reports_nonexistence():
     with pytest.raises(CriterionFailed):
-        build_cut(LatticeBasis(3, 0, 3), (1, 4, 4))
+        build_cut(_quiver(3, 0, 3), (1, 4, 4))
 
 
 def test_build_cut_soundness_sweep():
@@ -67,7 +67,7 @@ def test_build_cut_soundness_sweep():
                 gamma = (g1, g2, n - g1 - g2)
                 if gamma[2] < 1 or not cut_exists(basis, gamma):
                     continue
-                cut = build_cut(basis, gamma)
+                cut = build_cut(q, gamma)
                 assert cut_type(cut) == gamma
                 assert validate_cut(q, cut).passed
 
@@ -84,7 +84,7 @@ def test_validate_rejects_trivial_cuts():
 
 def test_validate_rejects_unbalanced_square():
     q = _quiver(3, 0, 3)
-    good = build_cut(LatticeBasis(3, 0, 3), (3, 3, 3))
+    good = build_cut(q, (3, 3, 3))
     # dropping a single arrow unbalances squares and breaks a cycle
     broken = Cut.of(list(good.arrows)[1:])
     report = validate_cut(q, broken)
@@ -93,10 +93,10 @@ def test_validate_rejects_unbalanced_square():
 
 
 def test_invariant_cut_types():
-    assert cut_type(invariant_cut(LatticeBasis(3, 2, 1), "C")) == (1, 1, 1)
-    assert cut_type(invariant_cut(LatticeBasis(3, 0, 3), "C")) == (3, 3, 3)
-    assert cut_type(invariant_cut(LatticeBasis(3, 0, 3), "D")) == (3, 3, 3)
-    assert cut_type(invariant_cut(LatticeBasis(6, 4, 2), "C")) == (4, 4, 4)
+    assert cut_type(invariant_cut(k_action(_quiver(3, 2, 1), "C"))) == (1, 1, 1)
+    assert cut_type(invariant_cut(k_action(_quiver(3, 0, 3), "C"))) == (3, 3, 3)
+    assert cut_type(invariant_cut(k_action(_quiver(3, 0, 3), "D"))) == (3, 3, 3)
+    assert cut_type(invariant_cut(k_action(_quiver(6, 4, 2), "C"))) == (4, 4, 4)
 
 
 def test_invariant_cut_is_action_stable():
@@ -107,16 +107,16 @@ def test_invariant_cut_is_action_stable():
         basis = LatticeBasis(a, b, c)
         q = build_quiver(AbelianQuotient(basis))
         act = k_action(q, kind)
-        cut = invariant_cut(basis, kind)
+        cut = invariant_cut(act)
         assert act.is_arrow_set_invariant(cut.arrows)
         assert validate_cut(q, cut).passed
 
 
 def test_invariant_cut_needs_divisibility():
     with pytest.raises(NotDivisible):
-        invariant_cut(LatticeBasis(2, 0, 2), "C")
+        invariant_cut(k_action(_quiver(2, 0, 2), "C"))
     with pytest.raises(NotDivisible):
-        invariant_cut(LatticeBasis(7, 3, 1), "C")
+        invariant_cut(k_action(_quiver(7, 3, 1), "C"))
 
 
 def test_enumerate_frozen_det3():

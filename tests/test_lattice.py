@@ -161,10 +161,16 @@ def test_check_admissible_failures():
     with pytest.raises(NotAdmissible) as e:
         check_admissible(LatticeBasis(1, 0, 1), "C")
     assert e.value.failed == "index"
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(NotAdmissible) as e:
         check_admissible(LatticeBasis(5, 1, 1), "C")
-    with pytest.raises(NotAdmissible):
+    assert e.value.failed == "rotation"
+    with pytest.raises(NotAdmissible) as e:
         check_admissible(LatticeBasis(7, 3, 1), "D")
+    assert e.value.failed == "swap"
+    with pytest.raises(NotAdmissible) as e:
+        check_admissible(LatticeBasis(3, 1, 2), "C")
+    assert e.value.failed == "factorization"
+    assert "c=2 does not divide both 3 and 1" in str(e.value)
     # admissible inputs pass silently
     check_admissible(LatticeBasis(3, 2, 1), "D")
 

@@ -222,10 +222,10 @@ def test_semidirect_factorization_witnesses():
     assert d_t * k_t == MonomialMatrix.rotation(g.root_order)
     d_r, k_r = report.r_factorization
     assert d_r.is_diagonal
-    assert k_r in report.complement
+    assert k_r in report.complement.elements
     # each complement element is an honest product of a diagonal and itself
     for x in report.complement.elements:
-        assert x in g
+        assert x in g.elements
 
 
 def test_complement_meets_diagonal_trivially():

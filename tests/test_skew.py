@@ -24,10 +24,17 @@ from mckay.skew import (
 )
 
 
+def _quiver(basis):
+    return build_quiver(AbelianQuotient(basis))
+
+
+def _action(basis, kind, **kw):
+    return k_action(_quiver(basis), kind, **kw)
+
+
 def _skew(basis, kind, **kw):
-    q = build_quiver(AbelianQuotient(basis))
-    act = k_action(q, kind, **kw)
-    return q, act, skew_quiver(q, act)
+    act = _action(basis, kind, **kw)
+    return act.quiver, act, skew_quiver(act)
 
 
 def test_skew_2i_kind_c():
@@ -139,6 +146,18 @@ def test_loop_profile_against_numeric_oracle():
     assert np_loop_profile(_signed_permutations_det_1()) == [(3, 1), (3, 1)]
 
 
+def test_carrier_field_follows_the_order_of_the_scalars():
+    # Default kind D scalars are all -1, whatever the root order.
+    basis = LatticeBasis(3, 0, 3)
+    big = _QuiverCarrier(_action(basis, "D", root_order=8192))
+    assert big.cyclotomic_order == 6
+    s = skew_quiver(big.action)
+    _, _, small = _skew(basis, "D", root_order=2)
+    assert s.vertices == small.vertices and s.mult == small.mult
+    twelfth = _action(basis, "D", root_order=12, scalars=(5, 7, 6))
+    assert _QuiverCarrier(twelfth).cyclotomic_order == 12
+
+
 def test_weighted_three_regularity():
     for basis, kind in [
         (LatticeBasis(2, 0, 2), "D"),
@@ -155,18 +174,18 @@ def test_weighted_three_regularity():
 
 
 def test_loop_witness_frozen():
-    w = loop_witness(LatticeBasis(2, 0, 2), "C")
+    w = loop_witness(_action(LatticeBasis(2, 0, 2), "C"))
     assert w.k == 1
     assert w.vertex == (0, 1)
     assert set(w.orbit) == {(0, 1), (1, 0), (1, 1)}
     assert w.orbit_size == 3
     assert not w.special_c2xc2
 
-    wd = loop_witness(LatticeBasis(2, 0, 2), "D")
+    wd = loop_witness(_action(LatticeBasis(2, 0, 2), "D"))
     assert wd.orbit_size == 3
     assert wd.special_c2xc2
 
-    w7 = loop_witness(LatticeBasis(7, 3, 1), "C")
+    w7 = loop_witness(_action(LatticeBasis(7, 3, 1), "C"))
     assert w7.k == 2
     assert set(w7.orbit) == {(5, 0), (6, 0), (3, 0)}
 
@@ -179,7 +198,7 @@ def test_loop_witness_target_stays_in_orbit():
         (LatticeBasis(4, 0, 4), "D"),
         (LatticeBasis(5, 0, 5), "D"),
     ]:
-        w = loop_witness(basis, kind)
+        w = loop_witness(_action(basis, kind))
         q = AbelianQuotient(basis)
         x = w.vertex
         target = q.reduce((x[0] + 1, x[1]))  # type-1 arrow endpoint
@@ -190,7 +209,7 @@ def test_loop_witness_target_stays_in_orbit():
 
 def test_loop_witness_requires_non_divisibility():
     with pytest.raises(Divisible):
-        loop_witness(LatticeBasis(3, 0, 3), "C")
+        loop_witness(_action(LatticeBasis(3, 0, 3), "C"))
 
 
 def test_witness_vertex_carries_a_loop():
@@ -199,7 +218,7 @@ def test_witness_vertex_carries_a_loop():
         (LatticeBasis(2, 0, 2), "D"),
         (LatticeBasis(7, 3, 1), "C"),
     ]:
-        w = loop_witness(basis, kind)
+        w = loop_witness(_action(basis, kind))
         _, _, s = _skew(basis, kind)
         loops = s.loops()
         assert loops
@@ -216,8 +235,8 @@ def test_no_loops_when_divisible():
 def test_transport_cut_3i():
     basis = LatticeBasis(3, 0, 3)
     q, act, s = _skew(basis, "C")
-    cut = invariant_cut(basis, "C")
-    st = transport_cut(s, q, act, cut)
+    cut = invariant_cut(act)
+    st = transport_cut(s, act, cut)
     assert st.degrees is not None
     assert set(st.degrees.values()) <= {0, 1}
     assert set(st.degrees) == set(st.mult)
@@ -245,9 +264,9 @@ def _acyclic(n, edges):
 def test_transport_rejects_non_invariant_cut():
     basis = LatticeBasis(7, 3, 1)
     q, act, s = _skew(basis, "C")
-    cut = build_cut(basis, (1, 4, 2))
+    cut = build_cut(q, (1, 4, 2))
     with pytest.raises(NotInvariant):
-        transport_cut(s, q, act, cut)
+        transport_cut(s, act, cut)
 
 
 def test_dual_twist_structure():
@@ -276,7 +295,7 @@ def test_dual_twist_needs_kind_c():
 
 
 def test_round_trip_det3():
-    report = unskew_round_trip(LatticeBasis(3, 2, 1))
+    report = unskew_round_trip(_quiver(LatticeBasis(3, 2, 1)))
     assert report.cut_recovered
     assert report.skew_vertex_count == 9
     assert report.double_skew_vertex_count == 3
@@ -284,7 +303,7 @@ def test_round_trip_det3():
 
 
 def test_round_trip_3i():
-    report = unskew_round_trip(LatticeBasis(3, 0, 3))
+    report = unskew_round_trip(_quiver(LatticeBasis(3, 0, 3)))
     assert report.cut_recovered
     assert report.skew_vertex_count == 11
     assert report.double_skew_vertex_count == 9
@@ -292,14 +311,14 @@ def test_round_trip_3i():
 
 
 def test_round_trip_det12():
-    report = unskew_round_trip(LatticeBasis(6, 4, 2))
+    report = unskew_round_trip(_quiver(LatticeBasis(6, 4, 2)))
     assert report.cut_recovered
     assert report.double_skew_vertex_count == 12
 
 
 def test_round_trip_needs_divisibility():
     with pytest.raises(NotDivisible):
-        unskew_round_trip(LatticeBasis(2, 0, 2))
+        unskew_round_trip(_quiver(LatticeBasis(2, 0, 2)))
 
 
 class _Wrapped:
@@ -336,16 +355,15 @@ def _assert_same_as_all_pairs(carrier):
 )
 def test_adjacent_pairs_match_all_pairs(kind, kw):
     for basis in admissible_bases(36, kind):
-        q = build_quiver(AbelianQuotient(basis))
-        _assert_same_as_all_pairs(_QuiverCarrier(q, k_action(q, kind, **kw)))
+        _assert_same_as_all_pairs(_QuiverCarrier(_action(basis, kind, **kw)))
 
 
 def test_adjacent_pairs_match_all_pairs_for_the_twist():
     bases = [b for b in admissible_bases(36, "C") if b.det % 3 == 0]
     assert bases
     for basis in bases:
-        q, act, s = _skew(basis, "C")
-        _assert_same_as_all_pairs(_TwistCarrier(s, dual_twist_action(s), q, act))
+        _, act, s = _skew(basis, "C")
+        _assert_same_as_all_pairs(_TwistCarrier(s, dual_twist_action(s), act))
 
 
 def test_skew_work_grows_linearly():
@@ -353,8 +371,7 @@ def test_skew_work_grows_linearly():
     # about quadruple them (the all-pairs sweep grows them about 16-fold).
     calls = []
     for k in (15, 30):
-        q = build_quiver(AbelianQuotient(LatticeBasis(k, 0, k)))
-        carrier = _Wrapped(_QuiverCarrier(q, k_action(q, "C")))
+        carrier = _Wrapped(_QuiverCarrier(_action(LatticeBasis(k, 0, k), "C")))
         _demonet(carrier)
         calls.append(carrier.block_dim_calls)
     assert calls[1] <= 5 * calls[0]
