@@ -16,6 +16,7 @@ from .cuts import (
     Cut,
     ValidationReport,
     build_cut,
+    check_cut_exists,
     cut_exists,
     cut_type,
     enumerate_cuts,
@@ -231,6 +232,7 @@ def _cmd_cut_exists(args) -> dict:
 def _cmd_cut_build(args) -> dict:
     basis = _parse_basis(args.basis)
     gamma = _parse_triple(args.gamma, "gamma")
+    check_cut_exists(basis, gamma)
     q = build_quiver(AbelianQuotient(basis))
     cut = build_cut(q, gamma)
     doc = {
@@ -249,8 +251,15 @@ def _cmd_cut_build(args) -> dict:
 
 def _cmd_cut_validate(args) -> dict:
     basis = _parse_basis(args.basis)
+    if args.arrow_ids is None:
+        if not args.gamma:
+            raise ValueError("cut-validate needs --gamma or --arrow-ids")
+        gamma = _parse_triple(args.gamma, "gamma")
+        check_cut_exists(basis, gamma)
     q = build_quiver(AbelianQuotient(basis))
-    if args.arrow_ids is not None:
+    if args.arrow_ids is None:
+        cut = build_cut(q, gamma)
+    else:
         try:
             ids = sorted(
                 {int(x) for x in args.arrow_ids.split(",")} if args.arrow_ids else set()
@@ -262,10 +271,6 @@ def _cmd_cut_validate(args) -> dict:
         if missing:
             raise ValueError(f"arrow ids {missing} do not exist")
         cut = Cut.of(by_id[i] for i in ids)
-    elif args.gamma:
-        cut = build_cut(q, _parse_triple(args.gamma, "gamma"))
-    else:
-        raise ValueError("cut-validate needs --gamma or --arrow-ids")
     doc = {
         "schema": 1,
         "command": "cut-validate",

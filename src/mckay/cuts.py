@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CriterionFailed,
@@ -33,6 +33,7 @@ __all__ = [
     "ValidationReport",
     "cut_type",
     "cut_exists",
+    "check_cut_exists",
     "build_cut",
     "validate_cut",
     "invariant_cut",
@@ -83,6 +84,14 @@ def cut_exists(basis: LatticeBasis, gamma: Sequence[int]) -> bool:
     return (g1 * basis.a) % n == 0 and (g1 * basis.b + g2 * basis.c) % n == 0
 
 
+def check_cut_exists(basis: LatticeBasis, gamma: Sequence[int]) -> None:
+    """Raise CriterionFailed unless the criterion admits a cut of type gamma."""
+    if not cut_exists(basis, gamma):
+        raise CriterionFailed(
+            f"no cut of type {tuple(gamma)} exists on det {basis.det}"
+        )
+
+
 def _value_function(q: TypedQuiver, gamma: Sequence[int]) -> dict[tuple[int, int], int]:
     g1, g2, _ = gamma
     n = q.quotient.order
@@ -100,11 +109,7 @@ def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     The criterion makes v well defined on cosets; smallest nonnegative
     representatives give the comparison.
     """
-    basis = q.quotient.basis
-    if not cut_exists(basis, gamma):
-        raise CriterionFailed(
-            f"no cut of type {tuple(gamma)} exists on det {basis.det}"
-        )
+    check_cut_exists(q.quotient.basis, gamma)
     v = _value_function(q, gamma)
     picked = [a for a in q.arrows if v[a.source] > v[q.target(a)]]
     cut = Cut.of(picked)
@@ -241,13 +246,23 @@ def invariant_cut(action: QuiverAction) -> Cut:
     return cut
 
 
-def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple[Cut, ...]:
-    """All valid cuts, by exhaustive backtracking over arrow degrees.
+def _search(
+    q: TypedQuiver,
+    limit: int,
+    emit: Callable[[list[int]], None],
+    runs: Iterable[Iterable[tuple[int, int]]] = ((),),
+) -> None:
+    """Backtracking over arrow degrees: call emit(degrees) at every valid
+    leaf, within a run in lexicographic order of the cut's arrow-index list.
 
-    Elementary cycles give exactly-one constraints that drive unit
-    propagation; squares prune by degree intervals; leaves are checked
-    for degree-0 acyclicity.  Cuts are emitted in lexicographic order of
-    their sorted arrow-index lists.
+    One search runs per item of `runs`, from scratch, with its
+    (arrow index, degree) pairs set and propagated first; the constraints
+    are built once for all runs.  Elementary cycles give exactly-one
+    constraints that drive unit propagation; squares prune by degree
+    intervals; an arrow u -> v fixed to degree 0 fails at once when v
+    already reaches u through degree-0 arrows (a loop fails outright),
+    because such a cycle survives every completion.  Leaves are checked
+    again for balanced squares and degree-0 acyclicity.
     """
     arrows = q.arrows
     na = len(arrows)
@@ -257,11 +272,9 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
     cycles = [
         tuple(index[a] for a in cyc.arrows) for cyc in elementary_cycles(q)
     ]
+    # A square is (a, b, c, d): the 2-paths a.b and c.d.
     squares = [
-        (
-            tuple(index[a] for a in sq.first_path),
-            tuple(index[a] for a in sq.second_path),
-        )
+        tuple(index[a] for a in (*sq.first_path, *sq.second_path))
         for sq in commutativity_squares(q)
     ]
     in_cycles: list[list[int]] = [[] for _ in range(na)]
@@ -269,13 +282,30 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
         for ai in cyc:
             in_cycles[ai].append(ci)
     in_squares: list[list[int]] = [[] for _ in range(na)]
-    for si, (p1, p2) in enumerate(squares):
-        for ai in (*p1, *p2):
+    for si, sq in enumerate(squares):
+        for ai in sq:
             in_squares[ai].append(si)
+    # Arrow i leaves vertex i // 3; vertices are numbered in coset order.
+    index_of = q.quotient.index_of
+    head = [index_of(q.target(a)) for a in arrows]
 
     assign = [-1] * na
     trail: list[int] = []
-    results: list[Cut] = []
+
+    def zero_path(start: int, goal: int) -> bool:
+        """Whether goal is reachable from start along degree-0 arrows."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v == goal:
+                return True
+            for ai in range(3 * v, 3 * v + 3):
+                w = head[ai]
+                if assign[ai] == 0 and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
 
     def set_value(ai: int, value: int) -> bool:
         if assign[ai] != -1:
@@ -285,9 +315,16 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
         queue = [ai]
         while queue:
             x = queue.pop()
+            if assign[x] == 0 and zero_path(head[x], x // 3):
+                return False
             for ci in in_cycles[x]:
-                ones = sum(1 for y in cycles[ci] if assign[y] == 1)
-                undecided = [y for y in cycles[ci] if assign[y] == -1]
+                ones = 0
+                undecided = []
+                for y in cycles[ci]:
+                    if assign[y] == 1:
+                        ones += 1
+                    elif assign[y] == -1:
+                        undecided.append(y)
                 if ones > 1 or (ones == 0 and not undecided):
                     return False
                 if ones == 1:
@@ -301,12 +338,13 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
                     trail.append(y)
                     queue.append(y)
             for si in in_squares[x]:
-                p1, p2 = squares[si]
-                lo1 = sum(1 for y in p1 if assign[y] == 1)
-                hi1 = lo1 + sum(1 for y in p1 if assign[y] == -1)
-                lo2 = sum(1 for y in p2 if assign[y] == 1)
-                hi2 = lo2 + sum(1 for y in p2 if assign[y] == -1)
-                if lo1 > hi2 or lo2 > hi1:
+                # Each path's degree lies between its count of degree-1
+                # arrows and its count of arrows not fixed to 0.
+                a, b, c, d = squares[si]
+                a, b, c, d = assign[a], assign[b], assign[c], assign[d]
+                if (a == 1) + (b == 1) > (c != 0) + (d != 0) or (
+                    (c == 1) + (d == 1) > (a != 0) + (b != 0)
+                ):
                     return False
         return True
 
@@ -315,15 +353,11 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
             assign[trail.pop()] = -1
 
     def leaf_ok() -> bool:
-        for p1, p2 in squares:
-            if sum(assign[y] for y in p1) != sum(assign[y] for y in p2):
+        for a, b, c, d in squares:
+            if assign[a] + assign[b] != assign[c] + assign[d]:
                 return False
-        degree_zero = [
-            (arrows[i].source, q.target(arrows[i]))
-            for i in range(na)
-            if assign[i] == 0
-        ]
-        cyclic, _ = _has_cycle(q.vertices, degree_zero)
+        degree_zero = [(i // 3, head[i]) for i in range(na) if assign[i] == 0]
+        cyclic, _ = _has_cycle(range(len(q.vertices)), degree_zero)
         return not cyclic
 
     def dfs(pos: int) -> None:
@@ -331,9 +365,7 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
             pos += 1
         if pos == na:
             if leaf_ok():
-                results.append(
-                    Cut.of(arrows[i] for i in range(na) if assign[i] == 1)
-                )
+                emit(assign)
             return
         for value in (1, 0):
             mark = len(trail)
@@ -341,12 +373,52 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
                 dfs(pos + 1)
             undo(mark)
 
-    dfs(0)
+    for fixed in runs:
+        if all(set_value(ai, value) for ai, value in fixed):
+            dfs(0)
+        undo(0)
+
+
+def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple[Cut, ...]:
+    """All valid cuts, by exhaustive backtracking over arrow degrees.
+
+    Raises TooLarge when q has more than `limit` arrows.  Degree-0 cycles
+    are rejected as soon as their last arrow is fixed, not at the leaves.
+    Cuts are emitted in lexicographic order of their sorted arrow-index
+    lists.
+    """
+    arrows = q.arrows
+    results: list[Cut] = []
+    _search(
+        q,
+        limit,
+        lambda assign: results.append(
+            Cut.of(a for a, d in zip(arrows, assign) if d == 1)
+        ),
+    )
     return tuple(results)
 
 
 def realized_types(
     q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> set[tuple[int, int, int]]:
-    """Set of type vectors realized by some valid cut."""
-    return {cut_type(c) for c in enumerate_cuts(q, limit)}
+    """Set of type vectors realized by some valid cut, found by search alone
+    (the closed-form criterion is never consulted).
+
+    Translations of Z^2/B are type-preserving automorphisms of q, and every
+    valid cut is non-empty (each elementary cycle carries degree 1).  So a
+    cut whose lowest arrow type is t translates to one that holds the
+    origin's type-t arrow and no arrow of a lower type; three constrained
+    searches, t = 1, 2, 3, meet every realized type.  Raises TooLarge when
+    q has more than `limit` arrows.
+    """
+    types: set[tuple[int, int, int]] = set()
+
+    def record(assign: list[int]) -> None:
+        types.add(tuple(sum(assign[t::3]) for t in range(3)))  # type: ignore[arg-type]
+
+    na = len(q.arrows)
+    # Arrow t is the origin's arrow of type t + 1.
+    runs = [[(t, 1)] + [(i, 0) for i in range(na) if i % 3 < t] for t in range(3)]
+    _search(q, limit, record, runs)
+    return types

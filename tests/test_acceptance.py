@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from conftest import np_loop_profile, to_complex
 from mckay import cli
 from mckay.cuts import (
@@ -20,8 +18,7 @@ from mckay.cuts import (
     realized_types,
     validate_cut,
 )
-from mckay.errors import NotAdmissible
-from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases, is_admissible
+from mckay.lattice import AbelianQuotient, admissible_bases
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
 from mckay.skew import (

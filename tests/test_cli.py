@@ -298,3 +298,25 @@ def test_each_command_builds_the_quiver_and_action_once(monkeypatch, capsys, arg
     assert cli.main(list(argv)) == 0
     capsys.readouterr()
     assert tuple(counts[name] for name in _COUNTED) == expected
+
+
+@pytest.mark.parametrize("command", ["cut-build", "cut-validate"])
+def test_a_refused_gamma_never_builds_the_quiver(monkeypatch, capsys, command):
+    # The criterion reads only the basis, so Q_N (40,000 vertices here)
+    # is never built for a gamma it refuses.
+    from mckay import mckay_quiver
+
+    original = mckay_quiver.build_quiver
+    calls = []
+
+    def counting(quotient):
+        calls.append(quotient)
+        return original(quotient)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("mckay") and getattr(mod, "build_quiver", None) is original:
+            monkeypatch.setattr(mod, "build_quiver", counting)
+    argv = [command, "--basis", "200,0;0,200", "--gamma", "1,1,1"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: no cut of type (1, 1, 1) exists on det 40000\n"
+    assert calls == []

@@ -5,8 +5,11 @@ import itertools
 
 import pytest
 
+from mckay import cuts
 from mckay.cuts import (
+    DEFAULT_ENUMERATION_LIMIT,
     Cut,
+    _has_cycle,
     build_cut,
     cut_exists,
     cut_type,
@@ -17,7 +20,13 @@ from mckay.cuts import (
 )
 from mckay.errors import CriterionFailed, NotDivisible, TooLarge
 from mckay.lattice import AbelianQuotient, LatticeBasis
-from mckay.mckay_quiver import build_quiver, k_action
+from mckay.mckay_quiver import (
+    TypedQuiver,
+    build_quiver,
+    commutativity_squares,
+    elementary_cycles,
+    k_action,
+)
 
 
 def _quiver(a, b, c):
@@ -181,6 +190,8 @@ def test_too_large_guard():
     q = _quiver(10, 0, 1)
     with pytest.raises(TooLarge):
         enumerate_cuts(q)
+    with pytest.raises(TooLarge):
+        realized_types(q)
     # raising the limit lets the search run; this quotient has no cuts
     assert enumerate_cuts(q, limit=30) == ()
 
@@ -198,3 +209,147 @@ def test_criterion_is_sharp_on_non_admissible_quotients():
             if n - g1 - g2 >= 1 and cut_exists(basis, (g1, g2, n - g1 - g2))
         }
         assert realized_types(q, limit=3 * n) == predicted
+
+
+# The search as it was before degree-0 cycles were rejected during
+# propagation, kept verbatim (apart from its name) as the reference that
+# the pruned search must reproduce cut for cut and in the same order.
+def reference_enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple[Cut, ...]:
+    """All valid cuts, by exhaustive backtracking over arrow degrees.
+
+    Elementary cycles give exactly-one constraints that drive unit
+    propagation; squares prune by degree intervals; leaves are checked
+    for degree-0 acyclicity.  Cuts are emitted in lexicographic order of
+    their sorted arrow-index lists.
+    """
+    arrows = q.arrows
+    na = len(arrows)
+    if na > limit:
+        raise TooLarge(f"{na} arrows exceeds the enumeration guard {limit}")
+    index = {a: i for i, a in enumerate(arrows)}
+    cycles = [
+        tuple(index[a] for a in cyc.arrows) for cyc in elementary_cycles(q)
+    ]
+    squares = [
+        (
+            tuple(index[a] for a in sq.first_path),
+            tuple(index[a] for a in sq.second_path),
+        )
+        for sq in commutativity_squares(q)
+    ]
+    in_cycles: list[list[int]] = [[] for _ in range(na)]
+    for ci, cyc in enumerate(cycles):
+        for ai in cyc:
+            in_cycles[ai].append(ci)
+    in_squares: list[list[int]] = [[] for _ in range(na)]
+    for si, (p1, p2) in enumerate(squares):
+        for ai in (*p1, *p2):
+            in_squares[ai].append(si)
+
+    assign = [-1] * na
+    trail: list[int] = []
+    results: list[Cut] = []
+
+    def set_value(ai: int, value: int) -> bool:
+        if assign[ai] != -1:
+            return assign[ai] == value
+        assign[ai] = value
+        trail.append(ai)
+        queue = [ai]
+        while queue:
+            x = queue.pop()
+            for ci in in_cycles[x]:
+                ones = sum(1 for y in cycles[ci] if assign[y] == 1)
+                undecided = [y for y in cycles[ci] if assign[y] == -1]
+                if ones > 1 or (ones == 0 and not undecided):
+                    return False
+                if ones == 1:
+                    for y in undecided:
+                        assign[y] = 0
+                        trail.append(y)
+                        queue.append(y)
+                elif ones == 0 and len(undecided) == 1:
+                    y = undecided[0]
+                    assign[y] = 1
+                    trail.append(y)
+                    queue.append(y)
+            for si in in_squares[x]:
+                p1, p2 = squares[si]
+                lo1 = sum(1 for y in p1 if assign[y] == 1)
+                hi1 = lo1 + sum(1 for y in p1 if assign[y] == -1)
+                lo2 = sum(1 for y in p2 if assign[y] == 1)
+                hi2 = lo2 + sum(1 for y in p2 if assign[y] == -1)
+                if lo1 > hi2 or lo2 > hi1:
+                    return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            assign[trail.pop()] = -1
+
+    def leaf_ok() -> bool:
+        for p1, p2 in squares:
+            if sum(assign[y] for y in p1) != sum(assign[y] for y in p2):
+                return False
+        degree_zero = [
+            (arrows[i].source, q.target(arrows[i]))
+            for i in range(na)
+            if assign[i] == 0
+        ]
+        cyclic, _ = _has_cycle(q.vertices, degree_zero)
+        return not cyclic
+
+    def dfs(pos: int) -> None:
+        while pos < na and assign[pos] != -1:
+            pos += 1
+        if pos == na:
+            if leaf_ok():
+                results.append(
+                    Cut.of(arrows[i] for i in range(na) if assign[i] == 1)
+                )
+            return
+        for value in (1, 0):
+            mark = len(trail)
+            if set_value(pos, value):
+                dfs(pos + 1)
+            undo(mark)
+
+    dfs(0)
+    return tuple(results)
+
+
+def _hnf_bases(max_det):
+    for a in range(1, max_det + 1):
+        for c in range(1, max_det // a + 1):
+            for b in range(a):
+                yield LatticeBasis(a, b, c)
+
+
+def test_search_matches_the_reference():
+    for basis in _hnf_bases(10):
+        q = build_quiver(AbelianQuotient(basis))
+        limit = 3 * basis.det
+        reference = reference_enumerate_cuts(q, limit)
+        assert enumerate_cuts(q, limit) == reference, basis
+        assert realized_types(q, limit) == {cut_type(cut) for cut in reference}, basis
+    for a, b, c in [(19, 8, 1), (4, 0, 4)]:
+        q = _quiver(a, b, c)
+        reference = reference_enumerate_cuts(q, 3 * a * c)
+        assert realized_types(q, 3 * a * c) == {cut_type(cut) for cut in reference}
+
+
+@pytest.mark.parametrize("abc", [(13, 0, 1), (1, 0, 12)])
+def test_degree_zero_cycles_fail_before_the_leaves(monkeypatch, abc):
+    # Type-2 (resp. type-1) arrows are loops here, so no cut exists; the
+    # leaf check used to run on 8,193 (resp. 4,097) complete assignments.
+    calls = []
+
+    def counting(vertices, edges):
+        calls.append(1)
+        return _has_cycle(vertices, edges)
+
+    monkeypatch.setattr(cuts, "_has_cycle", counting)
+    q = _quiver(*abc)
+    assert enumerate_cuts(q, limit=40) == ()
+    assert realized_types(q, limit=40) == set()
+    assert len(calls) <= 1

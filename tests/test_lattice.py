@@ -1,12 +1,17 @@
 """Hermite/Smith forms, coset arithmetic and the admissibility criterion."""
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckay import lattice
 from mckay.errors import NotAdmissible, SingularMatrix
 from mckay.lattice import (
+    ROTATION_MATRIX,
+    SWAP_MATRIX,
     AbelianQuotient,
     LatticeBasis,
     admissibility,
@@ -190,6 +195,46 @@ def test_admissible_bases_catalog():
     ]
     # the determinant of a rotation-admissible basis is never 2 mod 3
     assert all(b.det % 3 != 2 for b in c_bases)
+
+
+def _triple_scan(max_det, kind):
+    """(det, a, b, c) of every Hermite basis with 2 <= det <= max_det that
+    the direct route alone admits, sorted."""
+    found = []
+    for a in range(1, max_det + 1):
+        for c in range(1, max_det // a + 1):
+            for b in range(a):
+                basis = LatticeBasis(a, b, c)
+                if basis.det < 2:
+                    continue
+                if kind in ("C", "D") and not conjugate_is_integral(basis, ROTATION_MATRIX):
+                    continue
+                if kind == "D" and not conjugate_is_integral(basis, SWAP_MATRIX):
+                    continue
+                found.append((basis.det, a, b, c))
+    return sorted(found)
+
+
+def test_admissible_bases_match_a_triple_scan(monkeypatch):
+    scans = {kind: _triple_scan(150, kind) for kind in "ACD"}
+    direct = lattice.conjugate_is_integral
+    calls = []
+
+    def counting(basis, matrix):
+        calls.append(basis)
+        return direct(basis, matrix)
+
+    monkeypatch.setattr(lattice, "conjugate_is_integral", counting)
+    for kind, scan in scans.items():
+        dets = [t[0] for t in scan]
+        for bound in range(2, 151):
+            calls.clear()
+            got = [(b.det, b.a, b.b, b.c) for b in admissible_bases(bound, kind)]
+            assert got == scan[: bisect_right(dets, bound)], (kind, bound)
+            if kind in ("C", "D"):
+                # one direct check per symmetry, on every emitted basis
+                assert len(calls) == len(got) * (1 if kind == "C" else 2)
+                assert {(b.det, b.a, b.b, b.c) for b in calls} == set(got)
 
 
 def test_basis_constructor_guards():

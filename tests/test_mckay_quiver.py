@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mckay.errors import InternalInvariantViolation, NotAdmissible
 from mckay.lattice import AbelianQuotient, LatticeBasis
 from mckay.mckay_quiver import (
-    ARROW_TYPES,
     Arrow,
     GroupAction,
     build_quiver,

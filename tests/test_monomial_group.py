@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import np_class_count, np_closure, to_complex
-from mckay.errors import DecompositionFailure, ExplosionGuard, GeneratorNotSpecialLinear
+from mckay.errors import ExplosionGuard, GeneratorNotSpecialLinear
 from mckay.lattice import LatticeBasis
 from mckay.monomial_group import (
     MonomialMatrix,

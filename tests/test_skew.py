@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import np_class_count, np_loop_profile, to_complex
-from mckay.cuts import Cut, build_cut, cut_type, invariant_cut
+from mckay.cuts import build_cut, cut_type, invariant_cut
 from mckay.errors import Divisible, NotDivisible, NotInvariant
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import build_quiver, k_action
