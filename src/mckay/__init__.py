@@ -1,10 +1,11 @@
 """Exact McKay quivers of finite monomial subgroups of SL(3, C).
 
-Everything is integer or cyclotomic-integer arithmetic: abelian quotients
-of Z^2 presented by Hermite normal forms, their typed three-arrow McKay
-quivers, cut enumeration and closed-form existence criteria, skew-group
-quivers under the residual C3 or S3 action, and the dual-twist round trip
-recovering a cut from the skew side.
+Everything is integer arithmetic; a sum of roots of unity is held as integer
+counts over its exponents and reduced modulo a cyclotomic polynomial.
+Covered: abelian quotients of Z^2 presented by Hermite normal forms, their
+typed three-arrow McKay quivers, cut enumeration and closed-form existence
+criteria, skew-group quivers under the residual C3 or S3 action, and the
+dual-twist round trip recovering a cut from the skew side.
 """
 
 __version__ = "0.1.0"

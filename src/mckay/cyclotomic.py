@@ -1,22 +1,17 @@
-"""Exact arithmetic in the ring of integers of a cyclotomic field.
+"""Exact reduction of integer combinations of roots of unity.
 
-Numbers are stored as integer coordinate vectors in the power basis
-1, z, ..., z^(d-1) where z is a primitive W-th root of unity and d is
-the degree of the W-th cyclotomic polynomial.  All reductions happen
-by exact division against that polynomial, so equality, integrality
-and conjugation tests are decidable with no floating point anywhere.
+A value sum c_k z^k, z a primitive W-th root of unity, is held as a sparse
+count dict {k: c_k}.  Reducing it modulo the W-th cyclotomic polynomial
+gives its coordinates in the power basis 1, z, ..., z^(d-1), d = phi(W):
+two count dicts name the same number exactly when their reductions agree,
+and the number is a rational integer exactly when every coordinate past
+the first is 0.  No floating point is involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
-__all__ = [
-    "cyclotomic_polynomial",
-    "CycInt",
-    "root_of_unity",
-]
+__all__ = ["cyclotomic_polynomial", "reduce_mod_cyclotomic"]
 
 
 @lru_cache(maxsize=None)
@@ -53,141 +48,22 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row k: coordinates of z^(d+k) in the power basis, for k < order."""
+def reduce_mod_cyclotomic(order: int, counts: dict[int, int]) -> tuple[int, ...]:
+    """Power-basis coordinates of sum c z^k over the items (k, c) of counts.
+
+    Exponents are taken mod order, then the polynomial is divided by the
+    order-th cyclotomic polynomial from the top down, in O(order) steps.
+    """
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
-    # z^d = -(phi[0] + phi[1] z + ... + phi[d-1] z^(d-1))
-    rows: list[list[int]] = [[-c for c in phi[:d]]]
-    for _ in range(order - 1):
-        prev = rows[-1]
-        nxt = [0] * d
-        # multiply by z: shift up, reduce the overflow term via row 0
-        top = prev[d - 1]
-        for i in range(d - 1, 0, -1):
-            nxt[i] = prev[i - 1]
-        if top:
-            for i in range(d):
-                nxt[i] += top * rows[0][i]
-        rows.append(nxt)
-    return tuple(tuple(r) for r in rows)
-
-
-def _reduce_coords(order: int, raw: list[int]) -> tuple[int, ...]:
-    """Reduce a coefficient list of arbitrary length modulo the cyclotomic polynomial."""
-    d = len(cyclotomic_polynomial(order)) - 1
-    out = list(raw[:d]) + [0] * max(0, d - len(raw))
-    rows = None
-    for k in range(d, len(raw)):
+    low = [(j, c) for j, c in enumerate(phi[:d]) if c]
+    raw = [0] * order
+    for k, c in counts.items():
+        raw[k % order] += c
+    # z^k = z^(k-d) * z^d = -z^(k-d) * (phi[0] + ... + phi[d-1] z^(d-1))
+    for k in range(order - 1, d - 1, -1):
         c = raw[k]
-        if not c:
-            continue
-        if rows is None:
-            rows = _reduction_rows(order)
-        row = rows[k - d]
-        for i in range(d):
-            out[i] += c * row[i]
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CycInt:
-    """An element of Z[z], z a primitive `order`-th root of unity."""
-
-    order: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = len(cyclotomic_polynomial(self.order)) - 1
-        if len(self.coords) != d:
-            raise ValueError(
-                f"need {d} coordinates for order {self.order}, got {len(self.coords)}"
-            )
-
-    @staticmethod
-    def integer(order: int, value: int) -> CycInt:
-        d = len(cyclotomic_polynomial(order)) - 1
-        return CycInt(order, (value,) + (0,) * (d - 1))
-
-    @staticmethod
-    def zero(order: int) -> CycInt:
-        return CycInt.integer(order, 0)
-
-    def _check(self, other: CycInt) -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed orders {self.order} and {other.order}")
-
-    def __add__(self, other: CycInt) -> CycInt:
-        self._check(other)
-        return CycInt(self.order, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: CycInt) -> CycInt:
-        self._check(other)
-        return CycInt(self.order, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> CycInt:
-        return CycInt(self.order, tuple(-a for a in self.coords))
-
-    def __mul__(self, other: CycInt | int) -> CycInt:
-        if isinstance(other, int):
-            return CycInt(self.order, tuple(a * other for a in self.coords))
-        self._check(other)
-        d = len(self.coords)
-        raw = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    raw[i + j] += a * b
-        return CycInt(self.order, _reduce_coords(self.order, raw))
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> CycInt:
-        """Complex conjugate, i.e. the Galois map z -> z^(order-1)."""
-        return self.substitute_power(self.order - 1)
-
-    def substitute_power(self, k: int) -> CycInt:
-        """Image under z -> z^k; k must be coprime to the order to stay a ring map."""
-        k %= self.order
-        if gcd(k, self.order) != 1:
-            raise ValueError(f"exponent {k} not coprime to order {self.order}")
-        raw = [0] * self.order
-        for i, a in enumerate(self.coords):
-            if a:
-                raw[(i * k) % self.order] += a
-        return CycInt(self.order, _reduce_coords(self.order, raw))
-
-    def divide_exact(self, n: int) -> CycInt:
-        """Divide every coordinate by the integer n; raises if not exact."""
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        if any(a % n for a in self.coords):
-            raise ValueError(f"coordinates {self.coords} not divisible by {n}")
-        return CycInt(self.order, tuple(a // n for a in self.coords))
-
-    @property
-    def is_integer(self) -> bool:
-        return all(a == 0 for a in self.coords[1:])
-
-    @property
-    def integer_value(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.coords[0]
-
-    def __bool__(self) -> bool:
-        return any(self.coords)
-
-    def __repr__(self) -> str:
-        return f"CycInt(order={self.order}, coords={self.coords})"
-
-
-def root_of_unity(order: int, exponent: int) -> CycInt:
-    """z^exponent as an exact element of Z[z], z primitive of the given order."""
-    exponent %= order
-    raw = [0] * (exponent + 1)
-    raw[exponent] = 1
-    return CycInt(order, _reduce_coords(order, raw))
+        if c:
+            for j, p in low:
+                raw[k - d + j] -= c * p
+    return tuple(raw[:d])

@@ -4,9 +4,12 @@ Vertices of the skewed quiver are pairs (orbit representative, irreducible
 character of the stabilizer); the arrow multiplicity between two such
 vertices is a sum of Hom-space dimensions over a transversal of the
 diagonal orbits, each computed as an exact character inner product over
-the joint stabilizer.  All character values and traces are cyclotomic
-integers, so a non-integer multiplicity can only mean a bookkeeping bug
-and is raised, never rounded.
+the joint stabilizer.  Every character value is c * z^k and every trace a
+sum of (exponent mod W, count) terms, z a primitive W-th root of unity, so
+each block's inner product is summed exactly as a count vector over Z/W
+and reduced modulo the W-th cyclotomic polynomial once.  A multiplicity
+that is not a non-negative integer can only mean a bookkeeping bug and is
+raised, never rounded.
 
 Both skews of the unskew round trip run through the same engine: a carrier
 supplies a GroupAction (element names, integer Cayley table and vertex maps,
@@ -23,7 +26,7 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Protocol
 
 from .cuts import Cut, _has_cycle, invariant_cut, validate_cut
-from .cyclotomic import CycInt, root_of_unity
+from .cyclotomic import reduce_mod_cyclotomic
 from .errors import (
     Divisible,
     InternalCriterionFailure,
@@ -72,27 +75,31 @@ class Carrier(Protocol):
     """What the skewing engine needs to know about a quiver with a group action.
 
     `out_neighbours(v)` must include every w with `block_dim(v, w) != 0`.
+    `block_trace(g, v, w)` is the trace of g on the block as (exponent mod W,
+    count) terms, each meaning count * z^exponent with z a primitive
+    W-th root of unity, W = `cyclotomic_order`.
     """
 
     group: GroupAction
     cyclotomic_order: int
 
     def block_dim(self, v, w) -> int: ...
-    def block_trace(self, g: int, v, w) -> CycInt: ...
+    def block_trace(self, g: int, v, w) -> tuple[tuple[int, int], ...]: ...
     def out_neighbours(self, v) -> Iterable: ...
 
 
 def _char_value(
     group: GroupAction, w: int, subgroup: tuple[int, ...], label: str, h: int
-) -> CycInt:
-    """chi_label(h) for the stabilizer subgroup, as an exact cyclotomic integer."""
+) -> tuple[int, int]:
+    """chi_label(h) for the stabilizer subgroup as a term (c, k): c * z^k, z a
+    primitive w-th root of unity."""
     order = len(subgroup)
     if label == "triv":
-        return CycInt.integer(w, 1)
+        return 1, 0
     if order == 2:
         if label != "sgn":
             raise ValueError(f"unknown order-2 label {label}")
-        return CycInt.integer(w, 1 if h == 0 else -1)
+        return (1 if h == 0 else -1), 0
     if order == 3:
         gen = subgroup[1]
         k = {0: 0, gen: 1, group.table[gen][gen]: 2}.get(h)
@@ -101,15 +108,13 @@ def _char_value(
                 f"{group.names[h]} is not a power of {group.names[gen]}"
             )
         j = {"omega": 1, "omega2": 2}[label]
-        return root_of_unity(w, (w // 3) * ((j * k) % 3))
+        return 1, (w // 3) * ((j * k) % 3)
     if order == 6:
         o = group.orders[h]
         if label == "sgn":
-            return CycInt.integer(w, -1 if o == 2 else 1)
+            return (-1 if o == 2 else 1), 0
         if label == "std":
-            if o == 1:
-                return CycInt.integer(w, 2)
-            return CycInt.integer(w, -1 if o == 3 else 0)
+            return {1: 2, 3: -1}.get(o, 0), 0
     raise ValueError(f"unknown label {label} for a stabilizer of order {order}")
 
 
@@ -187,12 +192,14 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     transversal = cache(group.diagonal_transversal)
 
     @cache
-    def char_pair(sa: tuple, la: str, h1: int, sb: tuple, lb: str, h2: int) -> CycInt:
-        """conj(chi_la(h1)) * chi_lb(h2) on the stabilizers sa and sb."""
-        return (
-            _char_value(group, w, sa, la, h1).conjugate()
-            * _char_value(group, w, sb, lb, h2)
-        )
+    def char_pair(
+        sa: tuple, la: str, h1: int, sb: tuple, lb: str, h2: int
+    ) -> tuple[int, int]:
+        """conj(chi_la(h1)) * chi_lb(h2) on the stabilizers sa and sb, as a term
+        (c, k); conjugation negates the exponent."""
+        ca, ka = _char_value(group, w, sa, la, h1)
+        cb, kb = _char_value(group, w, sb, lb, h2)
+        return ca * cb, (kb - ka) % w
 
     @cache
     def block_terms(u1, u2) -> tuple:
@@ -228,25 +235,22 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                 if carrier.block_dim(u1, u2) == 0:
                     continue
                 joint = block_terms(u1, u2)  # one term per joint stabilizer element
-                acc = CycInt.zero(w)
+                counts: dict[int, int] = {}
                 for h1, h2, trace in joint:
-                    c = char_pair(stab_a, va.irrep, h1, stab_b, vb.irrep, h2)
-                    acc = acc + c * trace
-                try:
-                    val = acc.divide_exact(len(joint))
-                except ValueError:
+                    c, k = char_pair(stab_a, va.irrep, h1, stab_b, vb.irrep, h2)
+                    if c:
+                        for e, n in trace:
+                            i = (k + e) % w
+                            counts[i] = counts.get(i, 0) + c * n
+                coords = reduce_mod_cyclotomic(w, counts)
+                if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
                     raise NonIntegralMultiplicity(
                         f"block ({va.orbit_rep}/{va.irrep} -> "
-                        f"{vb.orbit_rep}/{vb.irrep}) pair {u1}->{u2}: "
-                        f"inner product {acc.coords} not divisible by {len(joint)}"
-                    ) from None
-                if not val.is_integer or val.integer_value < 0:
-                    raise NonIntegralMultiplicity(
-                        f"block ({va.orbit_rep}/{va.irrep} -> "
-                        f"{vb.orbit_rep}/{vb.irrep}) pair {u1}->{u2}: "
-                        f"inner product is not a nonnegative integer: {val.coords}"
+                        f"{vb.orbit_rep}/{vb.irrep}) pair {u1}->{u2}: inner "
+                        f"product {coords} is not a non-negative integer "
+                        f"multiple of {len(joint)}"
                     )
-                total += val.integer_value
+                total += coords[0] // len(joint)
             if total:
                 mult[(ai, bi)] = total
 
@@ -294,14 +298,13 @@ class _QuiverCarrier:
     def out_neighbours(self, v) -> tuple:
         return self.quiver.successors[v]
 
-    def block_trace(self, g: int, v, w) -> CycInt:
+    def block_trace(self, g: int, v, w) -> tuple[tuple[int, int], ...]:
         e = self.action.elements[g]
-        acc = CycInt.zero(self.cyclotomic_order)
-        for i in self._block_types(v, w):
-            if e.act_type(i) == i:
-                exp = e.scalar_exp(i) // self._exp_divisor * self._exp_scale
-                acc = acc + root_of_unity(self.cyclotomic_order, exp)
-        return acc
+        return tuple(
+            (e.scalar_exp(i) // self._exp_divisor * self._exp_scale, 1)
+            for i in self._block_types(v, w)
+            if e.act_type(i) == i
+        )
 
 
 def skew_quiver(action: QuiverAction) -> SkewQuiver:
@@ -530,13 +533,10 @@ class _TwistCarrier:
         self._weights_cache[key] = weights
         return weights
 
-    def block_trace(self, g: int, v: int, w: int) -> CycInt:
+    def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
         if g == 0:
-            return CycInt.integer(3, self.block_dim(v, w))
-        acc = CycInt.zero(3)
-        for k, count in self._weights(v, w):
-            acc = acc + CycInt.integer(3, count) * root_of_unity(3, (g * k) % 3)
-        return acc
+            return ((0, self.block_dim(v, w)),)
+        return tuple(((g * k) % 3, count) for k, count in self._weights(v, w))
 
 
 @dataclass(frozen=True)

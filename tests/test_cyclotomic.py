@@ -1,4 +1,4 @@
-"""Exact cyclotomic integers against a floating-point oracle."""
+"""Exact reduction modulo cyclotomic polynomials against a floating-point oracle."""
 from __future__ import annotations
 
 import math
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay.cyclotomic import CycInt, cyclotomic_polynomial, root_of_unity
+from mckay.cyclotomic import cyclotomic_polynomial, reduce_mod_cyclotomic
 
-ORDERS = (1, 2, 3, 4, 6, 12)
+ORDERS = (1, 2, 3, 4, 6, 12, 24)
 
 # Classical table of the first few cyclotomic polynomials, low degree first.
 KNOWN = {
@@ -25,9 +25,10 @@ KNOWN = {
 }
 
 
-def to_complex(x: CycInt) -> complex:
-    zeta = np.exp(2j * np.pi / x.order)
-    return sum(c * zeta ** k for k, c in enumerate(x.coords))
+def to_complex(order: int, counts: dict[int, int]) -> complex:
+    """sum c * zeta^k over the items (k, c), zeta = exp(2 pi i / order)."""
+    zeta = np.exp(2j * np.pi / order)
+    return sum(c * zeta ** k for k, c in counts.items())
 
 
 def test_polynomial_table():
@@ -47,75 +48,73 @@ def test_polynomial_roots_are_primitive():
                 assert abs(value) > 1e-9
 
 
-def test_root_of_unity_powers():
-    z = root_of_unity(6, 1)
-    assert z * z == root_of_unity(6, 2)
-    assert to_complex(z) == pytest.approx(np.exp(2j * np.pi / 6))
-    assert root_of_unity(6, 6) == CycInt.integer(6, 1)
-
-
 def test_power_sum_vanishes():
-    for order in (2, 3, 4, 6, 12):
-        total = CycInt.zero(order)
-        for k in range(order):
-            total = total + root_of_unity(order, k)
-        assert not total
-
-
-coord = st.integers(min_value=-5, max_value=5)
-
-
-def cycints(order: int):
-    degree = len(cyclotomic_polynomial(order)) - 1
-    return st.tuples(*([coord] * degree)).map(lambda c: CycInt(order, c))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(ORDERS).flatmap(lambda o: st.tuples(cycints(o), cycints(o))))
-def test_ring_ops_match_complex_oracle(pair):
-    a, b = pair
-    assert to_complex(a + b) == pytest.approx(to_complex(a) + to_complex(b))
-    assert to_complex(a - b) == pytest.approx(to_complex(a) - to_complex(b))
-    assert to_complex(a * b) == pytest.approx(to_complex(a) * to_complex(b), abs=1e-8)
-    assert to_complex(-a) == pytest.approx(-to_complex(a))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ORDERS).flatmap(cycints))
-def test_conjugate_matches_oracle(a):
-    assert to_complex(a.conjugate()) == pytest.approx(np.conj(to_complex(a)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from(ORDERS).flatmap(cycints),
-    st.integers(min_value=1, max_value=7),
-)
-def test_divide_exact_inverts_integer_scaling(a, n):
-    assert (a * n).divide_exact(n) == a
-
-
-def test_divide_exact_refuses_non_divisor():
-    with pytest.raises(ValueError):
-        CycInt.integer(3, 1).divide_exact(2)
-    with pytest.raises(ZeroDivisionError):
-        CycInt.integer(3, 1).divide_exact(0)
+    for order in (2, 3, 4, 6, 12, 24):
+        coords = reduce_mod_cyclotomic(order, dict.fromkeys(range(order), 1))
+        assert coords == (0,) * (len(cyclotomic_polynomial(order)) - 1)
 
 
 def test_integer_detection():
-    z = root_of_unity(3, 1)
-    total = CycInt.integer(3, 2) + z + z * z  # 2 + zeta + zeta^2 = 1
-    assert total.is_integer
-    assert total.integer_value == 1
-    assert not z.is_integer
-    with pytest.raises(ValueError):
-        z.integer_value
+    # 2 + zeta + zeta^2 = 1 for a primitive cube root of unity zeta.
+    assert reduce_mod_cyclotomic(3, {0: 2, 1: 1, 2: 1}) == (1, 0)
+    assert reduce_mod_cyclotomic(3, {1: 1}) == (0, 1)
 
 
-def test_substitute_power_requires_coprime_exponent():
-    z = root_of_unity(6, 1)
-    assert to_complex(z.substitute_power(5)) == pytest.approx(
-        np.exp(-2j * np.pi / 6)
+def count_dicts(order: int):
+    return st.tuples(
+        st.just(order),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=3 * order),
+            st.integers(min_value=-5, max_value=5),
+            max_size=8,
+        ),
     )
-    with pytest.raises(ValueError):
-        z.substitute_power(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(count_dicts))
+def test_reduction_matches_complex_oracle(case):
+    order, counts = case
+    coords = reduce_mod_cyclotomic(order, counts)
+    assert len(coords) == len(cyclotomic_polynomial(order)) - 1
+    reduced = dict(enumerate(coords))
+    assert to_complex(order, reduced) == pytest.approx(
+        to_complex(order, counts), abs=1e-8
+    )
+
+
+def count_dict_pairs(order: int):
+    return st.tuples(count_dicts(order), count_dicts(order)).map(
+        lambda pair: (order, pair[0][1], pair[1][1])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(count_dict_pairs))
+def test_ring_ops_match_complex_oracle(case):
+    # Sums add counts; products add exponents pairwise.  Both must reduce
+    # to the sum and product of the complex values.
+    order, a, b = case
+    total: dict[int, int] = dict(a)
+    for k, c in b.items():
+        total[k] = total.get(k, 0) + c
+    product: dict[int, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            product[ka + kb] = product.get(ka + kb, 0) + ca * cb
+    negated = {k: -c for k, c in a.items()}
+    za, zb = to_complex(order, a), to_complex(order, b)
+    for counts, expected in ((total, za + zb), (product, za * zb), (negated, -za)):
+        coords = dict(enumerate(reduce_mod_cyclotomic(order, counts)))
+        assert to_complex(order, coords) == pytest.approx(expected, abs=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(count_dicts))
+def test_conjugate_matches_oracle(case):
+    # Negating every exponent is complex conjugation.
+    order, counts = case
+    conjugate = reduce_mod_cyclotomic(order, {-k: c for k, c in counts.items()})
+    assert to_complex(order, dict(enumerate(conjugate))) == pytest.approx(
+        np.conj(to_complex(order, counts)), abs=1e-8
+    )

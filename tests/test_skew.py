@@ -8,7 +8,7 @@ import pytest
 
 from conftest import np_class_count, np_loop_profile, to_complex
 from mckay.cuts import build_cut, cut_type, invariant_cut
-from mckay.errors import Divisible, NotDivisible, NotInvariant
+from mckay.errors import Divisible, NonIntegralMultiplicity, NotDivisible, NotInvariant
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
@@ -156,6 +156,24 @@ def test_carrier_field_follows_the_order_of_the_scalars():
     assert s.vertices == small.vertices and s.mult == small.mult
     twelfth = _action(basis, "D", root_order=12, scalars=(5, 7, 6))
     assert _QuiverCarrier(twelfth).cyclotomic_order == 12
+    # Scalars of order 8192 need the field of order 3 * 8192.  The literal was
+    # captured from the earlier power-basis engine, which took 25 s here.
+    high = _action(basis, "D", root_order=8192, scalars=(1, 1, 4094))
+    assert _QuiverCarrier(high).cyclotomic_order == 3 * 8192
+    s = skew_quiver(high)
+    assert [(v.orbit_rep, v.irrep, v.dimension) for v in s.vertices] == [
+        ((0, 0), "triv", 1), ((0, 0), "sgn", 1), ((0, 0), "std", 2),
+        ((0, 1), "triv", 3), ((0, 1), "sgn", 3), ((0, 2), "triv", 3),
+        ((0, 2), "sgn", 3), ((1, 2), "triv", 2), ((1, 2), "omega", 2),
+        ((1, 2), "omega2", 2),
+    ]
+    assert sorted(s.mult.items()) == [
+        ((0, 4), 1), ((1, 3), 1), ((2, 3), 1), ((2, 4), 1), ((3, 5), 1),
+        ((3, 6), 2), ((4, 5), 2), ((4, 6), 1), ((5, 1), 1), ((5, 2), 1),
+        ((5, 7), 1), ((5, 8), 1), ((5, 9), 1), ((6, 0), 1), ((6, 2), 1),
+        ((6, 7), 1), ((6, 8), 1), ((6, 9), 1), ((7, 3), 1), ((7, 4), 1),
+        ((8, 3), 1), ((8, 4), 1), ((9, 3), 1), ((9, 4), 1),
+    ]
 
 
 def test_weighted_three_regularity():
@@ -341,6 +359,46 @@ class _Wrapped:
 
     def out_neighbours(self, v):
         return self.group.points if self.every_point else self.inner.out_neighbours(v)
+
+
+class _Tampered(_Wrapped):
+    """A carrier passing blocks through to another, except that the trace of
+    element g on one block is replaced by the given terms."""
+
+    def __init__(self, inner, g, block, terms):
+        super().__init__(inner)
+        self.tampered = (g, *block)
+        self.terms = terms
+
+    def block_trace(self, g, v, w):
+        if (g, v, w) == self.tampered:
+            return self.terms
+        return self.inner.block_trace(g, v, w)
+
+
+@pytest.mark.parametrize(
+    "g, terms, coords",
+    [
+        # The involution fixing (0, 1) scales the arrow by -1 = z^3 (W = 6);
+        # as z^4 the triv -> triv inner product is 1 + z^4 = 1 - z.
+        (4, ((4, 1),), "(1, -1)"),
+        # Two arrows at the identity, one at the involution: 2 - 1 = 1,
+        # an integer but not a multiple of |joint| = 2.
+        (0, ((0, 2),), "(1, 0)"),
+    ],
+)
+def test_a_tampered_trace_is_a_non_integral_multiplicity(g, terms, coords):
+    inner = _QuiverCarrier(_action(LatticeBasis(2, 0, 2), "D"))
+    block = ((0, 0), (0, 1))
+    assert inner.cyclotomic_order == 6
+    assert inner.group.stabilizer((0, 1)) == (0, 4)
+    assert inner.block_trace(4, *block) == ((3, 1),)
+    with pytest.raises(NonIntegralMultiplicity) as raised:
+        _demonet(_Tampered(inner, g, block, terms))
+    assert str(raised.value) == (
+        "block ((0, 0)/triv -> (0, 1)/triv) pair (0, 0)->(0, 1): inner "
+        f"product {coords} is not a non-negative integer multiple of 2"
+    )
 
 
 def _assert_same_as_all_pairs(carrier):
