@@ -1,9 +1,9 @@
 """Command-line interface with deterministic JSON, DOT and text output.
 
-Exit codes: 0 success; 2 invalid input (bad arguments, singular
-basis, scalar constraints violated, enumeration guards); 3 admissibility
-or existence failure (inadmissible basis, missing cut, wrong
-divisibility); 4 internal invariant violation; 5 oracle discrepancy.
+Exit codes: 0 success; 2 invalid input, any ValueError (bad arguments,
+singular basis, scalar constraints violated, enumeration guards); 3
+PreconditionFailed (inadmissible basis, missing cut, wrong divisibility);
+4 InternalInvariantViolation; 5 oracle discrepancy.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .cuts import (
     enumerate_cuts,
     invariant_cut,
     realized_types,
+    symmetric_type,
     validate_cut,
     DEFAULT_ENUMERATION_LIMIT,
 )
@@ -32,6 +33,7 @@ from .lattice import (
     admissible_bases,
     check_admissible,
     hermite_normal_form,
+    is_admissible,
 )
 from .mckay_quiver import (
     QuiverAction,
@@ -172,8 +174,6 @@ def _cmd_group_info(args) -> dict:
     diag = diagonal_subgroup(group)
     classes = conjugacy_classes(group)
     doc = {
-        "schema": 1,
-        "command": "group-info",
         "metadata": _metadata(
             basis,
             kind=kind,
@@ -207,8 +207,6 @@ def _cmd_quiver(args) -> dict:
     basis = _parse_basis(args.basis)
     q = build_quiver(AbelianQuotient(basis))
     doc = {
-        "schema": 1,
-        "command": "quiver",
         "metadata": _metadata(basis),
         "cycle_count": len(elementary_cycles(q)),
         "square_count": len(commutativity_squares(q)),
@@ -221,8 +219,6 @@ def _cmd_cut_exists(args) -> dict:
     basis = _parse_basis(args.basis)
     gamma = _parse_triple(args.gamma, "gamma")
     return {
-        "schema": 1,
-        "command": "cut-exists",
         "metadata": _metadata(basis),
         "gamma": list(gamma),
         "verdict": cut_exists(basis, gamma),
@@ -236,8 +232,6 @@ def _cmd_cut_build(args) -> dict:
     q = build_quiver(AbelianQuotient(basis))
     cut = build_cut(q, gamma)
     doc = {
-        "schema": 1,
-        "command": "cut-build",
         "metadata": _metadata(basis),
         "cut": {
             "arrow_ids": [q.arrow_index(a) for a in cut.arrows],
@@ -272,8 +266,6 @@ def _cmd_cut_validate(args) -> dict:
             raise ValueError(f"arrow ids {missing} do not exist")
         cut = Cut.of(by_id[i] for i in ids)
     doc = {
-        "schema": 1,
-        "command": "cut-validate",
         "metadata": _metadata(basis),
         "cut": {
             "arrow_ids": [q.arrow_index(a) for a in cut.arrows],
@@ -290,8 +282,6 @@ def _cmd_cut_enumerate(args) -> dict:
     q = build_quiver(AbelianQuotient(basis))
     cuts = enumerate_cuts(q, limit=args.limit)
     return {
-        "schema": 1,
-        "command": "cut-enumerate",
         "metadata": _metadata(basis),
         "count": len(cuts),
         "cuts": [
@@ -305,9 +295,17 @@ def _cmd_cut_enumerate(args) -> dict:
     }
 
 
+def _refuse_inadmissible(basis: LatticeBasis, kind: str) -> None:
+    """Decide admissibility from the basis alone, before Q_N is built;
+    when it holds, k_action checks it again on the quiver's basis."""
+    if basis.det < 2 or not is_admissible(basis, kind):
+        check_admissible(basis, kind)
+
+
 def _build_action(args, basis: LatticeBasis) -> QuiverAction:
-    q = build_quiver(AbelianQuotient(basis))
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
+    _refuse_inadmissible(basis, args.kind)
+    q = build_quiver(AbelianQuotient(basis))
     return k_action(q, args.kind, scalars=scalars, root_order=args.root_order)
 
 
@@ -329,8 +327,6 @@ def _cmd_skew(args) -> dict:
     act = _build_action(args, basis)
     s = skew_quiver(act)
     doc = {
-        "schema": 1,
-        "command": "skew",
         "metadata": _metadata(basis, **_action_meta(act)),
     }
     doc.update(_skew_doc(s))
@@ -339,13 +335,9 @@ def _cmd_skew(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     basis = _parse_basis(args.basis)
-    if args.kind not in ("C", "D"):
-        raise ValueError("classify needs kind C or D")
     act = _build_action(args, basis)
     n = basis.det
     doc = {
-        "schema": 1,
-        "command": "classify",
         "metadata": _metadata(basis, **_action_meta(act)),
         "divisible_by_3": n % 3 == 0,
     }
@@ -378,11 +370,11 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_unskew_roundtrip(args) -> dict:
     basis = _parse_basis(args.basis)
+    _refuse_inadmissible(basis, "C")
+    symmetric_type(basis)  # 3 | det(B), also decided before Q_N is built
     q = build_quiver(AbelianQuotient(basis))
     report = unskew_round_trip(q)
     return {
-        "schema": 1,
-        "command": "unskew-roundtrip",
         "metadata": _metadata(basis, kind="C"),
         "skew_vertex_count": report.skew_vertex_count,
         "double_skew_vertex_count": report.double_skew_vertex_count,
@@ -422,8 +414,6 @@ def _cmd_oracle_compare(args) -> dict:
         if realized != predicted:
             discrepancies.append(case)
     return {
-        "schema": 1,
-        "command": "oracle-compare",
         "max_det": args.max_det,
         "kind": kind,
         "cases": cases,
@@ -530,11 +520,14 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
 
+    def symmetry(p, kinds):
+        p.add_argument("--kind", choices=kinds, required=True)
+        p.add_argument("--root-order", type=int, default=None)
+        p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
+
     p = sub.add_parser("group-info", help="group order, classes, complement")
     common(p)
-    p.add_argument("--kind", choices=("A", "C", "D"), required=True)
-    p.add_argument("--root-order", type=int, default=None)
-    p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
+    symmetry(p, ("A", "C", "D"))
 
     p = sub.add_parser("quiver", help="the McKay quiver of Z^2/B")
     common(p)
@@ -558,15 +551,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skew", help="the skew-group quiver Q_N * K")
     common(p)
-    p.add_argument("--kind", choices=("C", "D"), required=True)
-    p.add_argument("--root-order", type=int, default=None)
-    p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
+    symmetry(p, ("C", "D"))
 
     p = sub.add_parser("classify", help="cut existence verdict with witness")
     common(p)
-    p.add_argument("--kind", choices=("C", "D"), required=True)
-    p.add_argument("--root-order", type=int, default=None)
-    p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
+    symmetry(p, ("C", "D"))
 
     p = sub.add_parser("unskew-roundtrip", help="skew by C3, unskew by its dual")
     common(p)
@@ -582,6 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch a parsed job; returns (document, exit code)."""
     doc = _COMMANDS[args.command](args)
+    doc.update(schema=1, command=args.command)
     code = EXIT_OK
     if args.command == "oracle-compare" and doc["discrepancies"]:
         code = EXIT_DISCREPANCY

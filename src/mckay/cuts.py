@@ -13,12 +13,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    CriterionFailed,
-    InternalCriterionFailure,
-    NotDivisible,
-    TooLarge,
-)
+from .errors import InternalInvariantViolation, PreconditionFailed
 from .lattice import LatticeBasis
 from .mckay_quiver import (
     Arrow,
@@ -36,6 +31,7 @@ __all__ = [
     "check_cut_exists",
     "build_cut",
     "validate_cut",
+    "symmetric_type",
     "invariant_cut",
     "enumerate_cuts",
     "realized_types",
@@ -85,9 +81,9 @@ def cut_exists(basis: LatticeBasis, gamma: Sequence[int]) -> bool:
 
 
 def check_cut_exists(basis: LatticeBasis, gamma: Sequence[int]) -> None:
-    """Raise CriterionFailed unless the criterion admits a cut of type gamma."""
+    """Raise PreconditionFailed unless the criterion admits a cut of type gamma."""
     if not cut_exists(basis, gamma):
-        raise CriterionFailed(
+        raise PreconditionFailed(
             f"no cut of type {tuple(gamma)} exists on det {basis.det}"
         )
 
@@ -114,7 +110,7 @@ def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     picked = [a for a in q.arrows if v[a.source] > v[q.target(a)]]
     cut = Cut.of(picked)
     if cut_type(cut) != tuple(gamma):
-        raise InternalCriterionFailure(
+        raise InternalInvariantViolation(
             f"constructed cut has type {cut_type(cut)}, wanted {tuple(gamma)}"
         )
     return cut
@@ -217,6 +213,15 @@ def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
     )
 
 
+def symmetric_type(basis: LatticeBasis) -> tuple[int, int, int]:
+    """The type (n/3, n/3, n/3) of the symmetric cut; raise
+    PreconditionFailed unless 3 divides n = det(B)."""
+    n = basis.det
+    if n % 3:
+        raise PreconditionFailed(f"3 does not divide det(B) = {n}")
+    return (n // 3, n // 3, n // 3)
+
+
 def invariant_cut(action: QuiverAction) -> Cut:
     """The symmetric cut of type (n/3, n/3, n/3) on the acted-on quiver,
     checked K-invariant.
@@ -227,20 +232,17 @@ def invariant_cut(action: QuiverAction) -> Cut:
     """
     q = action.quiver
     basis = q.quotient.basis
-    n = basis.det
-    if n % 3:
-        raise NotDivisible(f"3 does not divide det(B) = {n}")
-    gamma = (n // 3, n // 3, n // 3)
+    gamma = symmetric_type(basis)
     if not cut_exists(basis, gamma):
-        raise InternalCriterionFailure(
+        raise InternalInvariantViolation(
             f"symmetric type {gamma} fails the criterion on an admissible basis"
         )
     cut = build_cut(q, gamma)
     if not action.is_arrow_set_invariant(cut.arrows):
-        raise InternalCriterionFailure("symmetric cut is not K-invariant")
+        raise InternalInvariantViolation("symmetric cut is not K-invariant")
     report = validate_cut(q, cut)
     if not report.passed:
-        raise InternalCriterionFailure(
+        raise InternalInvariantViolation(
             f"symmetric cut fails validation: {report.witnesses}"
         )
     return cut
@@ -267,7 +269,7 @@ def _search(
     arrows = q.arrows
     na = len(arrows)
     if na > limit:
-        raise TooLarge(f"{na} arrows exceeds the enumeration guard {limit}")
+        raise ValueError(f"{na} arrows exceeds the enumeration guard {limit}")
     index = {a: i for i, a in enumerate(arrows)}
     cycles = [
         tuple(index[a] for a in cyc.arrows) for cyc in elementary_cycles(q)
@@ -382,7 +384,7 @@ def _search(
 def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple[Cut, ...]:
     """All valid cuts, by exhaustive backtracking over arrow degrees.
 
-    Raises TooLarge when q has more than `limit` arrows.  Degree-0 cycles
+    Raises ValueError when q has more than `limit` arrows.  Degree-0 cycles
     are rejected as soon as their last arrow is fixed, not at the leaves.
     Cuts are emitted in lexicographic order of their sorted arrow-index
     lists.
@@ -409,7 +411,7 @@ def realized_types(
     valid cut is non-empty (each elementary cycle carries degree 1).  So a
     cut whose lowest arrow type is t translates to one that holds the
     origin's type-t arrow and no arrow of a lower type; three constrained
-    searches, t = 1, 2, 3, meet every realized type.  Raises TooLarge when
+    searches, t = 1, 2, 3, meet every realized type.  Raises ValueError when
     q has more than `limit` arrows.
     """
     types: set[tuple[int, int, int]] = set()

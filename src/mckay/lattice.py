@@ -21,18 +21,15 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InternalInvariantViolation, NotAdmissible, SingularMatrix
+from .errors import InternalInvariantViolation, PreconditionFailed
 
 __all__ = [
     "LatticeBasis",
     "AbelianQuotient",
-    "AdmissibilityReport",
     "hermite_normal_form",
     "ROTATION_MATRIX",
     "SWAP_MATRIX",
     "conjugate_is_integral",
-    "divisibility_admissible",
-    "admissibility",
     "check_admissible",
     "is_admissible",
     "admissible_bases",
@@ -54,7 +51,7 @@ class LatticeBasis:
 
     def __post_init__(self) -> None:
         if self.a <= 0 or self.c <= 0:
-            raise SingularMatrix(f"degenerate basis a={self.a}, c={self.c}")
+            raise ValueError(f"degenerate basis a={self.a}, c={self.c}")
         if not 0 <= self.b < self.a:
             raise ValueError(f"off-diagonal {self.b} not reduced modulo {self.a}")
 
@@ -114,13 +111,13 @@ def hermite_normal_form(columns: Iterable[Sequence[int]]) -> LatticeBasis:
     """Hermite normal form of the lattice generated by the given columns."""
     gens = [(int(v[0]), int(v[1])) for v in columns]
     if not gens:
-        raise SingularMatrix("no generators")
+        raise ValueError("no generators")
     # c = gcd of the second coordinates, realized by one combined vector w.
     w = (0, 0)
     for v in gens:
         w = _merge(w, v)
     if w[1] == 0:
-        raise SingularMatrix("generators span a rank < 2 sublattice")
+        raise ValueError("generators span a rank < 2 sublattice")
     c = w[1]
     # Clear second coordinates; the leftovers generate the (a, 0) line.
     a = 0
@@ -128,7 +125,7 @@ def hermite_normal_form(columns: Iterable[Sequence[int]]) -> LatticeBasis:
         q = v[0] - (v[1] // c) * w[0]
         a = gcd(a, q)
     if a == 0:
-        raise SingularMatrix("generators span a rank < 2 sublattice")
+        raise ValueError("generators span a rank < 2 sublattice")
     return LatticeBasis(a, w[0] % a, c)
 
 
@@ -165,102 +162,60 @@ def conjugate_is_integral(
     return all(e % det == 0 for e in (e11, e12, e21, e22))
 
 
-def _failed_condition(basis: LatticeBasis, kind: str) -> str | None:
-    """The first closed-form admissibility condition the basis fails, in
-    terms of a, b, c: "factorization", "rotation", "swap", or None."""
-    _check_kind(kind)
-    if kind == "A":
-        return None
-    a, b, c = basis.a, basis.b, basis.c
-    if a % c or b % c:
-        return "factorization"
-    k1, k2 = a // c, b // c
-    if (k2 * k2 - k2 + 1) % k1:
-        return "rotation"
-    if kind == "D" and ((k2 - 2) % k1 or 3 % k1):
-        return "swap"
-    return None
-
-
-def divisibility_admissible(basis: LatticeBasis, kind: str) -> bool:
-    """Closed-form admissibility test in terms of a, b, c."""
-    return _failed_condition(basis, kind) is None
-
-
 def _check_kind(kind: str) -> None:
     if kind not in ("A", "C", "D"):
         raise ValueError(f"unknown kind {kind!r}; expected 'A', 'C' or 'D'")
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of both admissibility routes for one basis and kind."""
+def _refusal(basis: LatticeBasis, kind: str) -> str | None:
+    """Why the closed form in a, b, c refuses the basis for the kind, or None.
 
-    basis: LatticeBasis
-    kind: str
-    k1: int | None
-    k2: int | None
-    failed: str | None
-    direct: bool
-
-    @property
-    def closed_form(self) -> bool:
-        return self.failed is None
-
-    @property
-    def admissible(self) -> bool:
-        return self.closed_form
-
-
-def admissibility(basis: LatticeBasis, kind: str) -> AdmissibilityReport:
-    """Run the closed-form and the direct stabilization checks; fail loudly on disagreement."""
-    failed = _failed_condition(basis, kind)
-    by_division = failed is None
+    The closed form is cross-checked against direct integrality of
+    B^-1 T B for the rotation (and, for kind D, the swap); disagreement
+    raises InternalInvariantViolation.
+    """
+    _check_kind(kind)
     a, b, c = basis.a, basis.b, basis.c
-    k1 = a // c if a % c == 0 else None
-    k2 = b // c if b % c == 0 else None
-    direct = True
-    if kind in ("C", "D"):
-        direct = conjugate_is_integral(basis, ROTATION_MATRIX)
-    if kind == "D" and direct:
-        direct = conjugate_is_integral(basis, SWAP_MATRIX)
-    if by_division != direct:
+    reason = None
+    if kind != "A" and (a % c or b % c):
+        reason = (
+            f"basis {basis.rows} does not factor as [[k1*c, k2*c], [0, c]]: "
+            f"c={c} does not divide both {a} and {b}"
+        )
+    elif kind != "A":
+        k1, k2 = a // c, b // c
+        if (k2 * k2 - k2 + 1) % k1:
+            reason = f"rotation condition fails: k1={k1} does not divide k2^2-k2+1={k2 * k2 - k2 + 1}"
+        elif kind == "D" and ((k2 - 2) % k1 or 3 % k1):
+            reason = f"swap condition fails: k1={k1} does not divide gcd(k2-2, 3) with k2={k2}"
+    direct = kind == "A" or (
+        conjugate_is_integral(basis, ROTATION_MATRIX)
+        and (kind == "C" or conjugate_is_integral(basis, SWAP_MATRIX))
+    )
+    if (reason is None) != direct:
         raise InternalInvariantViolation(
             f"admissibility routes disagree on {basis} kind {kind}: "
-            f"divisibility={by_division}, conjugation={direct}"
+            f"divisibility={reason is None}, conjugation={direct}"
         )
-    return AdmissibilityReport(basis, kind, k1, k2, failed, direct)
+    return reason
 
 
 def is_admissible(basis: LatticeBasis, kind: str) -> bool:
     """Both admissibility routes, cross-checked; True iff the basis is admissible."""
-    return admissibility(basis, kind).admissible
+    return _refusal(basis, kind) is None
 
 
 def check_admissible(basis: LatticeBasis, kind: str) -> None:
-    """Raise NotAdmissible unless the basis supports the requested kind.
+    """Raise PreconditionFailed unless the basis supports the requested kind.
 
     Index-1 sublattices are rejected as well: the quotient is trivial,
     so there is no diagonal part to build a group from.
     """
     if basis.det < 2:
-        raise NotAdmissible(
-            f"index {basis.det} sublattice has trivial quotient", failed="index"
-        )
-    report = admissibility(basis, kind)
-    if report.admissible:
-        return
-    k1, k2 = report.k1, report.k2
-    if report.failed == "factorization":
-        message = (
-            f"basis {basis.rows} does not factor as [[k1*c, k2*c], [0, c]]: "
-            f"c={basis.c} does not divide both {basis.a} and {basis.b}"
-        )
-    elif report.failed == "rotation":
-        message = f"rotation condition fails: k1={k1} does not divide k2^2-k2+1={k2 * k2 - k2 + 1}"
-    else:
-        message = f"swap condition fails: k1={k1} does not divide gcd(k2-2, 3) with k2={k2}"
-    raise NotAdmissible(message, failed=report.failed)
+        raise PreconditionFailed(f"index {basis.det} sublattice has trivial quotient")
+    reason = _refusal(basis, kind)
+    if reason is not None:
+        raise PreconditionFailed(reason)
 
 
 def admissible_bases(max_det: int, kind: str) -> list[LatticeBasis]:

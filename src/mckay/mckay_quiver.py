@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantViolation
 from .lattice import AbelianQuotient, check_admissible
+from .monomial_group import involution_scalars
 
 __all__ = [
     "ARROW_TYPES",
@@ -347,17 +348,7 @@ def k_action(
     if kind == "C" and scalars is not None:
         raise ValueError("kind C admits no involution scalars")
     if kind == "D":
-        if m % 2:
-            raise ValueError(f"kind D needs an even root order, got {m}")
-        if scalars is None:
-            scalars = (m // 2, m // 2, m // 2)
-        p, qq, s = (x % m for x in scalars)
-        if (p + qq + s) % m != m // 2:
-            raise ValueError(
-                f"scalar exponents ({p}, {qq}, {s}) violate alpha*beta*gamma = -1 "
-                f"modulo {m}"
-            )
-        scalars = (p, qq, s)
+        scalars = involution_scalars(m, scalars)
 
     identity = ActionElement(
         "1", {v: v for v in q.vertices}, (1, 2, 3), (0, 0, 0)

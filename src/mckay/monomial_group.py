@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DecompositionFailure, ExplosionGuard, GeneratorNotSpecialLinear
+from .errors import PreconditionFailed
 
 __all__ = [
     "MonomialMatrix",
@@ -31,7 +31,7 @@ __all__ = [
     "diagonal_generators_from_basis",
     "group_from_basis",
     "default_root_order",
-    "canonical_scalars",
+    "involution_scalars",
     "DEFAULT_CLOSURE_CAP",
     "closure_cap",
 ]
@@ -93,21 +93,11 @@ class MonomialMatrix:
         """The monomial involution with entries alpha = zeta^p at (1,2) [1-based],
         beta = zeta^q at (2,1) and gamma = zeta^s at (3,3).
 
-        Requires alpha*beta*gamma = -1 exactly, i.e. an even root order with
-        p + q + s congruent to root_order/2; this is the determinant condition.
+        Requires alpha*beta*gamma = -1 exactly (see involution_scalars);
+        this is the determinant condition.
         """
-        if root_order % 2:
-            raise GeneratorNotSpecialLinear(
-                f"root order {root_order} is odd, so -1 is not a power of zeta"
-            )
-        if (p + q + s) % root_order != root_order // 2:
-            raise GeneratorNotSpecialLinear(
-                f"scalar exponents ({p}, {q}, {s}) violate alpha*beta*gamma = -1 "
-                f"modulo {root_order}"
-            )
-        return MonomialMatrix(
-            root_order, (1, 0, 2), (q % root_order, p % root_order, s % root_order)
-        )
+        p, q, s = involution_scalars(root_order, (p, q, s))
+        return MonomialMatrix(root_order, (1, 0, 2), (q, p, s))
 
     @property
     def is_diagonal(self) -> bool:
@@ -213,7 +203,7 @@ def closure(
     """Breadth-first multiplicative closure of the generators.
 
     Every generator must be special linear; the closure is aborted with
-    ExplosionGuard once it exceeds the element cap (argument, else the
+    ValueError once it exceeds the element cap (argument, else the
     MCKAY_MAX_CLOSURE environment variable, else 10000).
     """
     if not generators:
@@ -221,7 +211,7 @@ def closure(
     gens = _lift_common(generators)
     for g in gens:
         if not g.is_special:
-            raise GeneratorNotSpecialLinear(
+            raise ValueError(
                 f"generator with entries {g.entries()} has determinant != 1 "
                 f"at root order {g.root_order}"
             )
@@ -238,7 +228,7 @@ def closure(
                 k = w.key()
                 if k not in seen:
                     if len(seen) >= cap:
-                        raise ExplosionGuard(
+                        raise ValueError(
                             f"closure exceeded {cap} elements; raise the cap "
                             f"if the group really is this large"
                         )
@@ -258,7 +248,7 @@ def diagonal_subgroup(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
         hinv = h.inverse()
         for d in diag:
             if h * d * hinv not in members:
-                raise DecompositionFailure(
+                raise PreconditionFailed(
                     "diagonal part is not normal; the closure is inconsistent"
                 )
     return FiniteMatrixGroup(g.root_order, diag, diag)
@@ -307,7 +297,7 @@ def _find_generator(g: FiniteMatrixGroup, even: bool) -> MonomialMatrix:
             return x
         if not even and x.sign == -1:
             return x
-    raise DecompositionFailure(
+    raise PreconditionFailed(
         "generators contain no "
         + ("3-cycle permutation part" if even else "odd permutation part")
     )
@@ -332,11 +322,11 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     if kind == "C":
         complement = closure([t], max_elements=4)
         if complement.order != 3:
-            raise DecompositionFailure(f"<t> has order {complement.order}, expected 3")
+            raise PreconditionFailed(f"<t> has order {complement.order}, expected 3")
         if any(x.is_diagonal and not x.is_identity for x in complement.elements):
-            raise DecompositionFailure("<t> meets the diagonal subgroup nontrivially")
+            raise PreconditionFailed("<t> meets the diagonal subgroup nontrivially")
         if n.order * 3 != g.order:
-            raise DecompositionFailure(
+            raise PreconditionFailed(
                 f"|G| = {g.order} is not 3 * |N| = {3 * n.order}"
             )
         ident = g.identity()
@@ -357,25 +347,25 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     i2 = product([t, t, r, r, tinv, r, tinv])
     pair = i1 * i2
     if not (i1 * i1).is_identity or not (i2 * i2).is_identity:
-        raise DecompositionFailure("i1 or i2 is not an involution; bad scalar input")
+        raise PreconditionFailed("i1 or i2 is not an involution; bad scalar input")
     if not (pair ** 3).is_identity:
-        raise DecompositionFailure("(i1 i2)^3 != 1; bad scalar input")
+        raise PreconditionFailed("(i1 i2)^3 != 1; bad scalar input")
     complement = closure([i1, i2], max_elements=7)
     if complement.order != 6:
-        raise DecompositionFailure(
+        raise PreconditionFailed(
             f"<i1, i2> has order {complement.order}, expected 6"
         )
     if any(x.is_diagonal and not x.is_identity for x in complement.elements):
-        raise DecompositionFailure("<i1, i2> meets the diagonal subgroup nontrivially")
+        raise PreconditionFailed("<i1, i2> meets the diagonal subgroup nontrivially")
     if n.order * 6 != g.order:
-        raise DecompositionFailure(f"|G| = {g.order} is not 6 * |N| = {6 * n.order}")
+        raise PreconditionFailed(f"|G| = {g.order} is not 6 * |N| = {6 * n.order}")
     # t = d_t * (i1 i2) and r = d_r * i1 with diagonal d_t, d_r.
     d_t = product([t, i2.inverse(), i1.inverse()])
     d_r = product([t, r.inverse(), r.inverse(), tinv])
     if not d_t.is_diagonal or not d_r.is_diagonal:
-        raise DecompositionFailure("factorization witnesses are not diagonal")
+        raise PreconditionFailed("factorization witnesses are not diagonal")
     if d_t * pair != t or d_r * i1 != r:
-        raise DecompositionFailure("factorization witnesses do not recompose")
+        raise PreconditionFailed("factorization witnesses do not recompose")
     return ComplementReport(
         kind="D",
         group_order=g.order,
@@ -388,14 +378,29 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     )
 
 
-def canonical_scalars(root_order: int) -> tuple[int, int, int]:
-    """The default involution scalars alpha = beta = gamma = -1."""
-    if root_order % 2:
-        raise GeneratorNotSpecialLinear(
-            f"root order {root_order} is odd, so -1 is not a power of zeta"
+def involution_scalars(
+    root_order: int, scalars: Sequence[int] | None = None
+) -> tuple[int, int, int]:
+    """The kind-D involution exponents (p, q, s) of alpha, beta, gamma,
+    reduced modulo the root order; alpha = beta = gamma = -1 when omitted.
+
+    alpha*beta*gamma = -1 needs an even root order and p + q + s congruent
+    to root_order/2.
+    """
+    m = root_order
+    if m < 1:
+        raise ValueError(f"root order must be positive, got {m}")
+    if m % 2:
+        raise ValueError(f"kind D needs an even root order, got {m}")
+    if scalars is None:
+        return (m // 2, m // 2, m // 2)
+    p, q, s = (x % m for x in scalars)
+    if (p + q + s) % m != m // 2:
+        raise ValueError(
+            f"scalar exponents ({p}, {q}, {s}) violate alpha*beta*gamma = -1 "
+            f"modulo {m}"
         )
-    h = root_order // 2
-    return (h, h, h)
+    return (p, q, s)
 
 
 def default_root_order(d2: int, kind: str) -> int:
@@ -454,18 +459,18 @@ def group_from_basis(
     if kind in ("C", "D"):
         gens.append(MonomialMatrix.rotation(m))
     if kind == "D":
-        p, q, s = scalars if scalars is not None else canonical_scalars(m)
+        p, q, s = scalars if scalars is not None else involution_scalars(m)
         gens.append(MonomialMatrix.transposition(m, p, q, s))
     g = closure(gens, max_elements=max_elements)
     expected = {"A": 1, "C": 3, "D": 6}[kind] * basis.det
     diag = sum(1 for x in g.elements if x.is_diagonal)
     if diag != basis.det:
-        raise DecompositionFailure(
+        raise PreconditionFailed(
             f"diagonal part has order {diag}, expected {basis.det}; "
             f"the involution scalars enlarge the diagonal subgroup"
         )
     if g.order != expected:
-        raise DecompositionFailure(
+        raise PreconditionFailed(
             f"|G| = {g.order}, expected {expected} for kind {kind}"
         )
     return g

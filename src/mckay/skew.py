@@ -27,15 +27,7 @@ from typing import Callable, Hashable, Iterable, Protocol
 
 from .cuts import Cut, _has_cycle, invariant_cut, validate_cut
 from .cyclotomic import reduce_mod_cyclotomic
-from .errors import (
-    Divisible,
-    InternalCriterionFailure,
-    InternalInvariantViolation,
-    IsoSearchExhausted,
-    MixedDegrees,
-    NonIntegralMultiplicity,
-    NotInvariant,
-)
+from .errors import InternalInvariantViolation, PreconditionFailed
 from .graphiso import find_isomorphism
 from .lattice import LatticeBasis
 from .mckay_quiver import (
@@ -244,7 +236,7 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                             counts[i] = counts.get(i, 0) + c * n
                 coords = reduce_mod_cyclotomic(w, counts)
                 if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
-                    raise NonIntegralMultiplicity(
+                    raise InternalInvariantViolation(
                         f"block ({va.orbit_rep}/{va.irrep} -> "
                         f"{vb.orbit_rep}/{vb.irrep}) pair {u1}->{u2}: inner "
                         f"product {coords} is not a non-negative integer "
@@ -363,19 +355,19 @@ def loop_witness(action: QuiverAction) -> LoopWitness:
     quotient = action.quiver.quotient
     n = quotient.order
     if n % 3 == 0:
-        raise Divisible(f"3 divides det(B) = {n}; no loop witness exists")
+        raise PreconditionFailed(f"3 divides det(B) = {n}; no loop witness exists")
     k = (-pow(3, -1, n)) % n
     if (3 * k + 1) % n:
-        raise InternalCriterionFailure("modular inverse of 3 is wrong")
+        raise InternalInvariantViolation("modular inverse of 3 is wrong")
     x1 = quotient.reduce((-k - 1, k))
     orbit = action.group.orbit_of[x1]
     x2 = quotient.reduce((x1[0] + 1, x1[1]))
     if x2 not in orbit:
-        raise InternalCriterionFailure(f"{x2} escaped the orbit of {x1}")
+        raise InternalInvariantViolation(f"{x2} escaped the orbit of {x1}")
     special = action.kind == "D" and quotient.basis.smith_invariants() == (2, 2)
     expected = 3 if action.kind == "C" or special else 6
     if len(orbit) != expected:
-        raise InternalCriterionFailure(
+        raise InternalInvariantViolation(
             f"orbit of {x1} has size {len(orbit)}, expected {expected}"
         )
     return LoopWitness(k=k, vertex=x1, orbit=orbit, special_c2xc2=special)
@@ -393,7 +385,7 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     defined, and the degree-0 part must stay acyclic.
     """
     if not action.is_arrow_set_invariant(cut.arrows):
-        raise NotInvariant("the cut is not stable under the symmetry action")
+        raise PreconditionFailed("the cut is not stable under the symmetry action")
     quiver = action.quiver
     report = validate_cut(quiver, cut)
     if not report.passed:
@@ -428,7 +420,7 @@ def _transport(
                 f"block ({ai}, {bi}) has multiplicity {m} but no underlying arrows"
             )
         if len(degs) > 1:
-            raise MixedDegrees(
+            raise InternalInvariantViolation(
                 f"arrows between orbits of {rep1} and {rep2} carry mixed "
                 f"degrees {sorted(degs)}"
             )
@@ -561,7 +553,7 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     recovered cut is compared arrow by arrow.
     """
     action = k_action(quiver, "C")
-    cut = invariant_cut(action)  # raises NotDivisible unless 3 | n
+    cut = invariant_cut(action)  # raises PreconditionFailed unless 3 | n
     n = quiver.quotient.order
     s = skew_quiver(action)
     s = transport_cut(s, action, cut)
@@ -578,7 +570,7 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     )
 
     if len(vertices2) != n:
-        raise IsoSearchExhausted(
+        raise InternalInvariantViolation(
             f"double skew has {len(vertices2)} vertices, Q_N has {n}"
         )
 
@@ -600,7 +592,7 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
 
     mapping = find_isomorphism(n, labels_a, labels_b)
     if mapping is None:
-        raise IsoSearchExhausted(
+        raise InternalInvariantViolation(
             "no multiplicity- and degree-preserving bijection between the "
             "double skew and the original quiver"
         )

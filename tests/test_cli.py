@@ -194,27 +194,37 @@ def test_exit_code_closure_guard(capsys, monkeypatch):
     capsys.readouterr()
 
 
+# Each former error class keeps its row: its raise sites now raise the
+# exception of its exit code.  NotInvariant moved from exit 4 to 3; no CLI
+# path raises it.
+FOLDED_ERRORS = [
+    ("SingularMatrix", ValueError, 2),
+    ("GeneratorNotSpecialLinear", ValueError, 2),
+    ("ExplosionGuard", ValueError, 2),
+    ("TooLarge", ValueError, 2),
+    ("NotAdmissible", errors.PreconditionFailed, 3),
+    ("CriterionFailed", errors.PreconditionFailed, 3),
+    ("NotDivisible", errors.PreconditionFailed, 3),
+    ("Divisible", errors.PreconditionFailed, 3),
+    ("DecompositionFailure", errors.PreconditionFailed, 3),
+    ("NotInvariant", errors.PreconditionFailed, 3),
+    ("InternalCriterionFailure", errors.InternalInvariantViolation, 4),
+    ("NonIntegralMultiplicity", errors.InternalInvariantViolation, 4),
+    ("MixedDegrees", errors.InternalInvariantViolation, 4),
+    ("IsoSearchExhausted", errors.InternalInvariantViolation, 4),
+]
+
+
 @pytest.mark.parametrize(
     "error, code",
     [
-        (errors.NotAdmissible, 3),
-        (errors.NotDivisible, 3),
-        (errors.Divisible, 3),
-        (errors.CriterionFailed, 3),
-        (errors.DecompositionFailure, 3),
+        (errors.PreconditionFailed, 3),
         (errors.McKayError, 4),
         (errors.InternalInvariantViolation, 4),
-        (errors.InternalCriterionFailure, 4),
-        (errors.NonIntegralMultiplicity, 4),
-        (errors.MixedDegrees, 4),
-        (errors.NotInvariant, 4),
-        (errors.IsoSearchExhausted, 4),
-        (errors.SingularMatrix, 2),
-        (errors.GeneratorNotSpecialLinear, 2),
-        (errors.ExplosionGuard, 2),
-        (errors.TooLarge, 2),
         (ValueError, 2),
-    ],
+    ]
+    + [pytest.param(error, code, id=f"{name}-{code}")
+       for name, error, code in FOLDED_ERRORS],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_error_exit_code_table(capsys, monkeypatch, error, code):
@@ -226,6 +236,48 @@ def test_error_exit_code_table(capsys, monkeypatch, error, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: boom\n"
+
+
+# Every error argv of the golden corpus but the argparse rejection, with
+# its exit code and its exact one-line stderr.
+STDERR_PINS = [
+    ("group-info --basis 2,0;0,2 --kind D --root-order 4 --scalars 1,0,1", 3,
+     "diagonal part has order 16, expected 4; the involution scalars enlarge "
+     "the diagonal subgroup"),
+    ("group-info --basis 6,0;0,6 --kind D --root-order 12 --scalars 1,2,3", 3,
+     "diagonal part has order 144, expected 36; the involution scalars "
+     "enlarge the diagonal subgroup"),
+    ("quiver --basis 1,2;3", 2, "basis '1,2;3' is not a 2x2 integer matrix"),
+    ("quiver --basis 2,4;1,2", 2, "generators span a rank < 2 sublattice"),
+    ("group-info --basis 3,0;0,3 --kind D --format dot", 2,
+     "command group-info has no DOT rendering"),
+    ("cut-exists --basis 3,0;0,3 --gamma 3,3,3 --format dot", 2,
+     "command cut-exists has no DOT rendering"),
+    ("cut-enumerate --basis 4,0;0,4 --limit 3", 2,
+     "48 arrows exceeds the enumeration guard 3"),
+    ("cut-validate --basis 3,2;0,1", 2, "cut-validate needs --gamma or --arrow-ids"),
+    ("cut-validate --basis 3,2;0,1 --arrow-ids 0,99", 2, "arrow ids [99] do not exist"),
+    ("skew --basis 2,0;0,2 --kind D --root-order 4 --scalars 1,1,1", 2,
+     "scalar exponents (1, 1, 1) violate alpha*beta*gamma = -1 modulo 4"),
+    ("classify --basis 2,0;0,2 --kind D --root-order 3", 2,
+     "kind D needs an even root order, got 3"),
+    ("skew --basis 2,0;0,2 --kind C --scalars 1,1,0", 2,
+     "kind C admits no involution scalars"),
+    ("classify --basis 5,1;0,1 --kind C", 3,
+     "rotation condition fails: k1=5 does not divide k2^2-k2+1=1"),
+    ("classify --basis 1,0;0,1 --kind D", 3, "index 1 sublattice has trivial quotient"),
+    ("cut-build --basis 3,0;0,3 --gamma 1,1,7", 3, "no cut of type (1, 1, 7) exists on det 9"),
+    ("unskew-roundtrip --basis 2,0;0,2", 3, "3 does not divide det(B) = 4"),
+    ("unskew-roundtrip --basis 7,3;0,1", 3, "3 does not divide det(B) = 7"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", STDERR_PINS, ids=[p[0] for p in STDERR_PINS])
+def test_error_stderr_is_pinned(capsys, argv, code, message):
+    assert cli.main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["group-info", "skew", "classify"])
@@ -300,10 +352,9 @@ def test_each_command_builds_the_quiver_and_action_once(monkeypatch, capsys, arg
     assert tuple(counts[name] for name in _COUNTED) == expected
 
 
-@pytest.mark.parametrize("command", ["cut-build", "cut-validate"])
-def test_a_refused_gamma_never_builds_the_quiver(monkeypatch, capsys, command):
-    # The criterion reads only the basis, so Q_N (40,000 vertices here)
-    # is never built for a gamma it refuses.
+def _count_quiver_builds(monkeypatch) -> list:
+    """Wrap build_quiver wherever a mckay module looks it up; the returned
+    list collects the quotient of every call."""
     from mckay import mckay_quiver
 
     original = mckay_quiver.build_quiver
@@ -316,7 +367,41 @@ def test_a_refused_gamma_never_builds_the_quiver(monkeypatch, capsys, command):
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("mckay") and getattr(mod, "build_quiver", None) is original:
             monkeypatch.setattr(mod, "build_quiver", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["cut-build", "cut-validate"])
+def test_a_refused_gamma_never_builds_the_quiver(monkeypatch, capsys, command):
+    # The criterion reads only the basis, so Q_N (40,000 vertices here)
+    # is never built for a gamma it refuses.
+    calls = _count_quiver_builds(monkeypatch)
     argv = [command, "--basis", "200,0;0,200", "--gamma", "1,1,1"]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == "error: no cut of type (1, 1, 1) exists on det 40000\n"
+    assert calls == []
+
+
+_NOT_FACTORED = (
+    "basis ((200, 0), (0, 201)) does not factor as [[k1*c, k2*c], [0, c]]: "
+    "c=201 does not divide both 200 and 0"
+)
+
+
+_REFUSED_BASES = [
+    (("classify", "--basis", "200,0;0,201", "--kind", "C"), _NOT_FACTORED),
+    (("skew", "--basis", "200,0;0,201", "--kind", "D"), _NOT_FACTORED),
+    (("unskew-roundtrip", "--basis", "200,0;0,201"), _NOT_FACTORED),
+    (("unskew-roundtrip", "--basis", "200,0;0,200"), "3 does not divide det(B) = 40000"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _REFUSED_BASES, ids=[" ".join(argv) for argv, _ in _REFUSED_BASES]
+)
+def test_a_refused_basis_never_builds_the_quiver(monkeypatch, capsys, argv, message):
+    # Admissibility and, for the round trip, 3 | det(B) read only the
+    # basis, so Q_N (about 40,000 vertices here) is never built.
+    calls = _count_quiver_builds(monkeypatch)
+    assert cli.main(list(argv)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []

@@ -1,11 +1,15 @@
-"""Every import in the package and its tests is used, and the package
-stays exact: no floating point, complex numbers or true division."""
+"""Every import in the package and its tests is used, the package stays
+exact (no floating point, complex numbers or true division), and it raises
+only the three errors of its exit-code contract."""
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
+
+from mckay import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
@@ -101,3 +105,62 @@ def test_the_scan_sees_inexact_arithmetic():
 )
 def test_the_package_is_exact(path):
     assert inexact_constructs(path.read_text()) == []
+
+
+ALLOWED_RAISES = {"ValueError", "PreconditionFailed", "InternalInvariantViolation"}
+EXCEPTION_NAMES = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+} | set(errors.__all__)
+
+
+def _name(node: ast.expr) -> str:
+    """The last dotted component of a Name or Attribute, else ''."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def error_contract_breaches(source: str, defines_errors: bool = False) -> list[str]:
+    """Exception classes defined outside the errors module, and raises of
+    anything but ValueError, PreconditionFailed or InternalInvariantViolation
+    (a bare re-raise included)."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and not defines_errors:
+            bases = [_name(b) for b in node.bases]
+            if any(b in EXCEPTION_NAMES for b in bases):
+                found.append((node.lineno, f"exception class {node.name}"))
+        elif isinstance(node, ast.Raise):
+            exc = node.exc
+            raised = _name(exc.func if isinstance(exc, ast.Call) else exc) if exc else ""
+            if raised not in ALLOWED_RAISES:
+                found.append((node.lineno, f"raise of {raised or 'the caught error'}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_the_error_contract_broken():
+    source = (
+        "class Oops(ValueError):\n    pass\n"
+        "class Fine:\n    pass\n"
+        "raise ValueError('x')\nraise errors.PreconditionFailed('y') from None\n"
+        "raise KeyError('z')\nraise TypeError\ntry:\n    f()\nexcept KeyError:\n    raise\n"
+        "class Later(errors.McKayError):\n    pass\n"
+    )
+    assert error_contract_breaches(source) == [
+        "exception class Oops (line 1)",
+        "raise of KeyError (line 7)",
+        "raise of TypeError (line 8)",
+        "raise of the caught error (line 12)",
+        "exception class Later (line 13)",
+    ]
+    assert error_contract_breaches("class E(Exception):\n    pass\n", defines_errors=True) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_one_exception_per_exit_code(path):
+    assert error_contract_breaches(path.read_text(), defines_errors=path.name == "errors.py") == []

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckay import lattice
-from mckay.errors import NotAdmissible, SingularMatrix
+from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import (
     ROTATION_MATRIX,
     SWAP_MATRIX,
     AbelianQuotient,
     LatticeBasis,
-    admissibility,
     admissible_bases,
     check_admissible,
     conjugate_is_integral,
@@ -30,9 +29,9 @@ def test_hnf_frozen_examples():
 
 
 def test_hnf_rejects_singular():
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="^generators span a rank < 2 sublattice$"):
         hermite_normal_form([(2, 4), (1, 2)])
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="^generators span a rank < 2 sublattice$"):
         hermite_normal_form([(0, 0), (0, 0)])
 
 
@@ -61,7 +60,7 @@ def _matmul(cols, u):
 def test_hnf_is_a_lattice_invariant(cols, u):
     det = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
     if det == 0:
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(ValueError, match="^generators span a rank < 2 sublattice$"):
             hermite_normal_form(cols)
         return
     h1 = hermite_normal_form(cols)
@@ -145,14 +144,38 @@ def test_admissibility_frozen():
 
 
 def test_admissibility_report_routes_agree():
+    # The verdict of both routes equals direct conjugation computed here,
+    # and check_admissible refuses (index >= 2) exactly what it rejects.
     for a in range(1, 8):
         for b in range(a):
             for c in range(1, 8):
                 basis = LatticeBasis(a, b, c)
                 for kind in ("A", "C", "D"):
-                    report = admissibility(basis, kind)
-                    assert report.closed_form == report.direct
-                    assert report.admissible == is_admissible(basis, kind)
+                    direct = kind == "A" or (
+                        conjugate_is_integral(basis, ROTATION_MATRIX)
+                        and (kind == "C" or conjugate_is_integral(basis, SWAP_MATRIX))
+                    )
+                    assert is_admissible(basis, kind) == direct
+                    if basis.det < 2:
+                        continue
+                    try:
+                        check_admissible(basis, kind)
+                        refused = False
+                    except PreconditionFailed:
+                        refused = True
+                    assert refused == (not direct)
+
+
+def test_admissibility_routes_that_disagree_are_internal(monkeypatch):
+    monkeypatch.setattr(lattice, "conjugate_is_integral", lambda basis, matrix: False)
+    message = (
+        r"^admissibility routes disagree on LatticeBasis\(a=3, b=2, c=1\) kind C: "
+        r"divisibility=True, conjugation=False$"
+    )
+    with pytest.raises(InternalInvariantViolation, match=message):
+        is_admissible(LatticeBasis(3, 2, 1), "C")
+    with pytest.raises(InternalInvariantViolation, match=message):
+        check_admissible(LatticeBasis(3, 2, 1), "C")
 
 
 def test_direct_route_is_matrix_conjugation():
@@ -163,18 +186,14 @@ def test_direct_route_is_matrix_conjugation():
 
 
 def test_check_admissible_failures():
-    with pytest.raises(NotAdmissible) as e:
+    with pytest.raises(PreconditionFailed, match="^index 1 sublattice has trivial quotient$"):
         check_admissible(LatticeBasis(1, 0, 1), "C")
-    assert e.value.failed == "index"
-    with pytest.raises(NotAdmissible) as e:
+    with pytest.raises(PreconditionFailed, match="^rotation condition fails: "):
         check_admissible(LatticeBasis(5, 1, 1), "C")
-    assert e.value.failed == "rotation"
-    with pytest.raises(NotAdmissible) as e:
+    with pytest.raises(PreconditionFailed, match="^swap condition fails: "):
         check_admissible(LatticeBasis(7, 3, 1), "D")
-    assert e.value.failed == "swap"
-    with pytest.raises(NotAdmissible) as e:
+    with pytest.raises(PreconditionFailed, match=r"^basis .* does not factor as ") as e:
         check_admissible(LatticeBasis(3, 1, 2), "C")
-    assert e.value.failed == "factorization"
     assert "c=2 does not divide both 3 and 1" in str(e.value)
     # admissible inputs pass silently
     check_admissible(LatticeBasis(3, 2, 1), "D")
@@ -238,9 +257,9 @@ def test_admissible_bases_match_a_triple_scan(monkeypatch):
 
 
 def test_basis_constructor_guards():
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="^degenerate basis a=0, c=1$"):
         LatticeBasis(0, 0, 1)
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="^degenerate basis a=2, c=0$"):
         LatticeBasis(2, 0, 0)
     with pytest.raises(ValueError):
         LatticeBasis(2, 2, 1)  # b must be reduced below a

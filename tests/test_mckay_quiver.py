@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay.errors import InternalInvariantViolation, NotAdmissible
+from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis
 from mckay.mckay_quiver import (
     Arrow,
@@ -199,10 +199,10 @@ def test_action_commutes_with_targets():
 
 def test_action_requires_admissibility():
     q = _quiver(5, 1, 1)
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(PreconditionFailed, match="^rotation condition fails: k1=5 "):
         k_action(q, "C")
     q = _quiver(7, 3, 1)
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(PreconditionFailed, match="^swap condition fails: k1=7 "):
         k_action(q, "D")
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import np_class_count, np_loop_profile, to_complex
 from mckay.cuts import build_cut, cut_type, invariant_cut
-from mckay.errors import Divisible, NonIntegralMultiplicity, NotDivisible, NotInvariant
+from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
@@ -226,7 +226,7 @@ def test_loop_witness_target_stays_in_orbit():
 
 
 def test_loop_witness_requires_non_divisibility():
-    with pytest.raises(Divisible):
+    with pytest.raises(PreconditionFailed, match=r"^3 divides det\(B\) = 9; no loop witness exists$"):
         loop_witness(_action(LatticeBasis(3, 0, 3), "C"))
 
 
@@ -283,7 +283,7 @@ def test_transport_rejects_non_invariant_cut():
     basis = LatticeBasis(7, 3, 1)
     q, act, s = _skew(basis, "C")
     cut = build_cut(q, (1, 4, 2))
-    with pytest.raises(NotInvariant):
+    with pytest.raises(PreconditionFailed, match="^the cut is not stable under the symmetry action$"):
         transport_cut(s, act, cut)
 
 
@@ -335,7 +335,7 @@ def test_round_trip_det12():
 
 
 def test_round_trip_needs_divisibility():
-    with pytest.raises(NotDivisible):
+    with pytest.raises(PreconditionFailed, match=r"^3 does not divide det\(B\) = 4$"):
         unskew_round_trip(_quiver(LatticeBasis(2, 0, 2)))
 
 
@@ -393,7 +393,7 @@ def test_a_tampered_trace_is_a_non_integral_multiplicity(g, terms, coords):
     assert inner.cyclotomic_order == 6
     assert inner.group.stabilizer((0, 1)) == (0, 4)
     assert inner.block_trace(4, *block) == ((3, 1),)
-    with pytest.raises(NonIntegralMultiplicity) as raised:
+    with pytest.raises(InternalInvariantViolation) as raised:
         _demonet(_Tampered(inner, g, block, terms))
     assert str(raised.value) == (
         "block ((0, 0)/triv -> (0, 1)/triv) pair (0, 0)->(0, 1): inner "
