@@ -167,9 +167,9 @@ def _validation_doc(report: ValidationReport) -> dict:
 def _cmd_group_info(args) -> dict:
     basis = _parse_basis(args.basis)
     kind = args.kind
+    scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
     if kind in ("C", "D"):
         check_admissible(basis, kind)
-    scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
     group = group_from_basis(basis, kind, root_order=args.root_order, scalars=scalars)
     diag = diagonal_subgroup(group)
     classes = conjugacy_classes(group)

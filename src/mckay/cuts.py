@@ -15,13 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .lattice import LatticeBasis
-from .mckay_quiver import (
-    Arrow,
-    QuiverAction,
-    TypedQuiver,
-    commutativity_squares,
-    elementary_cycles,
-)
+from .mckay_quiver import ARROW_TYPES, Arrow, QuiverAction, TypedQuiver
 
 __all__ = [
     "Cut",
@@ -169,41 +163,85 @@ def _has_cycle(vertices, edges) -> tuple[bool, list]:
     return False, []
 
 
+def _tables(
+    q: TypedQuiver,
+) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int, int, int]]]:
+    """The constraints of q as arrow indices: each arrow's head vertex, the
+    elementary cycles and the commutativity squares.
+
+    Arrow i leaves vertex i // 3 with type i % 3 + 1, and vertices are
+    numbered in coset order, so index order is arrow order: the cycles come
+    in the order of `elementary_cycles`, each starting at its least arrow,
+    and the squares in the order of `commutativity_squares`.  A square
+    (a, b, c, d) is the 2-paths a.b and c.d.
+    """
+    index_of = q.quotient.index_of
+    head = [index_of(w) for v in q.vertices for w in q.successors[v]]
+    nv = len(head) // 3
+    seen: set[tuple[int, ...]] = set()
+    for v in range(nv):
+        for order in ((0, 1, 2), (0, 2, 1)):
+            walk = []
+            x = v
+            for t in order:
+                walk.append(3 * x + t)
+                x = head[3 * x + t]
+            if x != v:
+                raise InternalInvariantViolation("type steps failed to close up")
+            k = walk.index(min(walk))
+            seen.add(tuple(walk[k:] + walk[:k]))
+    cycles = sorted(seen)
+    if len(cycles) != 2 * nv:
+        raise InternalInvariantViolation(
+            f"{len(cycles)} elementary cycles, expected {2 * nv}"
+        )
+    squares = [
+        (3 * v + i, 3 * head[3 * v + i] + j, 3 * v + j, 3 * head[3 * v + j] + i)
+        for v in range(nv)
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    return head, cycles, squares
+
+
 def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
     """Check the three weak-cut axioms, reporting witnesses for failures."""
-    if not cut.arrow_set <= set(q.arrows):
+    if not all(a.source in q.successors and a.type in ARROW_TYPES for a in cut.arrows):
         raise ValueError("cut contains arrows outside the quiver")
+    head, cycles, squares = _tables(q)
+    degree = [0] * len(head)
+    for a in cut.arrows:
+        degree[q.arrow_index(a)] = 1
+    vertices = q.vertices
     witnesses: list[str] = []
 
     squares_ok = True
-    for sq in commutativity_squares(q):
-        d1 = sum(cut.degree(a) for a in sq.first_path)
-        d2 = sum(cut.degree(a) for a in sq.second_path)
+    for a, b, c, d in squares:
+        d1 = degree[a] + degree[b]
+        d2 = degree[c] + degree[d]
         if d1 != d2:
             squares_ok = False
             witnesses.append(
-                f"square at {sq.start} types {sq.types}: path degrees {d1} != {d2}"
+                f"square at {vertices[a // 3]} types {(a % 3 + 1, c % 3 + 1)}: "
+                f"path degrees {d1} != {d2}"
             )
             break
 
     cycles_ok = True
-    for cyc in elementary_cycles(q):
-        d = sum(cut.degree(a) for a in cyc.arrows)
+    for cyc in cycles:
+        d = sum(degree[i] for i in cyc)
         if d != 1:
             cycles_ok = False
             witnesses.append(
-                f"elementary cycle at {cyc.start} order {cyc.type_order}: "
-                f"degree {d} != 1"
+                f"elementary cycle at {vertices[cyc[0] // 3]} order "
+                f"{tuple(i % 3 + 1 for i in cyc)}: degree {d} != 1"
             )
             break
 
-    degree_zero = [
-        (a.source, q.target(a)) for a in q.arrows if cut.degree(a) == 0
-    ]
-    cyclic, walk = _has_cycle(q.vertices, degree_zero)
+    degree_zero = [(i // 3, w) for i, w in enumerate(head) if not degree[i]]
+    cyclic, walk = _has_cycle(range(len(vertices)), degree_zero)
     acyclic_ok = not cyclic
     if cyclic:
-        witnesses.append(f"degree-0 cycle through {walk}")
+        witnesses.append(f"degree-0 cycle through {[vertices[x] for x in walk]}")
 
     return ValidationReport(
         squares_balanced=squares_ok,
@@ -248,14 +286,26 @@ def invariant_cut(action: QuiverAction) -> Cut:
     return cut
 
 
+def _arrow_count(q: TypedQuiver, limit: int) -> int:
+    """The number of arrows of q; raise ValueError when it exceeds `limit`."""
+    na = 3 * q.quotient.order
+    if na > limit:
+        raise ValueError(f"{na} arrows exceeds the enumeration guard {limit}")
+    return na
+
+
 def _search(
     q: TypedQuiver,
     limit: int,
     emit: Callable[[list[int]], None],
     runs: Iterable[Iterable[tuple[int, int]]] = ((),),
+    first: Sequence[int] = (),
+    keep: Callable[[list[int]], bool] | None = None,
 ) -> None:
     """Backtracking over arrow degrees: call emit(degrees) at every valid
-    leaf, within a run in lexicographic order of the cut's arrow-index list.
+    leaf.  The arrows in `first` are decided first, the others in index
+    order, so with no `first` a run emits in lexicographic order of the
+    cut's arrow-index list.
 
     One search runs per item of `runs`, from scratch, with its
     (arrow index, degree) pairs set and propagated first; the constraints
@@ -263,22 +313,13 @@ def _search(
     constraints that drive unit propagation; squares prune by degree
     intervals; an arrow u -> v fixed to degree 0 fails at once when v
     already reaches u through degree-0 arrows (a loop fails outright),
-    because such a cycle survives every completion.  Leaves are checked
-    again for balanced squares and degree-0 acyclicity.
+    because such a cycle survives every completion.  Once every arrow in
+    `first` is decided, each node asks keep(degrees) and drops its subtree
+    on a false answer.  Leaves are checked again for balanced squares and
+    degree-0 acyclicity.
     """
-    arrows = q.arrows
-    na = len(arrows)
-    if na > limit:
-        raise ValueError(f"{na} arrows exceeds the enumeration guard {limit}")
-    index = {a: i for i, a in enumerate(arrows)}
-    cycles = [
-        tuple(index[a] for a in cyc.arrows) for cyc in elementary_cycles(q)
-    ]
-    # A square is (a, b, c, d): the 2-paths a.b and c.d.
-    squares = [
-        tuple(index[a] for a in (*sq.first_path, *sq.second_path))
-        for sq in commutativity_squares(q)
-    ]
+    na = _arrow_count(q, limit)
+    head, cycles, squares = _tables(q)
     in_cycles: list[list[int]] = [[] for _ in range(na)]
     for ci, cyc in enumerate(cycles):
         for ai in cyc:
@@ -287,9 +328,9 @@ def _search(
     for si, sq in enumerate(squares):
         for ai in sq:
             in_squares[ai].append(si)
-    # Arrow i leaves vertex i // 3; vertices are numbered in coset order.
-    index_of = q.quotient.index_of
-    head = [index_of(q.target(a)) for a in arrows]
+    order = [*first, *sorted(set(range(na)) - set(first))]
+    settled = len(first)
+    nv = na // 3
 
     assign = [-1] * na
     trail: list[int] = []
@@ -359,19 +400,22 @@ def _search(
             if assign[a] + assign[b] != assign[c] + assign[d]:
                 return False
         degree_zero = [(i // 3, head[i]) for i in range(na) if assign[i] == 0]
-        cyclic, _ = _has_cycle(range(len(q.vertices)), degree_zero)
+        cyclic, _ = _has_cycle(range(nv), degree_zero)
         return not cyclic
 
     def dfs(pos: int) -> None:
-        while pos < na and assign[pos] != -1:
+        while pos < na and assign[order[pos]] != -1:
             pos += 1
+        if pos >= settled and keep is not None and not keep(assign):
+            return
         if pos == na:
             if leaf_ok():
                 emit(assign)
             return
+        ai = order[pos]
         for value in (1, 0):
             mark = len(trail)
-            if set_value(pos, value):
+            if set_value(ai, value):
                 dfs(pos + 1)
             undo(mark)
 
@@ -401,6 +445,24 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
     return tuple(results)
 
 
+def _forced_type(
+    n: int, orbits: Sequence[Sequence[int]], assign: Sequence[int]
+) -> tuple[int, int, int]:
+    """The type of every valid cut that agrees with `assign` on the origin's
+    type-1 orbit and type-2 orbit (arrow indices along e_1 and e_2).
+
+    In a cut with balanced squares, summing
+    d_t(v) + d_s(v + e_t) = d_s(v) + d_t(v + e_s) over the e_t-orbit of v
+    cancels the d_s terms: the e_t-orbits of v and v + e_s carry the same
+    degree.  Steps e_t and e_s reach every vertex, so all e_t-orbits carry
+    one degree D_t and gamma_t = (n / k_t) D_t, k_t being the orbit length.
+    Each arrow lies on 2 of the 2n elementary cycles of degree 1, so
+    gamma_3 = n - gamma_1 - gamma_2.
+    """
+    g1, g2 = (n // len(orbit) * sum(assign[i] for i in orbit) for orbit in orbits)
+    return (g1, g2, n - g1 - g2)
+
+
 def realized_types(
     q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> set[tuple[int, int, int]]:
@@ -411,16 +473,45 @@ def realized_types(
     valid cut is non-empty (each elementary cycle carries degree 1).  So a
     cut whose lowest arrow type is t translates to one that holds the
     origin's type-t arrow and no arrow of a lower type; three constrained
-    searches, t = 1, 2, 3, meet every realized type.  Raises ValueError when
-    q has more than `limit` arrows.
+    searches, t = 1, 2, 3, meet every realized type.  Each search decides
+    the origin's type-1 and type-2 orbits first, which fixes the type of
+    every cut below (`_forced_type`), and skips a subtree whose type is
+    already recorded, so one leaf is reached per type.  A leaf whose
+    counted type differs from the forced one is an internal error.  Raises
+    ValueError when q has more than `limit` arrows.
     """
+    na = _arrow_count(q, limit)
+    n = na // 3
+    origin = q.vertices[0]
+    index_of = q.quotient.index_of
+    orbits = []
+    for t in range(2):
+        orbit = []
+        x = origin
+        while True:
+            orbit.append(3 * index_of(x) + t)
+            x = q.successors[x][t]
+            if x == origin:
+                break
+        orbits.append(orbit)
     types: set[tuple[int, int, int]] = set()
+    forced = (0, 0, 0)
+
+    def keep(assign: list[int]) -> bool:
+        nonlocal forced
+        forced = _forced_type(n, orbits, assign)
+        return forced not in types
 
     def record(assign: list[int]) -> None:
-        types.add(tuple(sum(assign[t::3]) for t in range(3)))  # type: ignore[arg-type]
+        counted = tuple(sum(assign[t::3]) for t in range(3))
+        if counted != forced:
+            raise InternalInvariantViolation(
+                f"cut search on basis {q.quotient.basis.rows}: a leaf of type "
+                f"{counted}, but its type-1 and type-2 orbits force {forced}"
+            )
+        types.add(counted)  # type: ignore[arg-type]
 
-    na = len(q.arrows)
     # Arrow t is the origin's arrow of type t + 1.
     runs = [[(t, 1)] + [(i, 0) for i in range(na) if i % 3 < t] for t in range(3)]
-    _search(q, limit, record, runs)
+    _search(q, limit, record, runs, first=orbits[0] + orbits[1], keep=keep)
     return types

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: documents, formats, determinism, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
@@ -163,6 +164,25 @@ def test_oracle_compare_clean(capsys):
     assert all(case["match"] for case in doc["cases"])
 
 
+# Digests of the largest sweeps in tier-1, recorded before the cut search
+# became type-directed; the search's speed-ups must leave them unchanged.
+ORACLE_PINS = [
+    ("oracle-compare --kind C --max-det 27",
+     "a7148486c523777a15e2992d49e8f49a32ccda024948d587efb007129951d3de"),
+    ("oracle-compare --kind D --max-det 27",
+     "03ab663c55731aa0f8f5a9d0718111060dd74606cce578411df627aef4cef84e"),
+    ("oracle-compare --kind A --max-det 12",
+     "e6cc250fe011752d33a8026c3dbab75d016800f27bec1cae615edd5f0f80704c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", ORACLE_PINS, ids=[p[0] for p in ORACLE_PINS])
+def test_oracle_compare_sweeps_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_oracle_compare_flags_discrepancy(capsys, monkeypatch):
     # force a wrong prediction to confirm the discrepancy exit path
     monkeypatch.setattr(cli, "cut_exists", lambda basis, gamma: False)
@@ -297,6 +317,17 @@ def test_group_info_rejects_scalars_outside_kind_d(capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: kind {kind} admits no involution scalars\n"
+
+
+@pytest.mark.parametrize("command", ["group-info", "skew", "classify"])
+def test_unparsable_scalars_exit_2_before_admissibility(capsys, command):
+    # 5,1;0,1 fails the rotation condition (exit 3), but the scalars are
+    # parsed first, so every command refuses them as an invalid spec.
+    argv = [command, "--basis", "5,1;0,1", "--kind", "D", "--scalars", "x"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse scalars 'x'\n"
 
 
 def test_help_exits_zero(capsys):

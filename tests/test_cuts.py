@@ -19,7 +19,7 @@ from mckay.cuts import (
     realized_types,
     validate_cut,
 )
-from mckay.errors import PreconditionFailed
+from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis
 from mckay.mckay_quiver import (
     TypedQuiver,
@@ -355,3 +355,49 @@ def test_degree_zero_cycles_fail_before_the_leaves(monkeypatch, abc):
     assert enumerate_cuts(q, limit=40) == ()
     assert realized_types(q, limit=40) == set()
     assert len(calls) <= 1
+
+
+def test_realized_types_are_the_types_of_the_enumerated_cuts():
+    for basis in _hnf_bases(12):
+        q = build_quiver(AbelianQuotient(basis))
+        limit = 3 * basis.det
+        expected = {cut_type(cut) for cut in enumerate_cuts(q, limit)}
+        assert realized_types(q, limit) == expected, basis
+
+
+@pytest.mark.parametrize("abc, leaves", [((9, 6, 3), 10), ((5, 0, 5), 6), ((7, 3, 1), 3)])
+def test_type_directed_search_reaches_one_leaf_per_type(monkeypatch, abc, leaves):
+    # The leaf check runs _has_cycle once per leaf whose squares balance.
+    calls = []
+
+    def counting(vertices, edges):
+        calls.append(1)
+        return _has_cycle(vertices, edges)
+
+    monkeypatch.setattr(cuts, "_has_cycle", counting)
+    q = _quiver(*abc)
+    assert len(realized_types(q, limit=3 * q.quotient.order)) == leaves
+    assert len(calls) == leaves
+
+
+def test_a_leaf_off_its_forced_type_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(cuts, "_forced_type", lambda n, orbits, assign: (0, 0, n))
+    with pytest.raises(InternalInvariantViolation) as raised:
+        realized_types(_quiver(3, 2, 1))
+    assert str(raised.value) == (
+        "cut search on basis ((3, 2), (0, 1)): a leaf of type (1, 1, 1), "
+        "but its type-1 and type-2 orbits force (0, 0, 3)"
+    )
+
+
+@pytest.mark.parametrize("abc", [(3, 2, 1), (3, 0, 3), (7, 3, 1), (6, 4, 2)])
+def test_constraint_tables_follow_the_object_order(abc):
+    q = _quiver(*abc)
+    head, cycles, squares = cuts._tables(q)
+    index = q.arrow_index
+    assert head == [q.quotient.index_of(q.target(a)) for a in q.arrows]
+    assert cycles == [tuple(index(a) for a in cyc.arrows) for cyc in elementary_cycles(q)]
+    assert squares == [
+        tuple(index(a) for a in (*sq.first_path, *sq.second_path))
+        for sq in commutativity_squares(q)
+    ]
