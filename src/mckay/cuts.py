@@ -445,21 +445,78 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
     return tuple(results)
 
 
-def _forced_type(
-    n: int, orbits: Sequence[Sequence[int]], assign: Sequence[int]
-) -> tuple[int, int, int]:
-    """The type of every valid cut that agrees with `assign` on the origin's
-    type-1 orbit and type-2 orbit (arrow indices along e_1 and e_2).
+def _reduced_basis(basis: LatticeBasis) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A Lagrange-Gauss reduced basis of the lattice spanned by (a, 0) and
+    (b, c): both vectors are as short as a basis allows, and their lengths
+    multiply to at most 2n / sqrt(3)."""
+    u, v = (basis.a, 0), (basis.b, basis.c)
+    if u[0] * u[0] > v[0] * v[0] + v[1] * v[1]:
+        u, v = v, u
+    while True:
+        uu = u[0] * u[0] + u[1] * u[1]
+        # the integer nearest to <u, v> / <u, u>
+        k = (2 * (u[0] * v[0] + u[1] * v[1]) + uu) // (2 * uu)
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+        if v[0] * v[0] + v[1] * v[1] >= uu:
+            return u, v
+        u, v = v, u
 
-    In a cut with balanced squares, summing
-    d_t(v) + d_s(v + e_t) = d_s(v) + d_t(v + e_s) over the e_t-orbit of v
-    cancels the d_s terms: the e_t-orbits of v and v + e_s carry the same
-    degree.  Steps e_t and e_s reach every vertex, so all e_t-orbits carry
-    one degree D_t and gamma_t = (n / k_t) D_t, k_t being the orbit length.
-    Each arrow lies on 2 of the 2n elementary cycles of degree 1, so
-    gamma_3 = n - gamma_1 - gamma_2.
+
+def _closed_walks(q: TypedQuiver) -> list[tuple[list[int], tuple[int, int, int]]]:
+    """Two closed walks from the origin along a reduced basis of the lattice,
+    each as its arrow indices and its step counts m = (m1, m2, m3).
+
+    A lattice vector (p, q) is walked as m1 = p + m3 steps of e_1, then
+    m2 = q + m3 of e_2, then m3 = max(0, -p, -q) of e_3 = (-1, -1); of
+    (p, q) and (-p, -q) the shorter walk is taken.
     """
-    g1, g2 = (n // len(orbit) * sum(assign[i] for i in orbit) for orbit in orbits)
+    index_of = q.quotient.index_of
+    origin = q.vertices[0]
+    walks = []
+    for p, r in _reduced_basis(q.quotient.basis):
+        steps = []
+        for x, y in ((p, r), (-p, -r)):
+            m3 = max(0, -x, -y)
+            steps.append((x + m3, y + m3, m3))
+        m = min(steps, key=sum)
+        arrows = []
+        v = origin
+        for t, count in enumerate(m):
+            for _ in range(count):
+                arrows.append(3 * index_of(v) + t)
+                v = q.successors[v][t]
+        if v != origin:
+            raise InternalInvariantViolation(f"walk {m} from the origin did not close")
+        walks.append((arrows, m))
+    return walks
+
+
+def _forced_type(
+    n: int,
+    walks: Sequence[tuple[Sequence[int], tuple[int, int, int]]],
+    assign: Sequence[int],
+) -> tuple[int, int, int]:
+    """The type of every valid cut that agrees with `assign` on the arrows
+    of the two closed walks of `_closed_walks`.
+
+    In a cut with balanced squares a walk's steps can be reordered and its
+    start translated without changing its degree sum S, so on closed walks
+    S is additive in the step counts m.  It is 1 on an elementary cycle
+    m = (1, 1, 1), and on an e_t-orbit of length k_t it is k_t gamma_t / n,
+    because all e_t-orbits carry the same degree (sum a square of types t
+    and s along one).  These span Q^3, so S = (m . gamma) / n on every
+    closed walk.  With m = (p + m3, q + m3, m3) that reads
+    p gamma_1 + q gamma_2 = n (S - m3); the two walks give two such
+    equations whose determinant is +-n, and gamma_3 = n - gamma_1 - gamma_2.
+    """
+    (w1, m1), (w2, m2) = walks
+    p1, q1 = m1[0] - m1[2], m1[1] - m1[2]
+    p2, q2 = m2[0] - m2[2], m2[1] - m2[2]
+    r1 = sum(assign[i] for i in w1) - m1[2]
+    r2 = sum(assign[i] for i in w2) - m2[2]
+    d = p1 * q2 - q1 * p2
+    g1 = n * (r1 * q2 - r2 * q1) // d
+    g2 = n * (p1 * r2 - p2 * r1) // d
     return (g1, g2, n - g1 - g2)
 
 
@@ -474,7 +531,7 @@ def realized_types(
     cut whose lowest arrow type is t translates to one that holds the
     origin's type-t arrow and no arrow of a lower type; three constrained
     searches, t = 1, 2, 3, meet every realized type.  Each search decides
-    the origin's type-1 and type-2 orbits first, which fixes the type of
+    the arrows of two short closed walks first, which fixes the type of
     every cut below (`_forced_type`), and skips a subtree whose type is
     already recorded, so one leaf is reached per type.  A leaf whose
     counted type differs from the forced one is an internal error.  Raises
@@ -482,24 +539,14 @@ def realized_types(
     """
     na = _arrow_count(q, limit)
     n = na // 3
-    origin = q.vertices[0]
-    index_of = q.quotient.index_of
-    orbits = []
-    for t in range(2):
-        orbit = []
-        x = origin
-        while True:
-            orbit.append(3 * index_of(x) + t)
-            x = q.successors[x][t]
-            if x == origin:
-                break
-        orbits.append(orbit)
+    walks = _closed_walks(q)
+    first = list(dict.fromkeys(walks[0][0] + walks[1][0]))
     types: set[tuple[int, int, int]] = set()
     forced = (0, 0, 0)
 
     def keep(assign: list[int]) -> bool:
         nonlocal forced
-        forced = _forced_type(n, orbits, assign)
+        forced = _forced_type(n, walks, assign)
         return forced not in types
 
     def record(assign: list[int]) -> None:
@@ -507,11 +554,11 @@ def realized_types(
         if counted != forced:
             raise InternalInvariantViolation(
                 f"cut search on basis {q.quotient.basis.rows}: a leaf of type "
-                f"{counted}, but its type-1 and type-2 orbits force {forced}"
+                f"{counted}, but its two closed walks force {forced}"
             )
         types.add(counted)  # type: ignore[arg-type]
 
     # Arrow t is the origin's arrow of type t + 1.
     runs = [[(t, 1)] + [(i, 0) for i in range(na) if i % 3 < t] for t in range(3)]
-    _search(q, limit, record, runs, first=orbits[0] + orbits[1], keep=keep)
+    _search(q, limit, record, runs, first=first, keep=keep)
     return types

@@ -221,42 +221,45 @@ def check_admissible(basis: LatticeBasis, kind: str) -> None:
 def admissible_bases(max_det: int, kind: str) -> list[LatticeBasis]:
     """All admissible bases with 2 <= det <= max_det, sorted by (det, a, b, c).
 
-    Kind A admits every basis, so every triple is emitted.  For kinds C and
-    D the bases come from the closed form: (k1*c, k2*c, c) with
-    k1*c^2 <= max_det, 0 <= k2 < k1, k1 | k2^2 - k2 + 1 and, for D, the swap
-    condition k1 | gcd(k2 - 2, 3).  Each emitted basis still runs both
-    admissibility routes; a basis either route rejects is an internal error.
+    Kind A admits every basis, so every triple is emitted, already in order:
+    for each det n, each divisor a of n, each b < a.  For kinds C and D the
+    bases come from the closed form: (k1*c, k2*c, c) with k1*c^2 <= max_det,
+    0 <= k2 < k1, k1 | k2^2 - k2 + 1 and, for D, the swap condition
+    k1 | gcd(k2 - 2, 3).  Each emitted basis still runs both admissibility
+    routes; a basis either route rejects is an internal error.
     """
     _check_kind(kind)
-    found: list[tuple[int, int, int, int]] = []
     if kind == "A":
-        found = [
-            (a * c, a, b, c)
-            for a in range(1, max_det + 1)
-            for c in range(1, max_det // a + 1)
-            if a * c >= 2
+        divisors: list[list[int]] = [[] for _ in range(max_det + 1)]
+        for a in range(1, max_det + 1):
+            for n in range(a, max_det + 1, a):
+                divisors[n].append(a)
+        return [
+            LatticeBasis(a, b, n // a)
+            for n in range(2, max_det + 1)
+            for a in divisors[n]
             for b in range(a)
         ]
-    else:
-        c = 1
-        while c * c <= max_det:
-            # k2^2 - k2 + 1 is odd, so only odd k1 can divide it.
-            for k1 in range(1, max_det // (c * c) + 1, 2):
-                if kind == "D" and 3 % k1:
+    found: list[tuple[int, int, int, int]] = []
+    c = 1
+    while c * c <= max_det:
+        # k2^2 - k2 + 1 is odd, so only odd k1 can divide it.
+        for k1 in range(1, max_det // (c * c) + 1, 2):
+            if kind == "D" and 3 % k1:
+                continue
+            roots = [k2 for k2 in range(k1) if (k2 * k2 - k2 + 1) % k1 == 0]
+            for k2 in roots:
+                if kind == "D" and (k2 - 2) % k1:
                     continue
-                roots = [k2 for k2 in range(k1) if (k2 * k2 - k2 + 1) % k1 == 0]
-                for k2 in roots:
-                    if kind == "D" and (k2 - 2) % k1:
-                        continue
-                    basis = LatticeBasis(k1 * c, k2 * c, c)
-                    if basis.det < 2:
-                        continue
-                    if not is_admissible(basis, kind):
-                        raise InternalInvariantViolation(
-                            f"closed-form generator emitted {basis}, "
-                            f"which is not admissible for kind {kind}"
-                        )
-                    found.append((basis.det, basis.a, basis.b, basis.c))
-            c += 1
+                basis = LatticeBasis(k1 * c, k2 * c, c)
+                if basis.det < 2:
+                    continue
+                if not is_admissible(basis, kind):
+                    raise InternalInvariantViolation(
+                        f"closed-form generator emitted {basis}, "
+                        f"which is not admissible for kind {kind}"
+                    )
+                found.append((basis.det, basis.a, basis.b, basis.c))
+        c += 1
     found.sort()
     return [LatticeBasis(a, b, c) for _, a, b, c in found]

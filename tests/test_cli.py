@@ -173,6 +173,11 @@ ORACLE_PINS = [
      "03ab663c55731aa0f8f5a9d0718111060dd74606cce578411df627aef4cef84e"),
     ("oracle-compare --kind A --max-det 12",
      "e6cc250fe011752d33a8026c3dbab75d016800f27bec1cae615edd5f0f80704c"),
+    # Recorded with the search that decided the origin's whole type-1 and
+    # type-2 orbits, which needs minutes for this sweep; the walk-directed
+    # search needs about a second.
+    ("oracle-compare --kind C --max-det 45",
+     "8168bfe6d780a7c10ef72ae4e38127b9d243e33dc47d974dbd3efc986acab74c"),
 ]
 
 

@@ -381,13 +381,47 @@ def test_type_directed_search_reaches_one_leaf_per_type(monkeypatch, abc, leaves
 
 
 def test_a_leaf_off_its_forced_type_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(cuts, "_forced_type", lambda n, orbits, assign: (0, 0, n))
+    monkeypatch.setattr(cuts, "_forced_type", lambda n, walks, assign: (0, 0, n))
     with pytest.raises(InternalInvariantViolation) as raised:
         realized_types(_quiver(3, 2, 1))
     assert str(raised.value) == (
         "cut search on basis ((3, 2), (0, 1)): a leaf of type (1, 1, 1), "
-        "but its type-1 and type-2 orbits force (0, 0, 3)"
+        "but its two closed walks force (0, 0, 3)"
     )
+
+
+def test_closed_walks_fix_the_type_of_every_cut():
+    # n times a walk's degree sum is m . gamma on every valid cut, and the
+    # two walks' lattice vectors (m1 - m3, m2 - m3) span a lattice of index n.
+    cuts_seen = 0
+    for basis in _hnf_bases(10):
+        q = build_quiver(AbelianQuotient(basis))
+        n = basis.det
+        head, _, _ = cuts._tables(q)
+        walks = cuts._closed_walks(q)
+        for arrows, m in walks:
+            assert [sum(1 for i in arrows if i % 3 == t) for t in range(3)] == list(m)
+            vertex = 0
+            for i in arrows:
+                assert i // 3 == vertex, basis
+                vertex = head[i]
+            assert vertex == 0, basis
+        (_, (a1, a2, a3)), (_, (b1, b2, b3)) = walks
+        assert abs((a1 - a3) * (b2 - b3) - (a2 - a3) * (b1 - b3)) == n, basis
+        for cut in enumerate_cuts(q, 3 * n):
+            degree = [0] * (3 * n)
+            for a in cut.arrows:
+                degree[q.arrow_index(a)] = 1
+            gamma = cut_type(cut)
+            for arrows, m in walks:
+                assert n * sum(degree[i] for i in arrows) == sum(
+                    mt * gt for mt, gt in zip(m, gamma)
+                ), (basis, cut)
+            assert cuts._forced_type(n, walks, degree) == gamma
+            cuts_seen += 1
+    assert cuts_seen == 1914
+    # [[3, 2], [0, 1]] reduces to (1, -1) and (1, 2); the first needs an e_3 step.
+    assert [m for _, m in cuts._closed_walks(_quiver(3, 2, 1))] == [(2, 0, 1), (1, 2, 0)]
 
 
 @pytest.mark.parametrize("abc", [(3, 2, 1), (3, 0, 3), (7, 3, 1), (6, 4, 2)])
