@@ -171,7 +171,11 @@ def _cmd_group_info(args) -> dict:
     if kind in ("C", "D"):
         check_admissible(basis, kind)
     group = group_from_basis(basis, kind, root_order=args.root_order, scalars=scalars)
-    diag = diagonal_subgroup(group)
+    # semidirect_check runs the normality check of N itself.
+    report = semidirect_check(group, kind) if kind in ("C", "D") else None
+    diag_order = (
+        report.diagonal_order if report is not None else diagonal_subgroup(group).order
+    )
     classes = conjugacy_classes(group)
     doc = {
         "metadata": _metadata(
@@ -182,14 +186,13 @@ def _cmd_group_info(args) -> dict:
         ),
         "group": {
             "order": group.order,
-            "diagonal_order": diag.order,
+            "diagonal_order": diag_order,
             "class_count": len(classes),
             "class_sizes": sorted(len(c) for c in classes),
             "generators": [_element_doc(g) for g in group.generators],
         },
     }
-    if kind in ("C", "D"):
-        report = semidirect_check(group, kind)
+    if report is not None:
         comp = {
             "order": report.complement.order,
             "elements": [_element_doc(g) for g in report.complement.elements],

@@ -313,14 +313,27 @@ class QuiverAction:
         return all(e.act_arrow(a) in s for e in self.elements for a in s)
 
 
-def _assert_automorphism(q: TypedQuiver, e: ActionElement) -> None:
-    if sorted(e.vertex_map.values()) != sorted(q.vertices):
-        raise InternalInvariantViolation(f"{e.name} is not a vertex bijection")
-    for a in q.arrows:
-        if e.vertex_map[q.target(a)] != q.target(e.act_arrow(a)):
-            raise InternalInvariantViolation(
-                f"{e.name} does not commute with targets on {a}"
-            )
+def _assert_automorphisms(q: TypedQuiver, elements: Iterable[ActionElement]) -> None:
+    """Check that each element permutes the vertices and maps the type-i
+    arrow from v onto the type-sigma(i) arrow from its image, target
+    included, on vertex indices: perm[succ[v][i]] == succ[perm[v]][sigma(i)]."""
+    vertices = q.vertices
+    index = {v: k for k, v in enumerate(vertices)}
+    succ = [tuple(index[w] for w in q.successors[v]) for v in vertices]
+    identity = list(range(len(vertices)))
+    for e in elements:
+        perm = [index.get(e.vertex_map.get(v), -1) for v in vertices]
+        if sorted(perm) != identity:
+            raise InternalInvariantViolation(f"{e.name} is not a vertex bijection")
+        sigma = tuple(i - 1 for i in e.type_map)
+        for v, (pv, sv) in enumerate(zip(perm, succ)):
+            image = succ[pv]
+            for i in range(3):
+                if perm[sv[i]] != image[sigma[i]]:
+                    raise InternalInvariantViolation(
+                        f"{e.name} does not commute with targets on "
+                        f"{Arrow(vertices[v], i + 1)}"
+                    )
 
 
 def k_action(
@@ -377,8 +390,8 @@ def k_action(
 
     if _compose(t2, t, "_", m).type_map != (1, 2, 3):
         raise InternalInvariantViolation("t^3 != 1 on types")
+    _assert_automorphisms(q, elements)
     for e in elements:
-        _assert_automorphism(q, e)
         if sorted(e.type_map) != [1, 2, 3]:
             raise InternalInvariantViolation(f"{e.name} does not permute types")
         # Involutions must square to the identity with scalars included;

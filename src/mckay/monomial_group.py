@@ -10,11 +10,16 @@ Special-linear membership is the exact exponent identity
 sign(perm) * zeta^(e1+e2+e3) = 1: even permutations need the exponent
 sum to vanish, odd permutations need it to equal root_order/2 (which
 forces an even root order).
+
+Closures, classes and the splitting check compute on (perm, exps) keys at
+a common root order; MonomialMatrix objects are built only for the
+generators, the witnesses and whatever a caller reads from `elements`.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -38,8 +43,32 @@ __all__ = [
 
 DEFAULT_CLOSURE_CAP = 10000
 
-_EVEN_PERMS = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
+_IDENTITY_PERM = (0, 1, 2)
+_EVEN_PERMS = frozenset({_IDENTITY_PERM, (1, 2, 0), (2, 0, 1)})
 _ALL_PERMS = _EVEN_PERMS | frozenset({(0, 2, 1), (2, 1, 0), (1, 0, 2)})
+
+Key = tuple[tuple[int, int, int], tuple[int, int, int]]
+
+
+def _mul(a: Key, b: Key, m: int) -> Key:
+    """The key of the product of the elements with keys a and b at root order m."""
+    (pa, ea), (pb, eb) = a, b
+    b0, b1, b2 = pb
+    return (
+        (pa[b0], pa[b1], pa[b2]),
+        ((ea[b0] + eb[0]) % m, (ea[b1] + eb[1]) % m, (ea[b2] + eb[2]) % m),
+    )
+
+
+def _inv(a: Key, m: int) -> Key:
+    """The key of the inverse of the element with key a at root order m."""
+    p, e = a
+    perm = [0, 0, 0]
+    exps = [0, 0, 0]
+    for j in range(3):
+        perm[p[j]] = j
+        exps[p[j]] = -e[j] % m
+    return (tuple(perm), tuple(exps))  # type: ignore[return-value]
 
 
 def closure_cap() -> int:
@@ -125,20 +154,11 @@ class MonomialMatrix:
                 f"mixed root orders {self.root_order} and {other.root_order}"
             )
         m = self.root_order
-        perm = tuple(self.perm[other.perm[j]] for j in range(3))
-        exps = tuple(
-            (self.exps[other.perm[j]] + other.exps[j]) % m for j in range(3)
-        )
-        return MonomialMatrix(m, perm, exps)  # type: ignore[arg-type]
+        return MonomialMatrix(m, *_mul(self.key(), other.key(), m))
 
     def inverse(self) -> MonomialMatrix:
         m = self.root_order
-        perm = [0, 0, 0]
-        exps = [0, 0, 0]
-        for j in range(3):
-            perm[self.perm[j]] = j
-            exps[self.perm[j]] = -self.exps[j] % m
-        return MonomialMatrix(m, tuple(perm), tuple(exps))  # type: ignore[arg-type]
+        return MonomialMatrix(m, *_inv(self.key(), m))
 
     def __pow__(self, n: int) -> MonomialMatrix:
         base = self if n >= 0 else self.inverse()
@@ -163,7 +183,7 @@ class MonomialMatrix:
         cells = [(self.perm[j], j, self.exps[j]) for j in range(3)]
         return tuple(sorted(cells))
 
-    def key(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    def key(self) -> Key:
         return (self.perm, self.exps)
 
 
@@ -178,15 +198,25 @@ def product(factors: Iterable[MonomialMatrix]) -> MonomialMatrix:
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    """A multiplicatively closed finite set of monomial matrices."""
+    """A multiplicatively closed finite set of monomial matrices, held as
+    sorted (perm, exps) keys at one root order; the matrices are built
+    only when `generators` or `elements` is read."""
 
     root_order: int
-    generators: tuple[MonomialMatrix, ...]
-    elements: tuple[MonomialMatrix, ...]
+    generator_keys: tuple[Key, ...]
+    keys: tuple[Key, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
+
+    @cached_property
+    def generators(self) -> tuple[MonomialMatrix, ...]:
+        return tuple(MonomialMatrix(self.root_order, *k) for k in self.generator_keys)
+
+    @cached_property
+    def elements(self) -> tuple[MonomialMatrix, ...]:
+        return tuple(MonomialMatrix(self.root_order, *k) for k in self.keys)
 
     def identity(self) -> MonomialMatrix:
         return MonomialMatrix.identity(self.root_order)
@@ -217,63 +247,64 @@ def closure(
             )
     cap = max_elements if max_elements is not None else closure_cap()
     m = gens[0].root_order
-    identity = MonomialMatrix.identity(m)
-    seen: dict[tuple, MonomialMatrix] = {identity.key(): identity}
+    gen_keys = tuple(g.key() for g in gens)
+    identity: Key = (_IDENTITY_PERM, (0, 0, 0))
+    seen = {identity}
     frontier = [identity]
     while frontier:
-        nxt: list[MonomialMatrix] = []
+        nxt: list[Key] = []
         for g in frontier:
-            for h in gens:
-                w = g * h
-                k = w.key()
-                if k not in seen:
+            for h in gen_keys:
+                w = _mul(g, h, m)
+                if w not in seen:
                     if len(seen) >= cap:
                         raise ValueError(
                             f"closure exceeded {cap} elements; raise the cap "
                             f"if the group really is this large"
                         )
-                    seen[k] = w
+                    seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    elements = tuple(sorted(seen.values()))
-    return FiniteMatrixGroup(m, tuple(gens), elements)
+    return FiniteMatrixGroup(m, gen_keys, tuple(sorted(seen)))
 
 
 def diagonal_subgroup(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """The subgroup of diagonal elements; asserted abelian and normal in g."""
-    diag = tuple(x for x in g.elements if x.is_diagonal)
+    m = g.root_order
+    diag = tuple(k for k in g.keys if k[0] == _IDENTITY_PERM)
     # Diagonal monomial matrices commute entrywise; normality still needs g.
     members = set(diag)
-    for h in g.generators:
-        hinv = h.inverse()
+    for h in g.generator_keys:
+        hinv = _inv(h, m)
         for d in diag:
-            if h * d * hinv not in members:
+            if _mul(_mul(h, d, m), hinv, m) not in members:
                 raise PreconditionFailed(
                     "diagonal part is not normal; the closure is inconsistent"
                 )
-    return FiniteMatrixGroup(g.root_order, diag, diag)
+    return FiniteMatrixGroup(m, diag, diag)
 
 
-def conjugacy_classes(g: FiniteMatrixGroup) -> list[tuple[MonomialMatrix, ...]]:
-    """Partition of the elements into conjugacy classes, deterministically ordered."""
-    inv = [(h, h.inverse()) for h in g.generators]
-    remaining = dict((x.key(), x) for x in g.elements)
-    classes: list[tuple[MonomialMatrix, ...]] = []
-    for x in g.elements:
-        if x.key() not in remaining:
+def conjugacy_classes(g: FiniteMatrixGroup) -> list[tuple[Key, ...]]:
+    """Partition of the element keys into conjugacy classes, each sorted,
+    listed by their least member."""
+    m = g.root_order
+    inv = [(h, _inv(h, m)) for h in g.generator_keys]
+    remaining = set(g.keys)
+    classes: list[tuple[Key, ...]] = []
+    for x in g.keys:
+        if x not in remaining:
             continue
-        orbit = {x.key(): x}
+        orbit = {x}
         frontier = [x]
         while frontier:
             y = frontier.pop()
             for h, hinv in inv:
-                z = h * y * hinv
-                if z.key() not in orbit:
-                    orbit[z.key()] = z
+                z = _mul(_mul(h, y, m), hinv, m)
+                if z not in orbit:
+                    orbit.add(z)
                     frontier.append(z)
-        for k in orbit:
-            remaining.pop(k, None)
-        classes.append(tuple(sorted(orbit.values())))
+        remaining -= orbit
+        classes.append(tuple(sorted(orbit)))
     return classes
 
 
@@ -303,6 +334,11 @@ def _find_generator(g: FiniteMatrixGroup, even: bool) -> MonomialMatrix:
     )
 
 
+def _meets_diagonal(k: FiniteMatrixGroup) -> bool:
+    """Whether k has a diagonal element besides the identity."""
+    return any(p == _IDENTITY_PERM and any(e) for p, e in k.keys)
+
+
 def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     """Verify G = N x| K and return the complement with factorization witnesses.
 
@@ -323,7 +359,7 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
         complement = closure([t], max_elements=4)
         if complement.order != 3:
             raise PreconditionFailed(f"<t> has order {complement.order}, expected 3")
-        if any(x.is_diagonal and not x.is_identity for x in complement.elements):
+        if _meets_diagonal(complement):
             raise PreconditionFailed("<t> meets the diagonal subgroup nontrivially")
         if n.order * 3 != g.order:
             raise PreconditionFailed(
@@ -355,7 +391,7 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
         raise PreconditionFailed(
             f"<i1, i2> has order {complement.order}, expected 6"
         )
-    if any(x.is_diagonal and not x.is_identity for x in complement.elements):
+    if _meets_diagonal(complement):
         raise PreconditionFailed("<i1, i2> meets the diagonal subgroup nontrivially")
     if n.order * 6 != g.order:
         raise PreconditionFailed(f"|G| = {g.order} is not 6 * |N| = {6 * n.order}")
@@ -463,7 +499,7 @@ def group_from_basis(
         gens.append(MonomialMatrix.transposition(m, p, q, s))
     g = closure(gens, max_elements=max_elements)
     expected = {"A": 1, "C": 3, "D": 6}[kind] * basis.det
-    diag = sum(1 for x in g.elements if x.is_diagonal)
+    diag = sum(1 for p, _ in g.keys if p == _IDENTITY_PERM)
     if diag != basis.det:
         raise PreconditionFailed(
             f"diagonal part has order {diag}, expected {basis.det}; "

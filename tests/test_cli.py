@@ -188,6 +188,50 @@ def test_oracle_compare_sweeps_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Digests of group-info documents beyond the golden corpus, recorded before
+# the group layer moved from MonomialMatrix objects to integer keys.
+GROUP_INFO_PINS = [
+    ("group-info --basis 10,0;0,10 --kind D",
+     "726f4ac8a84b139d17fa0c7ba1dd453396074a5ab3df84ff6a9af71638afcf57"),
+    ("group-info --basis 30,0;0,30 --kind D --format text",
+     "030bf2f217eee7874ce1447fe25b16e89d508d2d80713c38887ec58e04953358"),
+    ("group-info --basis 91,82;0,1 --kind C",
+     "4d382368355320a9cf30b116f3563a01140e09e57442ee9a84c00b257f86eabb"),
+    ("group-info --basis 100,17;0,1 --kind A",
+     "51f1de4cab12649a3fcd073480ce269270dd92b8f56db972f38eb64e98c6c962"),
+    ("group-info --basis 10,0;0,10 --kind D --root-order 20 --scalars 10,10,10",
+     "ae96119cf8e6ffa5fad7bc055ffd8ba7ed1e8bf9d0d7b23cc335360347c5d91e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GROUP_INFO_PINS, ids=[p[0] for p in GROUP_INFO_PINS])
+def test_group_info_documents_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [10, 30])
+def test_group_info_builds_few_matrices(monkeypatch, capsys, k):
+    # The group layer computes on (perm, exps) keys and builds MonomialMatrix
+    # objects only for what the document prints, so the count does not grow
+    # with |G| (600 at 10I, 5,400 at 30I).
+    from mckay.monomial_group import MonomialMatrix
+
+    original = MonomialMatrix.__post_init__
+    built = 0
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        original(self)
+
+    monkeypatch.setattr(MonomialMatrix, "__post_init__", counting)
+    assert cli.main(["group-info", "--basis", f"{k},0;0,{k}", "--kind", "D"]) == 0
+    capsys.readouterr()
+    assert built <= 100
+
+
 def test_oracle_compare_flags_discrepancy(capsys, monkeypatch):
     # force a wrong prediction to confirm the discrepancy exit path
     monkeypatch.setattr(cli, "cut_exists", lambda basis, gamma: False)

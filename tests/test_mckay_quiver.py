@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis
 from mckay.mckay_quiver import (
+    ActionElement,
     Arrow,
     GroupAction,
+    _assert_automorphisms,
     build_quiver,
     commutativity_squares,
     elementary_cycles,
@@ -195,6 +197,30 @@ def test_action_commutes_with_targets():
     for e in act.elements:
         for a in q.arrows:
             assert e.vertex_map[q.target(a)] == q.target(e.act_arrow(a))
+
+
+def _tampered(element, vertex_map):
+    return ActionElement(element.name, vertex_map, element.type_map, element.type_scalars)
+
+
+def test_automorphism_check_rejects_tampered_vertex_maps():
+    q = _quiver(3, 0, 3)
+    t = k_action(q, "D").element("t")
+    _assert_automorphisms(q, [t])
+    # t sends (1,0) to (0,1) and (2,0) to (0,2); swapping the two images
+    # keeps a bijection but breaks the type-1 arrow (0,0) -> (1,0).
+    swapped = dict(t.vertex_map)
+    swapped[(1, 0)], swapped[(2, 0)] = swapped[(2, 0)], swapped[(1, 0)]
+    with pytest.raises(InternalInvariantViolation) as info:
+        _assert_automorphisms(q, [t, _tampered(t, swapped)])
+    assert str(info.value) == (
+        "t does not commute with targets on Arrow(source=(0, 0), type=1)"
+    )
+    merged = dict(t.vertex_map)
+    merged[(1, 0)] = merged[(2, 0)]
+    with pytest.raises(InternalInvariantViolation) as info:
+        _assert_automorphisms(q, [_tampered(t, merged)])
+    assert str(info.value) == "t is not a vertex bijection"
 
 
 def test_action_requires_admissibility():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import np_class_count, np_closure, to_complex
+from conftest import _mat_key, _np_classes, np_class_count, np_closure, to_complex
 from mckay.lattice import LatticeBasis
 from mckay.monomial_group import (
     MonomialMatrix,
@@ -150,6 +150,18 @@ def test_class_counts_match_oracle():
         g = group_from_basis(basis, kind)
         oracle = np_class_count([to_complex(x) for x in g.elements])
         assert len(conjugacy_classes(g)) == oracle
+
+
+def test_kind_d_group_of_order_216_matches_oracle():
+    # The oracles above stop at |G| = 54; 6I of kind D has |G| = 216.
+    g = group_from_basis(LatticeBasis(6, 0, 6), "D")
+    assert g.order == 216
+    elements = [to_complex(x) for x in g.elements]
+    oracle = np_closure([to_complex(x) for x in g.generators])
+    assert {_mat_key(x) for x in elements} == {_mat_key(x) for x in oracle}
+    assert sorted(len(c) for c in conjugacy_classes(g)) == sorted(
+        len(c) for c in _np_classes(elements)
+    )
 
 
 def test_class_equation():
