@@ -163,54 +163,20 @@ def _has_cycle(vertices, edges) -> tuple[bool, list]:
     return False, []
 
 
-def _tables(
-    q: TypedQuiver,
-) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int, int, int]]]:
-    """The constraints of q as arrow indices: each arrow's head vertex, the
-    elementary cycles and the commutativity squares.
-
-    Arrow i leaves vertex i // 3 with type i % 3 + 1, and vertices are
-    numbered in coset order, so index order is arrow order: the cycles come
-    in the order of `elementary_cycles`, each starting at its least arrow,
-    and the squares in the order of `commutativity_squares`.  A square
-    (a, b, c, d) is the 2-paths a.b and c.d.
-    """
-    index_of = q.quotient.index_of
-    head = [index_of(w) for v in q.vertices for w in q.successors[v]]
-    nv = len(head) // 3
-    seen: set[tuple[int, ...]] = set()
-    for v in range(nv):
-        for order in ((0, 1, 2), (0, 2, 1)):
-            walk = []
-            x = v
-            for t in order:
-                walk.append(3 * x + t)
-                x = head[3 * x + t]
-            if x != v:
-                raise InternalInvariantViolation("type steps failed to close up")
-            k = walk.index(min(walk))
-            seen.add(tuple(walk[k:] + walk[:k]))
-    cycles = sorted(seen)
-    if len(cycles) != 2 * nv:
-        raise InternalInvariantViolation(
-            f"{len(cycles)} elementary cycles, expected {2 * nv}"
-        )
-    squares = [
-        (3 * v + i, 3 * head[3 * v + i] + j, 3 * v + j, 3 * head[3 * v + j] + i)
-        for v in range(nv)
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
-    return head, cycles, squares
+def _degrees(q: TypedQuiver, cut: Cut) -> list[int]:
+    """The degree of every arrow of q under the cut, by arrow index."""
+    degree = [0] * (3 * q.quotient.order)
+    for a in cut.arrows:
+        degree[q.arrow_index(a)] = 1
+    return degree
 
 
 def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
     """Check the three weak-cut axioms, reporting witnesses for failures."""
     if not all(a.source in q.successors and a.type in ARROW_TYPES for a in cut.arrows):
         raise ValueError("cut contains arrows outside the quiver")
-    head, cycles, squares = _tables(q)
-    degree = [0] * len(head)
-    for a in cut.arrows:
-        degree[q.arrow_index(a)] = 1
+    head, cycles, squares = q.constraint_tables
+    degree = _degrees(q, cut)
     vertices = q.vertices
     witnesses: list[str] = []
 
@@ -319,7 +285,7 @@ def _search(
     degree-0 acyclicity.
     """
     na = _arrow_count(q, limit)
-    head, cycles, squares = _tables(q)
+    head, cycles, squares = q.constraint_tables
     in_cycles: list[list[int]] = [[] for _ in range(na)]
     for ci, cyc in enumerate(cycles):
         for ai in cyc:

@@ -77,20 +77,54 @@ class TypedQuiver:
     def arrow_index(self, arrow: Arrow) -> int:
         return self.quotient.index_of(arrow.source) * 3 + (arrow.type - 1)
 
-    def arrows_between(self, source: tuple[int, int], target: tuple[int, int]) -> tuple[Arrow, ...]:
-        return tuple(
-            Arrow(source, i)
-            for i, t in zip(ARROW_TYPES, self.successors[source])
-            if t == target
+    @cached_property
+    def constraint_tables(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, int, int, int], ...]]:
+        """The cut constraints as arrow indices: each arrow's head vertex, the
+        elementary cycles and the commutativity squares.
+
+        Arrow i leaves vertex i // 3 with type i % 3 + 1, and vertices are
+        numbered in coset order, so index order is arrow order: the cycles come
+        in the order of `elementary_cycles`, each starting at its least arrow,
+        and the squares in the order of `commutativity_squares`.  A square
+        (a, b, c, d) is the 2-paths a.b and c.d.
+        """
+        index_of = self.quotient.index_of
+        head = tuple(index_of(w) for v in self.vertices for w in self.successors[v])
+        nv = len(head) // 3
+        seen: set[tuple[int, ...]] = set()
+        for v in range(nv):
+            for order in ((0, 1, 2), (0, 2, 1)):
+                walk = []
+                x = v
+                for t in order:
+                    walk.append(3 * x + t)
+                    x = head[3 * x + t]
+                if x != v:
+                    raise InternalInvariantViolation("type steps failed to close up")
+                k = walk.index(min(walk))
+                seen.add(tuple(walk[k:] + walk[:k]))
+        cycles = tuple(sorted(seen))
+        if len(cycles) != 2 * nv:
+            raise InternalInvariantViolation(
+                f"{len(cycles)} elementary cycles, expected {2 * nv}"
+            )
+        squares = tuple(
+            (3 * v + i, 3 * head[3 * v + i] + j, 3 * v + j, 3 * head[3 * v + j] + i)
+            for v in range(nv)
+            for i, j in ((0, 1), (0, 2), (1, 2))
         )
+        return head, cycles, squares
 
 
 def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
     """Construct Q for the quotient and check 3-regularity in both directions."""
     q = TypedQuiver(quotient)
     indeg: dict[tuple[int, int], int] = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        indeg[q.target(a)] += 1
+    for targets in q.successors.values():
+        for w in targets:
+            indeg[w] += 1
     if any(d != 3 for d in indeg.values()):
         raise InternalInvariantViolation("in-degrees are not all 3")
     return q
@@ -105,10 +139,6 @@ class ElementaryCycle:
     @property
     def start(self) -> tuple[int, int]:
         return self.arrows[0].source
-
-    @property
-    def type_order(self) -> tuple[int, int, int]:
-        return tuple(a.type for a in self.arrows)  # type: ignore[return-value]
 
 
 def _canonical_rotation(arrows: tuple[Arrow, ...]) -> tuple[Arrow, ...]:
@@ -268,18 +298,6 @@ class GroupAction:
         rep = self.orbit_of[v][0]
         return next(g for g, m in enumerate(self.maps) if m[rep] == v)
 
-    def diagonal_transversal(self, o1: tuple, o2: tuple) -> tuple[tuple, ...]:
-        """One pair per diagonal orbit on o1 x o2, each the first in row order."""
-        seen: set = set()
-        reps = []
-        for u1 in o1:
-            for u2 in o2:
-                if (u1, u2) in seen:
-                    continue
-                reps.append((u1, u2))
-                seen.update((m[u1], m[u2]) for m in self.maps)
-        return tuple(reps)
-
 
 @dataclass(frozen=True, eq=False)
 class QuiverAction:
@@ -309,8 +327,17 @@ class QuiverAction:
         return tuple(v for v in self.quiver.vertices if e.vertex_map[v] == v)
 
     def is_arrow_set_invariant(self, arrows: Iterable[Arrow]) -> bool:
-        s = set(arrows)
-        return all(e.act_arrow(a) in s for e in self.elements for a in s)
+        """Whether every element maps the arrow set onto itself, read on
+        arrow indices: the type-t arrow from v goes to the type-sigma(t)
+        arrow from v's image."""
+        arrows = tuple(arrows)
+        s = {self.quiver.arrow_index(a) for a in arrows}
+        index_of = self.quiver.quotient.index_of
+        return all(
+            3 * index_of(e.vertex_map[a.source]) + e.type_map[a.type - 1] - 1 in s
+            for e in self.elements
+            for a in arrows
+        )
 
 
 def _assert_automorphisms(q: TypedQuiver, elements: Iterable[ActionElement]) -> None:

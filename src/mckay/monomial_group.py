@@ -46,6 +46,7 @@ DEFAULT_CLOSURE_CAP = 10000
 _IDENTITY_PERM = (0, 1, 2)
 _EVEN_PERMS = frozenset({_IDENTITY_PERM, (1, 2, 0), (2, 0, 1)})
 _ALL_PERMS = _EVEN_PERMS | frozenset({(0, 2, 1), (2, 1, 0), (1, 0, 2)})
+_INVERSE_PERM = {p: (p.index(0), p.index(1), p.index(2)) for p in _ALL_PERMS}
 
 Key = tuple[tuple[int, int, int], tuple[int, int, int]]
 
@@ -69,6 +70,23 @@ def _inv(a: Key, m: int) -> Key:
         perm[p[j]] = j
         exps[p[j]] = -e[j] % m
     return (tuple(perm), tuple(exps))  # type: ignore[return-value]
+
+
+def _conj(h: Key, y: Key, m: int) -> Key:
+    """The key of h y h^-1 at root order m.  Column j of the product is
+    column k = h^-1(j) of y, moved to row h(y(k)); its exponent gains h's
+    exponent in column y(k) and loses h's exponent in column k."""
+    (ph, eh), (py, ey) = h, y
+    k0, k1, k2 = _INVERSE_PERM[ph]
+    a, b, c = py[k0], py[k1], py[k2]
+    return (
+        (ph[a], ph[b], ph[c]),
+        (
+            (eh[a] + ey[k0] - eh[k0]) % m,
+            (eh[b] + ey[k1] - eh[k1]) % m,
+            (eh[c] + ey[k2] - eh[k2]) % m,
+        ),
+    )
 
 
 def closure_cap() -> int:
@@ -275,9 +293,8 @@ def diagonal_subgroup(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
     # Diagonal monomial matrices commute entrywise; normality still needs g.
     members = set(diag)
     for h in g.generator_keys:
-        hinv = _inv(h, m)
         for d in diag:
-            if _mul(_mul(h, d, m), hinv, m) not in members:
+            if _conj(h, d, m) not in members:
                 raise PreconditionFailed(
                     "diagonal part is not normal; the closure is inconsistent"
                 )
@@ -285,10 +302,10 @@ def diagonal_subgroup(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
 
 
 def conjugacy_classes(g: FiniteMatrixGroup) -> list[tuple[Key, ...]]:
-    """Partition of the element keys into conjugacy classes, each sorted,
-    listed by their least member."""
+    """Partition of the element keys into conjugacy classes, listed by their
+    least member; the members of a class are in no particular order."""
     m = g.root_order
-    inv = [(h, _inv(h, m)) for h in g.generator_keys]
+    gens = g.generator_keys
     remaining = set(g.keys)
     classes: list[tuple[Key, ...]] = []
     for x in g.keys:
@@ -298,13 +315,13 @@ def conjugacy_classes(g: FiniteMatrixGroup) -> list[tuple[Key, ...]]:
         frontier = [x]
         while frontier:
             y = frontier.pop()
-            for h, hinv in inv:
-                z = _mul(_mul(h, y, m), hinv, m)
+            for h in gens:
+                z = _conj(h, y, m)
                 if z not in orbit:
                     orbit.add(z)
                     frontier.append(z)
         remaining -= orbit
-        classes.append(tuple(sorted(orbit)))
+        classes.append(tuple(orbit))
     return classes
 
 

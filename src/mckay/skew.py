@@ -2,9 +2,9 @@
 
 Vertices of the skewed quiver are pairs (orbit representative, irreducible
 character of the stabilizer); the arrow multiplicity between two such
-vertices is a sum of Hom-space dimensions over a transversal of the
-diagonal orbits, each computed as an exact character inner product over
-the joint stabilizer.  Every character value is c * z^k and every trace a
+vertices is a sum of Hom-space dimensions, one per diagonal orbit that
+carries arrows, each computed as an exact character inner product over the
+joint stabilizer.  Every character value is c * z^k and every trace a
 sum of (exponent mod W, count) terms, z a primitive W-th root of unity, so
 each block's inner product is summed exactly as a count vector over Z/W
 and reduced modulo the W-th cyclotomic polynomial once.  A multiplicity
@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Protocol
 
-from .cuts import Cut, _has_cycle, invariant_cut, validate_cut
+from .cuts import Cut, _degrees, _has_cycle, invariant_cut, validate_cut
 from .cyclotomic import reduce_mod_cyclotomic
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .graphiso import find_isomorphism
@@ -145,21 +145,37 @@ class SkewQuiver:
         )
 
 
+def _orbit_pairs(group: GroupAction, rep, neighbours: Iterable) -> dict[tuple, list]:
+    """The pairs (rep, u2) that stand for the diagonal orbits meeting
+    {rep} x neighbours, as the points u2 grouped by their orbit.
+
+    Each u2 is the least point of its orbit under the stabilizer of rep,
+    and each orbit's points are sorted.
+    """
+    maps = group.maps
+    stab = group.stabilizer(rep)
+    least = {min(maps[h][u] for h in stab) for u in neighbours}
+    out: dict[tuple, list] = {}
+    for u in sorted(least):
+        out.setdefault(group.orbit_of[u], []).append(u)
+    return out
+
+
 def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     """Core skewing engine; returns vertices and multiplicities.
 
-    The group is transitive on O1, so every pair in the diagonal transversal
-    of O1 x O2 starts at the representative of O1; a pair of skew vertices
-    over O1 and O2 can only carry arrows when O2 holds an out-neighbour of
-    that representative.  Only those pairs are visited, in increasing index
-    order.
+    The group is transitive on an orbit O1 with representative r, so every
+    diagonal orbit on O1 x O2 holds a pair (r, u2), and exactly one with u2
+    the least point of its orbit under the stabilizer of r.  A diagonal
+    orbit can carry arrows only when its u2 is an out-neighbour of r, so only
+    those pairs are visited (`_orbit_pairs`), and a pair of skew vertices
+    over O1 and O2 only when O2 holds one of them.
     """
     group = carrier.group
     maps, table, inverse = group.maps, group.table, group.inverse
     w = carrier.cyclotomic_order
 
-    stab = {v: group.stabilizer(v) for v in group.points}
-    g_to = {v: group.transversal_element(v) for v in group.points}
+    stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
 
     skew_vertices: list[SkewVertex] = []
     vertex_home: list[tuple] = []  # orbit of each skew vertex
@@ -181,8 +197,6 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
         over[orbit] = range(first, len(skew_vertices))
 
     # Memos local to this call, so a one-shot call gets the whole gain.
-    transversal = cache(group.diagonal_transversal)
-
     @cache
     def char_pair(
         sa: tuple, la: str, h1: int, sb: tuple, lb: str, h2: int
@@ -195,35 +209,36 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
 
     @cache
     def block_terms(u1, u2) -> tuple:
-        """(h1, h2, trace) per element h of the joint stabilizer of u1 and u2,
-        h1 and h2 being h moved into the stabilizers of the representatives."""
-        g1, g2 = g_to[u1], g_to[u2]
-        g1i, g2i = inverse[g1], inverse[g2]
+        """(h, h2, trace) per element h of the joint stabilizer of the
+        representative u1 and u2, h2 being h moved into the stabilizer of
+        u2's representative."""
+        g2 = group.transversal_element(u2)
+        g2i = inverse[g2]
         return tuple(
-            (
-                table[g1i][table[h][g1]],
-                table[g2i][table[h][g2]],
-                carrier.block_trace(h, u1, u2),
-            )
+            (h, table[g2i][table[h][g2]], carrier.block_trace(h, u1, u2))
             for h in stab[u1]
             if maps[h][u2] == u2
         )
 
-    targets: dict[tuple, list[int]] = {}
-    for orbit in group.orbits:
-        homes = {group.orbit_of[u] for u in carrier.out_neighbours(orbit[0])}
-        targets[orbit] = sorted(bi for o in homes for bi in over[o])
+    pairs = {
+        orbit: _orbit_pairs(group, orbit[0], carrier.out_neighbours(orbit[0]))
+        for orbit in group.orbits
+    }
+    targets = {
+        orbit: sorted(bi for o in pairs[orbit] for bi in over[o])
+        for orbit in group.orbits
+    }
 
     mult: dict[tuple[int, int], int] = {}
     for ai, va in enumerate(skew_vertices):
         o1 = vertex_home[ai]
-        stab_a = stab[va.orbit_rep]
+        u1 = va.orbit_rep
+        stab_a = stab[u1]
         for bi in targets[o1]:
             vb = skew_vertices[bi]
-            o2 = vertex_home[bi]
             stab_b = stab[vb.orbit_rep]
             total = 0
-            for (u1, u2) in transversal(o1, o2):
+            for u2 in pairs[o1][vertex_home[bi]]:
                 if carrier.block_dim(u1, u2) == 0:
                     continue
                 joint = block_terms(u1, u2)  # one term per joint stabilizer element
@@ -390,31 +405,36 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     report = validate_cut(quiver, cut)
     if not report.passed:
         raise ValueError(f"cut fails validation: {report.witnesses}")
-    degrees = _transport(
-        s.vertices,
-        s.mult,
-        action.group.orbit_of,
-        lambda u1, u2: (cut.degree(a) for a in quiver.arrows_between(u1, u2)),
-    )
-    return replace(s, degrees=degrees)
+    degree = _degrees(quiver, cut)
+    index_of = quiver.quotient.index_of
+    orbit_of = action.group.orbit_of
+
+    def block_degrees(o1: tuple, o2: tuple) -> set[int]:
+        degs = set()
+        for u1 in o1:
+            first = 3 * index_of(u1)
+            for t, u2 in enumerate(quiver.successors[u1]):
+                if orbit_of[u2] == o2:
+                    degs.add(degree[first + t])
+        return degs
+
+    return replace(s, degrees=_transport(s.vertices, s.mult, orbit_of, block_degrees))
 
 
 def _transport(
     vertices: tuple[SkewVertex, ...],
     mult: dict[tuple[int, int], int],
     orbit_of: dict,
-    block_degrees: Callable[..., Iterable[int]],
+    block_degrees: Callable[[tuple, tuple], set[int]],
 ) -> dict[tuple[int, int], int]:
     """Degrees of the skew blocks: each block takes the common degree of the
-    underlying blocks between its two vertex orbits, and the degree-0 part
+    underlying arrows from its source's vertex orbit into its target's,
+    which `block_degrees(o1, o2)` returns as a set, and the degree-0 part
     must stay acyclic."""
     degrees: dict[tuple[int, int], int] = {}
     for (ai, bi), m in sorted(mult.items()):
         rep1, rep2 = vertices[ai].orbit_rep, vertices[bi].orbit_rep
-        degs = {
-            d for u1 in orbit_of[rep1] for u2 in orbit_of[rep2]
-            for d in block_degrees(u1, u2)
-        }
+        degs = block_degrees(orbit_of[rep1], orbit_of[rep2])
         if not degs:
             raise InternalInvariantViolation(
                 f"block ({ai}, {bi}) has multiplicity {m} but no underlying arrows"
@@ -472,9 +492,10 @@ class _TwistCarrier:
     """Carrier for the second skew: the dual C3 acting on S = Q_N * C3.
 
     Arrow blocks between twist-fixed vertices decompose into weight
-    spaces: each transversal pair (u1, u2) of the underlying vertex
-    orbits contributes its arrow count with weight g2^-1 g1 read in the
-    original C3; traces are sums of cube roots of unity accordingly.
+    spaces: each representative pair (u1, u2) of the underlying vertex
+    orbits (`_orbit_pairs`, u1 the representative) contributes its arrow
+    count with weight g2^-1 g1 read in the original C3; traces are sums of
+    cube roots of unity accordingly.
     Elements of both C3s are indexed by their exponent of the generator.
     """
 
@@ -501,21 +522,21 @@ class _TwistCarrier:
         return self._successors[v]
 
     def _weights(self, v: int, w: int) -> tuple[tuple[int, int], ...]:
-        """(weight exponent, count) per transversal pair of the underlying orbits."""
+        """(weight exponent, count) per representative pair of the underlying orbits."""
         key = (v, w)
         got = self._weights_cache.get(key)
         if got is not None:
             return got
         group = self.action.group
-        o1 = group.orbit_of[self.s.vertices[v].orbit_rep]
-        o2 = group.orbit_of[self.s.vertices[w].orbit_rep]
-        out: list[tuple[int, int]] = []
-        for u1, u2 in group.diagonal_transversal(o1, o2):
-            count = len(self.quiver.arrows_between(u1, u2))
-            if count:
-                g1, g2 = group.transversal_element(u1), group.transversal_element(u2)
-                out.append((group.table[group.inverse[g2]][g1], count))
-        weights = tuple(out)
+        rep = self.s.vertices[v].orbit_rep
+        succ = self.quiver.successors[rep]
+        pairs = _orbit_pairs(group, rep, succ)
+        # u1 is the representative, reached by the identity, so the weight
+        # g2^-1 g1 is the inverse of u2's transversal element.
+        weights = tuple(
+            (group.inverse[group.transversal_element(u2)], succ.count(u2))
+            for u2 in pairs.get(group.orbit_of[self.s.vertices[w].orbit_rep], ())
+        )
         total = sum(c for _, c in weights)
         if total != self.block_dim(v, w):
             raise InternalInvariantViolation(
@@ -566,7 +587,7 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
         vertices2,
         mult2,
         twist.orbit_of,
-        lambda i, j: (s.degrees[(i, j)],) if (i, j) in s.mult else (),
+        lambda o1, o2: {s.degrees[(i, j)] for i in o1 for j in o2 if (i, j) in s.mult},
     )
 
     if len(vertices2) != n:
@@ -574,21 +595,25 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
             f"double skew has {len(vertices2)} vertices, Q_N has {n}"
         )
 
-    # Label maps for the isomorphism search: (multiplicity, degree) per pair.
+    # Label maps for the isomorphism search: (multiplicity, degree) per pair,
+    # read off the successor table as vertex indices.
     labels_a = {
         (i, j): (m, degrees2[(i, j)]) for (i, j), m in mult2.items()
     }
+    head = quiver.constraint_tables[0]
+    degree = _degrees(quiver, cut)
     labels_b: dict[tuple[int, int], tuple[int, int]] = {}
-    vindex = {v: i for i, v in enumerate(quiver.vertices)}
-    for x in quiver.vertices:
-        for y in sorted(set(quiver.successors[x])):
-            arrows = quiver.arrows_between(x, y)
-            degs = {cut.degree(a) for a in arrows}
+    for x in range(n):
+        out = range(3 * x, 3 * x + 3)
+        for y in sorted({head[a] for a in out}):
+            arrows = [a for a in out if head[a] == y]
+            degs = {degree[a] for a in arrows}
             if len(degs) > 1:
                 raise InternalInvariantViolation(
-                    f"invariant cut mixes degrees inside block {x} -> {y}"
+                    f"invariant cut mixes degrees inside block "
+                    f"{quiver.vertices[x]} -> {quiver.vertices[y]}"
                 )
-            labels_b[(vindex[x], vindex[y])] = (len(arrows), degs.pop())
+            labels_b[(x, y)] = (len(arrows), degs.pop())
 
     mapping = find_isomorphism(n, labels_a, labels_b)
     if mapping is None:
@@ -598,13 +623,12 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
         )
 
     # Pull the double-skew degrees back to arrows and compare with the cut.
-    recovered: list[Arrow] = []
     rev = {u: i for i, u in enumerate(mapping)}
-    for a in quiver.arrows:
-        i = rev[vindex[a.source]]
-        j = rev[vindex[quiver.target(a)]]
-        if degrees2.get((i, j)) == 1:
-            recovered.append(a)
+    recovered = [
+        Arrow(quiver.vertices[a // 3], a % 3 + 1)
+        for a, y in enumerate(head)
+        if degrees2.get((rev[a // 3], rev[y])) == 1
+    ]
     recovered_cut = Cut.of(recovered)
     return RoundTripReport(
         basis=quiver.quotient.basis,

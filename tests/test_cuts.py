@@ -397,7 +397,7 @@ def test_closed_walks_fix_the_type_of_every_cut():
     for basis in _hnf_bases(10):
         q = build_quiver(AbelianQuotient(basis))
         n = basis.det
-        head, _, _ = cuts._tables(q)
+        head, _, _ = q.constraint_tables
         walks = cuts._closed_walks(q)
         for arrows, m in walks:
             assert [sum(1 for i in arrows if i % 3 == t) for t in range(3)] == list(m)
@@ -427,11 +427,12 @@ def test_closed_walks_fix_the_type_of_every_cut():
 @pytest.mark.parametrize("abc", [(3, 2, 1), (3, 0, 3), (7, 3, 1), (6, 4, 2)])
 def test_constraint_tables_follow_the_object_order(abc):
     q = _quiver(*abc)
-    head, cycles, squares = cuts._tables(q)
+    head, cycles, squares = q.constraint_tables
     index = q.arrow_index
-    assert head == [q.quotient.index_of(q.target(a)) for a in q.arrows]
-    assert cycles == [tuple(index(a) for a in cyc.arrows) for cyc in elementary_cycles(q)]
-    assert squares == [
+    assert head == tuple(q.quotient.index_of(q.target(a)) for a in q.arrows)
+    assert cycles == tuple(tuple(index(a) for a in cyc.arrows) for cyc in elementary_cycles(q))
+    assert squares == tuple(
         tuple(index(a) for a in (*sq.first_path, *sq.second_path))
         for sq in commutativity_squares(q)
-    ]
+    )
+    assert q.constraint_tables is q.constraint_tables

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used, the package stays
+"""Every import in the package and its tests is used, so is every function,
+class and method the package defines, the package stays
 exact (no floating point, complex numbers or true division), and it raises
 only the three errors of its exit-code contract."""
 from __future__ import annotations
@@ -46,6 +47,67 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, qualified name, line) of each top-level function and class and
+    of each method of those classes, dunder methods aside."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*defs, ast.ClassDef)):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name, f"{node.name}.{item.name}", item.lineno
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names and attribute names the module reads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unused_definitions(package: dict[str, str], readers: list[str]) -> list[str]:
+    """The top-level functions, classes and methods of the package's modules
+    (path -> source) that no reader source reads as a name or an attribute;
+    a listing in `__all__` is not a read."""
+    read: set[str] = set()
+    for source in readers:
+        read |= _reads(ast.parse(source))
+    return [
+        f"{path}: {qualified} (line {line})"
+        for path, source in package.items()
+        for name, qualified, line in _definitions(ast.parse(source))
+        if name not in read
+    ]
+
+
+def test_the_scan_sees_an_unused_definition():
+    module = (
+        "__all__ = ['Kept', 'dropped']\n"
+        "class Kept:\n    def __init__(self):\n        self.spare = 1\n"
+        "    def used(self):\n        return 1\n    def spare(self):\n        return 2\n"
+        "def dropped():\n    return Kept().used()\n"
+        "def _helper():\n    return 0\n"
+    )
+    caller = "from m import Kept\nprint(Kept, _helper())\n"
+    assert unused_definitions({"m.py": module}, [module, caller]) == [
+        "m.py: Kept.spare (line 7)",
+        "m.py: dropped (line 9)",
+    ]
+
+
+def test_every_definition_in_the_package_is_used():
+    package = {
+        str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
+    }
+    assert unused_definitions(package, [p.read_text() for p in FILES]) == []
 
 
 INEXACT_CALLS = {"float", "complex", "round"}

@@ -13,6 +13,7 @@ from conftest import _mat_key, _np_classes, np_class_count, np_closure, to_compl
 from mckay.lattice import LatticeBasis
 from mckay.monomial_group import (
     MonomialMatrix,
+    _conj,
     closure,
     closure_cap,
     conjugacy_classes,
@@ -33,6 +34,17 @@ def _random_special(rng: random.Random, m: int) -> MonomialMatrix:
     target = 0 if perm in {(0, 1, 2), (1, 2, 0), (2, 0, 1)} else m // 2
     e3 = (target - e1 - e2) % m
     return MonomialMatrix(m, perm, (e1, e2, e3))
+
+
+def test_conjugation_on_keys_matches_oracle():
+    rng = random.Random(11)
+    for m in (2, 3, 4, 6, 12):
+        for _ in range(40):
+            h, y = _random_special(rng, m), _random_special(rng, m)
+            got = MonomialMatrix(m, *_conj(h.key(), y.key(), m))
+            want = to_complex(h) @ to_complex(y) @ np.linalg.inv(to_complex(h))
+            assert np.allclose(to_complex(got), want)
+            assert got == h * y * h.inverse()
 
 
 def test_multiplication_matches_oracle():
