@@ -39,8 +39,6 @@ from .mckay_quiver import (
     QuiverAction,
     TypedQuiver,
     build_quiver,
-    commutativity_squares,
-    elementary_cycles,
     k_action,
 )
 from .monomial_group import (
@@ -100,31 +98,32 @@ def _metadata(basis: LatticeBasis, **extra) -> dict:
 
 
 def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
-    quotient = q.quotient
     vertices = [
-        {"id": quotient.index_of(v), "label": _coset_label(v), "dimension": 1}
-        for v in q.vertices
+        {"id": i, "label": _coset_label(v), "dimension": 1}
+        for i, v in enumerate(q.vertices)
     ]
-    arrows = []
-    for a in q.arrows:
-        entry = {
-            "id": q.arrow_index(a),
-            "source": quotient.index_of(a.source),
-            "target": quotient.index_of(q.target(a)),
-            "type": a.type,
-            "degree": cut.degree(a) if cut is not None else None,
+    arrows = [
+        {
+            "id": i,
+            "source": i // 3,
+            "target": w,
+            "type": i % 3 + 1,
+            "degree": cut.degree(q.arrows[i]) if cut is not None else None,
         }
-        arrows.append(entry)
+        for i, w in enumerate(q.head)
+    ]
     return {"vertices": vertices, "arrows": arrows}
 
 
-def _skew_doc(s) -> dict:
+def _skew_doc(s, q: TypedQuiver) -> dict:
+    """The skew quiver's document; orbit representatives are named by their
+    cosets in q."""
     vertices = [
         {
             "id": i,
-            "label": f"{_coset_label(v.orbit_rep)}/{v.irrep}",
+            "label": f"{_coset_label(q.vertices[v.orbit_rep])}/{v.irrep}",
             "irrep": v.irrep,
-            "orbit_rep": list(v.orbit_rep),
+            "orbit_rep": list(q.vertices[v.orbit_rep]),
             "orbit_size": v.orbit_size,
             "dimension": v.dimension,
         }
@@ -211,8 +210,8 @@ def _cmd_quiver(args) -> dict:
     q = build_quiver(AbelianQuotient(basis))
     doc = {
         "metadata": _metadata(basis),
-        "cycle_count": len(elementary_cycles(q)),
-        "square_count": len(commutativity_squares(q)),
+        "cycle_count": len(q.constraint_tables[1]),
+        "square_count": len(q.constraint_tables[2]),
     }
     doc.update(_quiver_doc(q))
     return doc
@@ -263,11 +262,10 @@ def _cmd_cut_validate(args) -> dict:
             )
         except ValueError:
             raise ValueError(f"cannot parse arrow ids {args.arrow_ids!r}") from None
-        by_id = {q.arrow_index(a): a for a in q.arrows}
-        missing = [i for i in ids if i not in by_id]
+        missing = [i for i in ids if not 0 <= i < len(q.arrows)]
         if missing:
             raise ValueError(f"arrow ids {missing} do not exist")
-        cut = Cut.of(by_id[i] for i in ids)
+        cut = Cut.of(q.arrows[i] for i in ids)
     doc = {
         "metadata": _metadata(basis),
         "cut": {
@@ -332,7 +330,7 @@ def _cmd_skew(args) -> dict:
     doc = {
         "metadata": _metadata(basis, **_action_meta(act)),
     }
-    doc.update(_skew_doc(s))
+    doc.update(_skew_doc(s, act.quiver))
     return doc
 
 
@@ -367,7 +365,7 @@ def _cmd_classify(args) -> dict:
             "orbit_size": witness.orbit_size,
             "special_c2xc2": witness.special_c2xc2,
         }
-    doc.update(_skew_doc(s))
+    doc.update(_skew_doc(s, act.quiver))
     return doc
 
 

@@ -82,14 +82,11 @@ def check_cut_exists(basis: LatticeBasis, gamma: Sequence[int]) -> None:
         )
 
 
-def _value_function(q: TypedQuiver, gamma: Sequence[int]) -> dict[tuple[int, int], int]:
+def _value_function(q: TypedQuiver, gamma: Sequence[int]) -> list[int]:
     g1, g2, _ = gamma
     n = q.quotient.order
     g = gcd(gcd(gamma[0], gamma[1]), gamma[2])
-    return {
-        (x1, x2): ((g1 * x1 + g2 * x2) % n) // g
-        for (x1, x2) in q.vertices
-    }
+    return [((g1 * x1 + g2 * x2) % n) // g for (x1, x2) in q.vertices]
 
 
 def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
@@ -101,7 +98,8 @@ def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     """
     check_cut_exists(q.quotient.basis, gamma)
     v = _value_function(q, gamma)
-    picked = [a for a in q.arrows if v[a.source] > v[q.target(a)]]
+    arrows = q.arrows
+    picked = [arrows[i] for i, w in enumerate(q.head) if v[i // 3] > v[w]]
     cut = Cut.of(picked)
     if cut_type(cut) != tuple(gamma):
         raise InternalInvariantViolation(
@@ -171,10 +169,20 @@ def _degrees(q: TypedQuiver, cut: Cut) -> list[int]:
     return degree
 
 
+def _check_arrows(q: TypedQuiver, cut: Cut) -> None:
+    """Raise ValueError unless every arrow of the cut is an arrow of q: its
+    source a canonical coset representative and its type 1, 2 or 3."""
+    basis = q.quotient.basis
+    if not all(
+        0 <= x1 < basis.a and 0 <= x2 < basis.c and t in ARROW_TYPES
+        for (x1, x2), t in cut.arrows
+    ):
+        raise ValueError("cut contains arrows outside the quiver")
+
+
 def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
     """Check the three weak-cut axioms, reporting witnesses for failures."""
-    if not all(a.source in q.successors and a.type in ARROW_TYPES for a in cut.arrows):
-        raise ValueError("cut contains arrows outside the quiver")
+    _check_arrows(q, cut)
     head, cycles, squares = q.constraint_tables
     degree = _degrees(q, cut)
     vertices = q.vertices
@@ -194,11 +202,12 @@ def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
 
     cycles_ok = True
     for cyc in cycles:
-        d = sum(degree[i] for i in cyc)
+        a, b, c = cyc
+        d = degree[a] + degree[b] + degree[c]
         if d != 1:
             cycles_ok = False
             witnesses.append(
-                f"elementary cycle at {vertices[cyc[0] // 3]} order "
+                f"elementary cycle at {vertices[a // 3]} order "
                 f"{tuple(i % 3 + 1 for i in cyc)}: degree {d} != 1"
             )
             break
@@ -436,8 +445,7 @@ def _closed_walks(q: TypedQuiver) -> list[tuple[list[int], tuple[int, int, int]]
     m2 = q + m3 of e_2, then m3 = max(0, -p, -q) of e_3 = (-1, -1); of
     (p, q) and (-p, -q) the shorter walk is taken.
     """
-    index_of = q.quotient.index_of
-    origin = q.vertices[0]
+    head = q.head
     walks = []
     for p, r in _reduced_basis(q.quotient.basis):
         steps = []
@@ -446,12 +454,12 @@ def _closed_walks(q: TypedQuiver) -> list[tuple[list[int], tuple[int, int, int]]
             steps.append((x + m3, y + m3, m3))
         m = min(steps, key=sum)
         arrows = []
-        v = origin
+        v = 0
         for t, count in enumerate(m):
             for _ in range(count):
-                arrows.append(3 * index_of(v) + t)
-                v = q.successors[v][t]
-        if v != origin:
+                arrows.append(3 * v + t)
+                v = head[3 * v + t]
+        if v != 0:
             raise InternalInvariantViolation(f"walk {m} from the origin did not close")
         walks.append((arrows, m))
     return walks

@@ -48,15 +48,22 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _reduction_rule(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree d of the order-th cyclotomic polynomial and its nonzero
+    coefficients below z^d, as (exponent, coefficient) pairs."""
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    return d, tuple((j, c) for j, c in enumerate(phi[:d]) if c)
+
+
 def reduce_mod_cyclotomic(order: int, counts: dict[int, int]) -> tuple[int, ...]:
     """Power-basis coordinates of sum c z^k over the items (k, c) of counts.
 
     Exponents are taken mod order, then the polynomial is divided by the
     order-th cyclotomic polynomial from the top down, in O(order) steps.
     """
-    phi = cyclotomic_polynomial(order)
-    d = len(phi) - 1
-    low = [(j, c) for j, c in enumerate(phi[:d]) if c]
+    d, low = _reduction_rule(order)
     raw = [0] * order
     for k, c in counts.items():
         raw[k % order] += c

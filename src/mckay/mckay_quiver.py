@@ -1,9 +1,12 @@
 """McKay quiver of an abelian quotient Z^2/B with typed arrows and its symmetry action.
 
-Vertices are the cosets of Z^2/B.  From every vertex three arrows leave,
-one per type: type 1 steps by e1 = (1, 0), type 2 by e2 = (0, 1), type 3
-by e3 = (-1, -1); the steps sum to zero, so following the three types in
-any cyclic order closes up.
+Vertices are the cosets of Z^2/B, numbered once in coset order: (x1, x2)
+is vertex x1 c + x2 for B = [[a, b], [0, c]].  From every vertex three
+arrows leave, one per type: type 1 steps by e1 = (1, 0), type 2 by e2 =
+(0, 1), type 3 by e3 = (-1, -1); the steps sum to zero, so following the
+three types in any cyclic order closes up.  Every stage after the quiver
+reads the flat head table and vertex permutations on these indices; coset
+tuples and `Arrow` objects remain only where cuts and documents name them.
 
 The symmetry action is generated by the order-3 rotation t (e1 -> e2 ->
 e3 -> e1) and, for kind D, the involution fixing type 3 and swapping
@@ -26,14 +29,10 @@ __all__ = [
     "STEPS",
     "Arrow",
     "TypedQuiver",
-    "ElementaryCycle",
-    "CommutativitySquare",
     "ActionElement",
     "GroupAction",
     "QuiverAction",
     "build_quiver",
-    "elementary_cycles",
-    "commutativity_squares",
     "k_action",
 ]
 
@@ -48,7 +47,13 @@ class Arrow(NamedTuple):
 
 @dataclass(frozen=True)
 class TypedQuiver:
-    """The McKay quiver of Z^2/B: all (coset, type) arrows with implied targets."""
+    """The McKay quiver of Z^2/B on vertex indices.
+
+    Vertex v is the coset `vertices[v]`, numbered in coset order, and arrow
+    3v + t leaves v with type t + 1; `head[3v + t]` is its head.  `Arrow`
+    objects and coset tuples are only the boundary that cuts and documents
+    read.
+    """
 
     quotient: AbelianQuotient
 
@@ -63,19 +68,36 @@ class TypedQuiver:
         )
 
     @cached_property
-    def successors(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """Each vertex's three arrow targets, in type order."""
-        red = self.quotient.reduce
-        return {
-            (x, y): tuple(red((x + dx, y + dy)) for dx, dy in STEPS.values())
-            for x, y in self.vertices
-        }
+    def head(self) -> tuple[int, ...]:
+        """Each arrow's head vertex, by arrow index.
+
+        Coset (x1, x2) is vertex x1 c + x2, so a step that leaves the range
+        0 <= x1 < a, 0 <= x2 < c wraps by one column of B: x2 = c is
+        (x1 - b, 0) and x2 = -1 is (x1 + b, c - 1), with x1 taken mod a.
+        """
+        basis = self.quotient.basis
+        a, b, c = basis.a, basis.b, basis.c
+        head: list[int] = []
+        for x1 in range(a):
+            right = (x1 + 1) % a * c
+            up = (x1 - b) % a * c  # (x1, c)
+            left = (x1 - 1) % a * c
+            down = (x1 - 1 + b) % a * c + c - 1  # (x1 - 1, -1)
+            for x2 in range(c):
+                head += (
+                    right + x2,
+                    x1 * c + x2 + 1 if x2 + 1 < c else up,
+                    left + x2 - 1 if x2 else down,
+                )
+        return tuple(head)
 
     def target(self, arrow: Arrow) -> tuple[int, int]:
-        return self.successors[arrow.source][arrow.type - 1]
+        return self.vertices[self.head[self.arrow_index(arrow)]]
 
     def arrow_index(self, arrow: Arrow) -> int:
-        return self.quotient.index_of(arrow.source) * 3 + (arrow.type - 1)
+        """3v + type - 1 for an arrow of q, v its source's vertex index."""
+        x1, x2 = arrow.source
+        return 3 * (x1 * self.quotient.basis.c + x2) + arrow.type - 1
 
     @cached_property
     def constraint_tables(
@@ -84,27 +106,22 @@ class TypedQuiver:
         """The cut constraints as arrow indices: each arrow's head vertex, the
         elementary cycles and the commutativity squares.
 
-        Arrow i leaves vertex i // 3 with type i % 3 + 1, and vertices are
-        numbered in coset order, so index order is arrow order: the cycles come
-        in the order of `elementary_cycles`, each starting at its least arrow,
-        and the squares in the order of `commutativity_squares`.  A square
-        (a, b, c, d) is the 2-paths a.b and c.d.
+        The elementary cycles are the 3-cycles that use each type once, each
+        starting at its least arrow, in sorted order; a square (a, b, c, d)
+        is the pair of 2-paths a.b and c.d from a vertex v, a of type i and
+        c of type j > i, in order of v and (i, j).
         """
-        index_of = self.quotient.index_of
-        head = tuple(index_of(w) for v in self.vertices for w in self.successors[v])
+        head = self.head
         nv = len(head) // 3
-        seen: set[tuple[int, ...]] = set()
-        for v in range(nv):
-            for order in ((0, 1, 2), (0, 2, 1)):
-                walk = []
-                x = v
-                for t in order:
-                    walk.append(3 * x + t)
-                    x = head[3 * x + t]
-                if x != v:
+        seen: set[tuple[int, int, int]] = set()
+        for a in range(0, 3 * nv, 3):
+            # the type-1 arrow a, then types 2, 3 or types 3, 2
+            for s, t in ((1, 2), (2, 1)):
+                b = 3 * head[a] + s
+                c = 3 * head[b] + t
+                if 3 * head[c] != a:
                     raise InternalInvariantViolation("type steps failed to close up")
-                k = walk.index(min(walk))
-                seen.add(tuple(walk[k:] + walk[:k]))
+                seen.add(min((a, b, c), (b, c, a), (c, a, b)))
         cycles = tuple(sorted(seen))
         if len(cycles) != 2 * nv:
             raise InternalInvariantViolation(
@@ -121,105 +138,30 @@ class TypedQuiver:
 def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
     """Construct Q for the quotient and check 3-regularity in both directions."""
     q = TypedQuiver(quotient)
-    indeg: dict[tuple[int, int], int] = {v: 0 for v in q.vertices}
-    for targets in q.successors.values():
-        for w in targets:
-            indeg[w] += 1
-    if any(d != 3 for d in indeg.values()):
+    indeg = [0] * quotient.order
+    for w in q.head:
+        indeg[w] += 1
+    if any(d != 3 for d in indeg):
         raise InternalInvariantViolation("in-degrees are not all 3")
     return q
 
 
-@dataclass(frozen=True, order=True)
-class ElementaryCycle:
-    """A 3-cycle using each arrow type once, canonicalized up to rotation."""
-
-    arrows: tuple[Arrow, Arrow, Arrow]
-
-    @property
-    def start(self) -> tuple[int, int]:
-        return self.arrows[0].source
-
-
-def _canonical_rotation(arrows: tuple[Arrow, ...]) -> tuple[Arrow, ...]:
-    rotations = [arrows[k:] + arrows[:k] for k in range(len(arrows))]
-    return min(rotations)
-
-
-def elementary_cycles(q: TypedQuiver) -> tuple[ElementaryCycle, ...]:
-    """All 3-cycles with pairwise distinct types, up to rotation; 2 det(B) of them."""
-    seen: set[tuple[Arrow, ...]] = set()
-    for v in q.vertices:
-        for order in ((1, 2, 3), (1, 3, 2)):
-            walk: list[Arrow] = []
-            x = v
-            for i in order:
-                a = Arrow(x, i)
-                walk.append(a)
-                x = q.target(a)
-            if x != v:
-                raise InternalInvariantViolation("type steps failed to close up")
-            seen.add(_canonical_rotation(tuple(walk)))
-    cycles = tuple(ElementaryCycle(c) for c in sorted(seen))  # type: ignore[arg-type]
-    if len(cycles) != 2 * q.quotient.order:
-        raise InternalInvariantViolation(
-            f"{len(cycles)} elementary cycles, expected {2 * q.quotient.order}"
-        )
-    return cycles
-
-
-@dataclass(frozen=True, order=True)
-class CommutativitySquare:
-    """The two 2-paths x -> x+e_i -> x+e_i+e_j and x -> x+e_j -> x+e_i+e_j."""
-
-    start: tuple[int, int]
-    types: tuple[int, int]
-    first_path: tuple[Arrow, Arrow]
-    second_path: tuple[Arrow, Arrow]
-
-
-def commutativity_squares(q: TypedQuiver) -> tuple[CommutativitySquare, ...]:
-    """One square per vertex and unordered type pair; 3 det(B) of them."""
-    squares = []
-    for v in q.vertices:
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            ai = Arrow(v, i)
-            aj = Arrow(v, j)
-            squares.append(
-                CommutativitySquare(
-                    start=v,
-                    types=(i, j),
-                    first_path=(ai, Arrow(q.target(ai), j)),
-                    second_path=(aj, Arrow(q.target(aj), i)),
-                )
-            )
-    return tuple(squares)
-
-
 @dataclass(frozen=True, eq=False)
 class ActionElement:
-    """One symmetry of the quiver: vertex map, type permutation, per-type scalars."""
+    """One symmetry of the quiver: vertex permutation (`vertex_map[v]` is
+    the image of vertex v), type permutation, per-type scalars."""
 
     name: str
-    vertex_map: dict[tuple[int, int], tuple[int, int]]
+    vertex_map: tuple[int, ...]
     type_map: tuple[int, int, int]
     type_scalars: tuple[int, int, int]
-
-    def act_type(self, i: int) -> int:
-        return self.type_map[i - 1]
-
-    def act_arrow(self, a: Arrow) -> Arrow:
-        return Arrow(self.vertex_map[a.source], self.type_map[a.type - 1])
-
-    def scalar_exp(self, arrow_type: int) -> int:
-        return self.type_scalars[arrow_type - 1]
 
 
 def _compose(
     f: ActionElement, g: ActionElement, name: str, root_order: int
 ) -> ActionElement:
     """The element acting as f after g."""
-    vmap = {v: f.vertex_map[g.vertex_map[v]] for v in g.vertex_map}
+    vmap = tuple(map(f.vertex_map.__getitem__, g.vertex_map))
     tmap = tuple(f.type_map[g.type_map[i] - 1] for i in range(3))
     scal = tuple(
         (g.type_scalars[i] + f.type_scalars[g.type_map[i] - 1]) % root_order
@@ -230,7 +172,7 @@ def _compose(
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
-    """A finite group acting on a finite point set.
+    """A finite group acting on the points 0, ..., n - 1.
 
     Elements are indices into `names`, in element order with the identity
     first; `table[a][b]` is the index of a after b, and `maps[g][v]` is the
@@ -273,30 +215,48 @@ class GroupAction:
         return tuple(out)
 
     @cached_property
-    def orbits(self) -> tuple[tuple, ...]:
-        """Orbits as sorted tuples, listed by their least member, which is
-        the orbit representative."""
-        seen: set = set()
+    def _orbit_data(self) -> tuple[tuple[tuple[int, ...], ...], list, list[int], list]:
+        """The orbits, each point's orbit and transversal element, and the
+        stabilizer of each orbit representative (None at other points), from
+        one pass over the representatives."""
+        orbit_of: list = [None] * len(self.points)
+        transversal = [0] * len(self.points)
+        stabilizers: list = [None] * len(self.points)
         orbits = []
         for v in self.points:
-            if v in seen:
+            if orbit_of[v] is not None:
                 continue
-            orbit = tuple(sorted({m[v] for m in self.maps}))
-            seen.update(orbit)
+            images = [m[v] for m in self.maps]
+            orbit = tuple(sorted(set(images)))
+            for u in orbit:
+                orbit_of[u] = orbit
+            for g in reversed(range(len(images))):
+                transversal[images[g]] = g
+            stabilizers[v] = tuple(g for g, u in enumerate(images) if u == v)
             orbits.append(orbit)
-        return tuple(orbits)
+        return tuple(orbits), orbit_of, transversal, stabilizers
 
-    @cached_property
-    def orbit_of(self) -> dict:
-        return {v: orbit for orbit in self.orbits for v in orbit}
+    @property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits as sorted tuples, listed by their least member, which is
+        the orbit representative."""
+        return self._orbit_data[0]
 
-    def stabilizer(self, v) -> tuple[int, ...]:
-        return tuple(g for g, m in enumerate(self.maps) if m[v] == v)
+    @property
+    def orbit_of(self) -> list[tuple[int, ...]]:
+        """Each point's orbit, by point."""
+        return self._orbit_data[1]
 
-    def transversal_element(self, v) -> int:
-        """First element, in element order, mapping v's representative to v."""
-        rep = self.orbit_of[v][0]
-        return next(g for g, m in enumerate(self.maps) if m[rep] == v)
+    @property
+    def transversal(self) -> list[int]:
+        """For each point v, the first element, in element order, mapping
+        v's representative to v."""
+        return self._orbit_data[2]
+
+    def stabilizer(self, v: int) -> tuple[int, ...]:
+        """The elements fixing v, in element order; a representative's is
+        read from the orbit pass, another point's by scanning the maps."""
+        return self._orbit_data[3][v] or tuple(g for g, m in enumerate(self.maps) if m[v] == v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,45 +282,57 @@ class QuiverAction:
     def element(self, name: str) -> ActionElement:
         return self._by_name[name]
 
-    def fixed_vertices(self, name: str) -> tuple[tuple[int, int], ...]:
-        e = self._by_name[name]
-        return tuple(v for v in self.quiver.vertices if e.vertex_map[v] == v)
-
     def is_arrow_set_invariant(self, arrows: Iterable[Arrow]) -> bool:
         """Whether every element maps the arrow set onto itself, read on
-        arrow indices: the type-t arrow from v goes to the type-sigma(t)
-        arrow from v's image."""
-        arrows = tuple(arrows)
-        s = {self.quiver.arrow_index(a) for a in arrows}
-        index_of = self.quiver.quotient.index_of
+        arrow indices: arrow 3v + t goes to 3 perm[v] + sigma(t)."""
+        ids = [self.quiver.arrow_index(a) for a in arrows]
+        s = set(ids)
         return all(
-            3 * index_of(e.vertex_map[a.source]) + e.type_map[a.type - 1] - 1 in s
+            3 * e.vertex_map[i // 3] + e.type_map[i % 3] - 1 in s
             for e in self.elements
-            for a in arrows
+            for i in ids
         )
 
 
 def _assert_automorphisms(q: TypedQuiver, elements: Iterable[ActionElement]) -> None:
     """Check that each element permutes the vertices and maps the type-i
     arrow from v onto the type-sigma(i) arrow from its image, target
-    included, on vertex indices: perm[succ[v][i]] == succ[perm[v]][sigma(i)]."""
-    vertices = q.vertices
-    index = {v: k for k, v in enumerate(vertices)}
-    succ = [tuple(index[w] for w in q.successors[v]) for v in vertices]
-    identity = list(range(len(vertices)))
+    included: perm[head[3v + i]] == head[3 perm[v] + sigma(i)]."""
+    head = q.head
+    by_type = [head[i::3] for i in range(3)]
+    identity = list(range(len(q.vertices)))
     for e in elements:
-        perm = [index.get(e.vertex_map.get(v), -1) for v in vertices]
+        perm = e.vertex_map
         if sorted(perm) != identity:
             raise InternalInvariantViolation(f"{e.name} is not a vertex bijection")
-        sigma = tuple(i - 1 for i in e.type_map)
-        for v, (pv, sv) in enumerate(zip(perm, succ)):
-            image = succ[pv]
-            for i in range(3):
-                if perm[sv[i]] != image[sigma[i]]:
-                    raise InternalInvariantViolation(
-                        f"{e.name} does not commute with targets on "
-                        f"{Arrow(vertices[v], i + 1)}"
-                    )
+        for i in range(3):
+            image = by_type[e.type_map[i] - 1]
+            if list(map(perm.__getitem__, by_type[i])) != list(map(image.__getitem__, perm)):
+                sigma = [j - 1 for j in e.type_map]
+                v, j = next(
+                    (v, j) for v in identity for j in range(3)
+                    if perm[head[3 * v + j]] != head[3 * perm[v] + sigma[j]]
+                )
+                raise InternalInvariantViolation(
+                    f"{e.name} does not commute with targets on "
+                    f"{Arrow(q.vertices[v], j + 1)}"
+                )
+
+
+def _linear_map(q: TypedQuiver, type_map: tuple[int, int, int]) -> tuple[int, ...]:
+    """The vertex permutation of x -> x1 g(e1) + x2 g(e2), where g sends the
+    step of each type i to the step of type type_map[i - 1].
+
+    Vertex x1 c + x2 is reached from vertex 0 by x1 steps of e1 and then x2
+    of e2, so its image is the walk of x1 steps of type g(1) and x2 of type
+    g(2) on the head table.
+    """
+    head, c = q.head, q.quotient.basis.c
+    s1, s2 = type_map[0] - 1, type_map[1] - 1
+    perm = [0] * len(q.vertices)
+    for v in range(1, len(perm)):
+        perm[v] = head[3 * perm[v - 1] + s2] if v % c else head[3 * perm[v - c] + s1]
+    return tuple(perm)
 
 
 def k_action(
@@ -371,6 +343,8 @@ def k_action(
 ) -> QuiverAction:
     """The C3 (kind C) or S3 (kind D) action on the quiver.
 
+    t is the rotation (x1, x2) -> (-x2, x1 - x2) and s the swap
+    (x1, x2) -> (x2, x1), both read as permutations of vertex indices.
     For kind D, scalars = (p, q, s) are the exponents of the involution
     generator's matrix entries (alpha, beta, gamma with alpha*beta*gamma
     = -1); the induced arrow scalars by type are alpha*gamma^2,
@@ -380,7 +354,6 @@ def k_action(
     if kind not in ("C", "D"):
         raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
     check_admissible(q.quotient.basis, kind)
-    red = q.quotient.reduce
 
     m = root_order if root_order is not None else {"C": 1, "D": 2}[kind]
     if m < 1:
@@ -390,22 +363,16 @@ def k_action(
     if kind == "D":
         scalars = involution_scalars(m, scalars)
 
-    identity = ActionElement(
-        "1", {v: v for v in q.vertices}, (1, 2, 3), (0, 0, 0)
-    )
-    t = ActionElement(
-        "t",
-        {v: red((-v[1], v[0] - v[1])) for v in q.vertices},
-        (2, 3, 1),
-        (0, 0, 0),
-    )
+    points = tuple(range(len(q.vertices)))
+    identity = ActionElement("1", points, (1, 2, 3), (0, 0, 0))
+    t = ActionElement("t", _linear_map(q, (2, 3, 1)), (2, 3, 1), (0, 0, 0))
     t2 = _compose(t, t, "t^2", m)
     elements = [identity, t, t2]
     if kind == "D":
         p, qq, s = scalars  # type: ignore[misc]
         swap = ActionElement(
             "s",
-            {v: red((v[1], v[0])) for v in q.vertices},
+            _linear_map(q, (2, 1, 3)),
             (2, 1, 3),
             ((p + 2 * s) % m, (p + 2 * qq) % m, m // 2),
         )
@@ -425,9 +392,7 @@ def k_action(
         # this pins the conjugate-word convention.
         sq = _compose(e, e, "_", m)
         if e.type_map in ((2, 1, 3), (3, 2, 1), (1, 3, 2)):
-            if sq.type_map != (1, 2, 3) or any(sq.type_scalars) or any(
-                sq.vertex_map[v] != v for v in q.vertices
-            ):
+            if sq.type_map != (1, 2, 3) or any(sq.type_scalars) or sq.vertex_map != points:
                 raise InternalInvariantViolation(
                     f"involution {e.name} does not square to the identity"
                 )
@@ -437,7 +402,7 @@ def k_action(
         [e.type_map for e in elements],
         lambda a, b: tuple(a[b[i] - 1] for i in range(3)),
         (e.vertex_map for e in elements),
-        q.vertices,
+        points,
     )
     return QuiverAction(
         quiver=q, kind=kind, root_order=m, scalars=scalars,

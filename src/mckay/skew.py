@@ -12,26 +12,28 @@ that is not a non-negative integer can only mean a bookkeeping bug and is
 raised, never rounded.
 
 Both skews of the unskew round trip run through the same engine: a carrier
-supplies a GroupAction (element names, integer Cayley table and vertex maps,
-with orbits, stabilizers and transversals) and per-block dimensions and
-traces; the engine never looks at what the vertices are.  The first skew
-uses the C3 / S3 action on Q_N, the second the dual C3 acting on skew-vertex
-indices, and one degree-transport routine carries a cut through either.
+supplies a GroupAction on the points 0, ..., n - 1 (element names, integer
+Cayley table and vertex permutations, with orbits, stabilizers and
+transversals) and per-block dimensions and traces; the engine never looks
+at what the points stand for.  The first skew uses the C3 / S3 action on
+the vertex indices of Q_N and reads blocks off its head table, the second
+the dual C3 acting on skew-vertex indices, and one degree-transport routine
+carries a cut through either.  Coset tuples return only in `loop_witness`,
+whose record a document prints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
 
-from .cuts import Cut, _degrees, _has_cycle, invariant_cut, validate_cut
+from .cuts import Cut, _check_arrows, _degrees, _has_cycle, invariant_cut, validate_cut
 from .cyclotomic import reduce_mod_cyclotomic
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .graphiso import find_isomorphism
 from .lattice import LatticeBasis
 from .mckay_quiver import (
-    ARROW_TYPES,
     Arrow,
     GroupAction,
     QuiverAction,
@@ -66,6 +68,7 @@ _LABELS_BY_ORDER = {
 class Carrier(Protocol):
     """What the skewing engine needs to know about a quiver with a group action.
 
+    Vertices are the group's points, the integers 0, ..., n - 1.
     `out_neighbours(v)` must include every w with `block_dim(v, w) != 0`.
     `block_trace(g, v, w)` is the trace of g on the block as (exponent mod W,
     count) terms, each meaning count * z^exponent with z a primitive
@@ -75,9 +78,9 @@ class Carrier(Protocol):
     group: GroupAction
     cyclotomic_order: int
 
-    def block_dim(self, v, w) -> int: ...
-    def block_trace(self, g: int, v, w) -> tuple[tuple[int, int], ...]: ...
-    def out_neighbours(self, v) -> Iterable: ...
+    def block_dim(self, v: int, w: int) -> int: ...
+    def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]: ...
+    def out_neighbours(self, v: int) -> Iterable[int]: ...
 
 
 def _char_value(
@@ -118,7 +121,7 @@ def _char_value(
 class SkewVertex:
     """(orbit representative, stabilizer irreducible) with its induced dimension."""
 
-    orbit_rep: Hashable
+    orbit_rep: int
     irrep: str
     degree: int
     orbit_size: int
@@ -145,19 +148,21 @@ class SkewQuiver:
         )
 
 
-def _orbit_pairs(group: GroupAction, rep, neighbours: Iterable) -> dict[tuple, list]:
+def _orbit_pairs(
+    group: GroupAction, rep: int, stab: tuple[int, ...], neighbours: Iterable[int]
+) -> dict[int, list[int]]:
     """The pairs (rep, u2) that stand for the diagonal orbits meeting
-    {rep} x neighbours, as the points u2 grouped by their orbit.
+    {rep} x neighbours, as the points u2 grouped by their orbit's
+    representative.
 
-    Each u2 is the least point of its orbit under the stabilizer of rep,
-    and each orbit's points are sorted.
+    `stab` is the stabilizer of rep.  Each u2 is the least point of its
+    orbit under it, and each orbit's points are sorted.
     """
-    maps = group.maps
-    stab = group.stabilizer(rep)
-    least = {min(maps[h][u] for h in stab) for u in neighbours}
-    out: dict[tuple, list] = {}
+    maps, orbit_of = group.maps, group.orbit_of
+    least = {min([maps[h][u] for h in stab]) for u in neighbours}
+    out: dict[int, list[int]] = {}
     for u in sorted(least):
-        out.setdefault(group.orbit_of[u], []).append(u)
+        out.setdefault(orbit_of[u][0], []).append(u)
     return out
 
 
@@ -169,17 +174,19 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     the least point of its orbit under the stabilizer of r.  A diagonal
     orbit can carry arrows only when its u2 is an out-neighbour of r, so only
     those pairs are visited (`_orbit_pairs`), and a pair of skew vertices
-    over O1 and O2 only when O2 holds one of them.
+    over O1 and O2 only when O2 holds one of them.  Each skew vertex reads
+    its character values from one row indexed by group element.
     """
     group = carrier.group
     maps, table, inverse = group.maps, group.table, group.inverse
+    transversal = group.transversal
     w = carrier.cyclotomic_order
 
     stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
 
     skew_vertices: list[SkewVertex] = []
-    vertex_home: list[tuple] = []  # orbit of each skew vertex
-    over: dict[tuple, range] = {}  # skew-vertex indices over each orbit
+    rows: list[list] = []  # chi(h) of each skew vertex, by element h of its stabilizer
+    over: dict[int, range] = {}  # skew-vertex indices over each orbit representative
     for orbit in group.orbits:
         rep = orbit[0]
         first = len(skew_vertices)
@@ -193,26 +200,17 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                     dimension=len(orbit) * deg,
                 )
             )
-            vertex_home.append(orbit)
-        over[orbit] = range(first, len(skew_vertices))
+            row: list = [None] * len(table)
+            for h in stab[rep]:
+                row[h] = _char_value(group, w, stab[rep], label, h)
+            rows.append(row)
+        over[rep] = range(first, len(skew_vertices))
 
-    # Memos local to this call, so a one-shot call gets the whole gain.
-    @cache
-    def char_pair(
-        sa: tuple, la: str, h1: int, sb: tuple, lb: str, h2: int
-    ) -> tuple[int, int]:
-        """conj(chi_la(h1)) * chi_lb(h2) on the stabilizers sa and sb, as a term
-        (c, k); conjugation negates the exponent."""
-        ca, ka = _char_value(group, w, sa, la, h1)
-        cb, kb = _char_value(group, w, sb, lb, h2)
-        return ca * cb, (kb - ka) % w
-
-    @cache
-    def block_terms(u1, u2) -> tuple:
+    def block_terms(u1: int, u2: int) -> tuple:
         """(h, h2, trace) per element h of the joint stabilizer of the
         representative u1 and u2, h2 being h moved into the stabilizer of
         u2's representative."""
-        g2 = group.transversal_element(u2)
+        g2 = transversal[u2]
         g2i = inverse[g2]
         return tuple(
             (h, table[g2i][table[h][g2]], carrier.block_trace(h, u1, u2))
@@ -221,33 +219,40 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
         )
 
     pairs = {
-        orbit: _orbit_pairs(group, orbit[0], carrier.out_neighbours(orbit[0]))
-        for orbit in group.orbits
+        rep: _orbit_pairs(group, rep, stab[rep], carrier.out_neighbours(rep))
+        for rep in stab
     }
     targets = {
-        orbit: sorted(bi for o in pairs[orbit] for bi in over[o])
-        for orbit in group.orbits
+        rep: sorted(bi for r2 in pairs[rep] for bi in over[r2]) for rep in stab
     }
 
+    # A memo local to this call, so a one-shot call gets the whole gain.
+    block_cache: dict[tuple[int, int], tuple] = {}
+    block_dim = carrier.block_dim
     mult: dict[tuple[int, int], int] = {}
     for ai, va in enumerate(skew_vertices):
-        o1 = vertex_home[ai]
         u1 = va.orbit_rep
-        stab_a = stab[u1]
-        for bi in targets[o1]:
+        row_a = rows[ai]
+        for bi in targets[u1]:
             vb = skew_vertices[bi]
-            stab_b = stab[vb.orbit_rep]
+            row_b = rows[bi]
             total = 0
-            for u2 in pairs[o1][vertex_home[bi]]:
-                if carrier.block_dim(u1, u2) == 0:
+            for u2 in pairs[u1][vb.orbit_rep]:
+                if block_dim(u1, u2) == 0:
                     continue
-                joint = block_terms(u1, u2)  # one term per joint stabilizer element
+                # one term per joint stabilizer element
+                joint = block_cache.get((u1, u2))
+                if joint is None:
+                    joint = block_cache[(u1, u2)] = block_terms(u1, u2)
                 counts: dict[int, int] = {}
                 for h1, h2, trace in joint:
-                    c, k = char_pair(stab_a, va.irrep, h1, stab_b, vb.irrep, h2)
+                    # conj(chi_a(h1)) * chi_b(h2); conjugation negates the exponent
+                    ca, ka = row_a[h1]
+                    cb, kb = row_b[h2]
+                    c = ca * cb
                     if c:
                         for e, n in trace:
-                            i = (k + e) % w
+                            i = (kb - ka + e) % w
                             counts[i] = counts.get(i, 0) + c * n
                 coords = reduce_mod_cyclotomic(w, counts)
                 if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
@@ -277,6 +282,7 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
 class _QuiverCarrier:
     """Carrier for Q_N with the K-action; traces include the arrow scalars.
 
+    Points are vertex indices and the blocks are read off the head table.
     The scalars are roots of unity of order M = root_order, but only the
     subgroup they generate matters: with g the gcd of M and every scalar
     exponent, the traces live in the field of order lcm(M/g, 3) and use the
@@ -285,40 +291,44 @@ class _QuiverCarrier:
     """
 
     def __init__(self, action: QuiverAction):
-        self.quiver = action.quiver
+        self.head = action.quiver.head
         self.action = action
         self.group = action.group
         m = action.root_order
         g = gcd(m, *(x for e in action.elements for x in e.type_scalars))
         self.cyclotomic_order = lcm(m // g, 3)
-        self._exp_divisor = g
-        self._exp_scale = self.cyclotomic_order // (m // g)
+        scale = self.cyclotomic_order // (m // g)
+        # Per element and type: the scaled scalar exponent, or None when
+        # the element moves the type and so adds nothing to a trace.
+        self._fixed_exps = [
+            [
+                x // g * scale if e.type_map[i] == i + 1 else None
+                for i, x in enumerate(e.type_scalars)
+            ]
+            for e in action.elements
+        ]
 
-    def _block_types(self, v, w) -> tuple[int, ...]:
+    def block_dim(self, v: int, w: int) -> int:
+        return self.head[3 * v:3 * v + 3].count(w)
+
+    def out_neighbours(self, v: int) -> tuple[int, ...]:
+        return self.head[3 * v:3 * v + 3]
+
+    def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
+        head = self.head
         return tuple(
-            i for i, t in zip(ARROW_TYPES, self.quiver.successors[v]) if t == w
-        )
-
-    def block_dim(self, v, w) -> int:
-        return self.quiver.successors[v].count(w)
-
-    def out_neighbours(self, v) -> tuple:
-        return self.quiver.successors[v]
-
-    def block_trace(self, g: int, v, w) -> tuple[tuple[int, int], ...]:
-        e = self.action.elements[g]
-        return tuple(
-            (e.scalar_exp(i) // self._exp_divisor * self._exp_scale, 1)
-            for i in self._block_types(v, w)
-            if e.act_type(i) == i
+            (x, 1)
+            for i, x in enumerate(self._fixed_exps[g])
+            if x is not None and head[3 * v + i] == w
         )
 
 
 def skew_quiver(action: QuiverAction) -> SkewQuiver:
     """The quiver of the skew-group algebra for the K-action on Q_N.
 
-    Checks the completeness identity (sum of squared dimensions equals
-    |N| * |K|) and 3-regularity weighted by dimensions at every vertex.
+    Vertex orbit representatives are vertex indices of Q_N.  Checks the
+    completeness identity (sum of squared dimensions equals |N| * |K|) and
+    3-regularity weighted by dimensions at every vertex.
     """
     vertices, mult = _demonet(_QuiverCarrier(action))
     s = SkewQuiver(
@@ -374,9 +384,11 @@ def loop_witness(action: QuiverAction) -> LoopWitness:
     k = (-pow(3, -1, n)) % n
     if (3 * k + 1) % n:
         raise InternalInvariantViolation("modular inverse of 3 is wrong")
-    x1 = quotient.reduce((-k - 1, k))
-    orbit = action.group.orbit_of[x1]
-    x2 = quotient.reduce((x1[0] + 1, x1[1]))
+    v1 = quotient.index_of((-k - 1, k))
+    vertices = action.quiver.vertices
+    x1 = vertices[v1]
+    orbit = tuple(vertices[u] for u in action.group.orbit_of[v1])
+    x2 = vertices[action.quiver.head[3 * v1]]  # x1 + e1
     if x2 not in orbit:
         raise InternalInvariantViolation(f"{x2} escaped the orbit of {x1}")
     special = action.kind == "D" and quotient.basis.smith_invariants() == (2, 2)
@@ -399,24 +411,24 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     arrows between the two vertex orbits; invariance makes this well
     defined, and the degree-0 part must stay acyclic.
     """
+    quiver = action.quiver
+    _check_arrows(quiver, cut)
     if not action.is_arrow_set_invariant(cut.arrows):
         raise PreconditionFailed("the cut is not stable under the symmetry action")
-    quiver = action.quiver
     report = validate_cut(quiver, cut)
     if not report.passed:
         raise ValueError(f"cut fails validation: {report.witnesses}")
     degree = _degrees(quiver, cut)
-    index_of = quiver.quotient.index_of
+    head = quiver.head
     orbit_of = action.group.orbit_of
 
     def block_degrees(o1: tuple, o2: tuple) -> set[int]:
-        degs = set()
-        for u1 in o1:
-            first = 3 * index_of(u1)
-            for t, u2 in enumerate(quiver.successors[u1]):
-                if orbit_of[u2] == o2:
-                    degs.add(degree[first + t])
-        return degs
+        return {
+            degree[a]
+            for u1 in o1
+            for a in range(3 * u1, 3 * u1 + 3)
+            if orbit_of[head[a]][0] == o2[0]
+        }
 
     return replace(s, degrees=_transport(s.vertices, s.mult, orbit_of, block_degrees))
 
@@ -424,7 +436,7 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
 def _transport(
     vertices: tuple[SkewVertex, ...],
     mult: dict[tuple[int, int], int],
-    orbit_of: dict,
+    orbit_of: Sequence[tuple[int, ...]],
     block_degrees: Callable[[tuple, tuple], set[int]],
 ) -> dict[tuple[int, int], int]:
     """Degrees of the skew blocks: each block takes the common degree of the
@@ -502,7 +514,7 @@ class _TwistCarrier:
     def __init__(self, s: SkewQuiver, twist: GroupAction, action: QuiverAction):
         self.s = s
         self.group = twist
-        self.quiver = action.quiver
+        self.head = action.quiver.head
         self.action = action
         self.cyclotomic_order = 3
         self._weights_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -529,13 +541,13 @@ class _TwistCarrier:
             return got
         group = self.action.group
         rep = self.s.vertices[v].orbit_rep
-        succ = self.quiver.successors[rep]
-        pairs = _orbit_pairs(group, rep, succ)
+        succ = self.head[3 * rep:3 * rep + 3]
+        pairs = _orbit_pairs(group, rep, group.stabilizer(rep), succ)
         # u1 is the representative, reached by the identity, so the weight
         # g2^-1 g1 is the inverse of u2's transversal element.
         weights = tuple(
-            (group.inverse[group.transversal_element(u2)], succ.count(u2))
-            for u2 in pairs.get(group.orbit_of[self.s.vertices[w].orbit_rep], ())
+            (group.inverse[group.transversal[u2]], succ.count(u2))
+            for u2 in pairs.get(self.s.vertices[w].orbit_rep, ())
         )
         total = sum(c for _, c in weights)
         if total != self.block_dim(v, w):
@@ -596,11 +608,11 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
         )
 
     # Label maps for the isomorphism search: (multiplicity, degree) per pair,
-    # read off the successor table as vertex indices.
+    # read off the head table as vertex indices.
     labels_a = {
         (i, j): (m, degrees2[(i, j)]) for (i, j), m in mult2.items()
     }
-    head = quiver.constraint_tables[0]
+    head = quiver.head
     degree = _degrees(quiver, cut)
     labels_b: dict[tuple[int, int], tuple[int, int]] = {}
     for x in range(n):

@@ -198,7 +198,7 @@ def test_criterion_6_loop_witness(capsys):
                         f"C2xC2 kind D: loop profile (dim, count) = {loops}, "
                         f"expected [(3, 1), (3, 1)]"
                     )
-                if any(s.vertices[i].orbit_rep not in w.orbit for i, _ in s.loops()):
+                if any(quiv.vertices[s.vertices[i].orbit_rep] not in w.orbit for i, _ in s.loops()):
                     failures.append("C2xC2 kind D: a loop lies off the witness orbit")
                 if loops != oracle:
                     failures.append(

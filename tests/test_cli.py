@@ -211,6 +211,59 @@ def test_group_info_documents_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Digests of benchmark-sized documents beyond the golden corpus, recorded
+# before the quiver, the K-action and both skews moved to vertex indices.
+SKEW_PINS = [
+    ("classify --basis 427,353;0,1 --kind C",
+     "6f142c3e6605585d965caf735345b46d211ea74fd6f243675c0110b7001084c3"),
+    ("classify --basis 18,0;0,18 --kind D",
+     "a6063c4470f3471ff958b24139f2d09884c9c35a58993d10407bdfbd9fc41b91"),
+    ("classify --basis 42,30;0,6 --kind C --format text",
+     "f9f267898474736f1fdd283527a5c02500cd570e86e7f8322c3ab45e5bda2685"),
+    ("skew --basis 21,0;0,21 --kind D",
+     "63c36b7e82f9b284f5e38d08b811bb56f592a8b46242071fba00e9cafd430607"),
+    ("skew --basis 361,69;0,1 --kind C --format dot",
+     "f111b504ce62924c003a0ae30a7e9b0afc7013dfb4224cc8ad1789eab15e9a31"),
+    ("skew --basis 12,8;0,4 --kind D --root-order 4 --scalars 2,0,0",
+     "e4a4a5e4bd48539ffa4e228be3a235a3383df3092730e74c3b1f301d1b94f05b"),
+    ("unskew-roundtrip --basis 63,51;0,3",
+     "8d0b8e3ebc2c4d848e2f23bf4888e9ead89ba245a11a40c9a5222e5128e66997"),
+    ("unskew-roundtrip --basis 63,51;0,3 --format text",
+     "c04062a20b412b787882a16e45989956c41e932ea018d8586ce9c5dc71574ca1"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SKEW_PINS, ids=[p[0] for p in SKEW_PINS])
+def test_skew_documents_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [("classify --basis 21,0;0,21 --kind D", 441), ("unskew-roundtrip --basis 63,51;0,3", 189)],
+)
+def test_coset_reductions_stay_linear(monkeypatch, capsys, argv, n):
+    # Vertices are numbered once, and every later stage reads the head
+    # table and the permutations, so reductions stay a small multiple of n.
+    # Turning cosets back into indices at every stage took 12,982 and 4,545.
+    from mckay.lattice import LatticeBasis
+
+    original = LatticeBasis.reduce
+    calls = 0
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return original(self, x)
+
+    monkeypatch.setattr(LatticeBasis, "reduce", counting)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert calls <= 8 * n
+
+
 @pytest.mark.parametrize("k", [10, 30])
 def test_group_info_builds_few_matrices(monkeypatch, capsys, k):
     # The group layer computes on (perm, exps) keys and builds MonomialMatrix

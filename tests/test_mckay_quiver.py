@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckay.errors import InternalInvariantViolation, PreconditionFailed
-from mckay.lattice import AbelianQuotient, LatticeBasis
+from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import (
+    STEPS,
     ActionElement,
     Arrow,
     GroupAction,
     _assert_automorphisms,
     build_quiver,
-    commutativity_squares,
-    elementary_cycles,
     k_action,
 )
 
@@ -49,54 +48,49 @@ def test_three_regular_in_and_out():
 
 
 def test_cycle_counts_frozen():
-    assert len(elementary_cycles(_quiver(3, 0, 3))) == 18
-    assert len(elementary_cycles(_quiver(2, 0, 2))) == 8
-    assert len(elementary_cycles(_quiver(3, 2, 1))) == 6
+    assert len(_quiver(3, 0, 3).constraint_tables[1]) == 18
+    assert len(_quiver(2, 0, 2).constraint_tables[1]) == 8
+    assert len(_quiver(3, 2, 1).constraint_tables[1]) == 6
 
 
 def test_cycles_have_three_distinct_types():
-    for cyc in elementary_cycles(_quiver(3, 0, 3)):
-        types = sorted(a.type for a in cyc.arrows)
-        assert types == [1, 2, 3]
+    q = _quiver(3, 0, 3)
+    head, cycles, _ = q.constraint_tables
+    for cyc in cycles:
+        assert sorted(i % 3 for i in cyc) == [0, 1, 2]
         # closing the walk returns to the start
-        q = _quiver(3, 0, 3)
-        v = cyc.arrows[0].source
-        for a in cyc.arrows:
-            assert a.source == v
-            v = q.target(a)
-        assert v == cyc.arrows[0].source
+        v = cyc[0] // 3
+        for i in cyc:
+            assert i // 3 == v
+            v = head[i]
+        assert v == cyc[0] // 3
 
 
 def test_each_arrow_in_two_cycles_and_four_squares():
     q = _quiver(2, 0, 2)
-    in_cycles = Counter()
-    for cyc in elementary_cycles(q):
-        for a in cyc.arrows:
-            in_cycles[a] += 1
+    _, cycles, squares = q.constraint_tables
+    in_cycles = Counter(i for cyc in cycles for i in cyc)
     assert set(in_cycles.values()) == {2}
     assert sum(in_cycles.values()) == 2 * len(q.arrows)
 
-    in_squares = Counter()
-    for sq in commutativity_squares(q):
-        for a in set(sq.first_path) | set(sq.second_path):
-            in_squares[a] += 1
+    in_squares = Counter(i for sq in squares for i in set(sq))
     assert set(in_squares.values()) == {4}
 
 
 def test_square_counts_frozen():
-    assert len(commutativity_squares(_quiver(3, 0, 3))) == 27
-    assert len(commutativity_squares(_quiver(2, 0, 2))) == 12
-    assert len(commutativity_squares(_quiver(3, 2, 1))) == 9
+    assert len(_quiver(3, 0, 3).constraint_tables[2]) == 27
+    assert len(_quiver(2, 0, 2).constraint_tables[2]) == 12
+    assert len(_quiver(3, 2, 1).constraint_tables[2]) == 9
 
 
 def test_squares_commute():
     q = _quiver(3, 2, 1)
-    for sq in commutativity_squares(q):
-        a1, a2 = sq.first_path
-        b1, b2 = sq.second_path
-        assert a1.source == b1.source
-        assert q.target(a2) == q.target(b2)
-        assert {a1.type, a2.type} == {b1.type, b2.type}
+    head, _, squares = q.constraint_tables
+    for a1, a2, b1, b2 in squares:
+        assert a1 // 3 == b1 // 3
+        assert head[a1] == a2 // 3 and head[b1] == b2 // 3
+        assert head[a2] == head[b2]
+        assert {a1 % 3, a2 % 3} == {b1 % 3, b2 % 3}
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,8 +99,70 @@ def test_counts_scale_with_determinant(a, b, c):
     basis = LatticeBasis(a, b % a, c)
     q = build_quiver(AbelianQuotient(basis))
     n = basis.det
-    assert len(elementary_cycles(q)) == 2 * n
-    assert len(commutativity_squares(q)) == 3 * n
+    _, cycles, squares = q.constraint_tables
+    assert len(cycles) == 2 * n
+    assert len(squares) == 3 * n
+
+
+def _brute_maps(quotient):
+    """Each K-element's map on coset tuples, by name, from the rotation
+    (x1, x2) -> (-x2, x1 - x2) and the swap (x1, x2) -> (x2, x1)."""
+    red = quotient.reduce
+
+    def rot(x):
+        return red((-x[1], x[0] - x[1]))
+
+    def swap(x):
+        return red((x[1], x[0]))
+
+    return {
+        "1": red,
+        "t": rot,
+        "t^2": lambda x: rot(rot(x)),
+        "s": swap,
+        "ts": lambda x: rot(rot(swap(rot(x)))),
+        "st": lambda x: rot(swap(rot(rot(x)))),
+    }
+
+
+def test_index_layer_matches_the_coset_definitions():
+    # The head table, the vertex permutations, orbits, stabilizers and
+    # transversals on vertex indices, against the definitions on cosets.
+    checked = 0
+    for kind in ("C", "D"):
+        for basis in admissible_bases(36, kind):
+            quotient = AbelianQuotient(basis)
+            q = build_quiver(quotient)
+            cosets = quotient.cosets
+            index_of = quotient.index_of
+            assert q.vertices == cosets
+            assert [index_of(x) for x in cosets] == list(range(len(cosets)))
+            assert q.head == tuple(
+                index_of((x1 + dx, x2 + dy))
+                for x1, x2 in cosets
+                for dx, dy in STEPS.values()
+            ), basis
+            act = k_action(q, kind)
+            group = act.group
+            brute = _brute_maps(quotient)
+            for e in act.elements:
+                assert e.vertex_map == tuple(index_of(brute[e.name](x)) for x in cosets), (
+                    basis, kind, e.name,
+                )
+            maps = [brute[name] for name in group.names]
+            orbits = sorted({tuple(sorted({g(x) for g in maps})) for x in cosets})
+            assert [tuple(cosets[u] for u in o) for o in group.orbits] == orbits
+            for v, x in enumerate(cosets):
+                orbit = next(o for o in orbits if x in o)
+                assert tuple(cosets[u] for u in group.orbit_of[v]) == orbit
+                assert group.stabilizer(v) == tuple(
+                    g for g, f in enumerate(maps) if f(x) == x
+                )
+                assert group.transversal[v] == next(
+                    g for g, f in enumerate(maps) if f(orbit[0]) == x
+                )
+            checked += 1
+    assert checked == 28  # 20 bases of kind C, 8 of kind D
 
 
 def test_arrow_index_is_a_bijection():
@@ -115,10 +171,15 @@ def test_arrow_index_is_a_bijection():
     assert ids == set(range(27))
 
 
+def _fixed_cosets(act, name):
+    perm = act.element(name).vertex_map
+    return tuple(act.quiver.vertices[v] for v, w in enumerate(perm) if v == w)
+
+
 def test_k_action_fixed_vertices():
     q = _quiver(3, 0, 3)
     act = k_action(q, "C")
-    assert act.fixed_vertices("t") == ((0, 0), (1, 2), (2, 1))
+    assert _fixed_cosets(act, "t") == ((0, 0), (1, 2), (2, 1))
     orbits = act.group.orbits
     sizes = sorted(len(o) for o in orbits)
     assert sizes == [1, 1, 1, 3, 3]
@@ -127,7 +188,7 @@ def test_k_action_fixed_vertices():
 def test_k_action_2i():
     q = _quiver(2, 0, 2)
     act = k_action(q, "C")
-    assert act.fixed_vertices("t") == ((0, 0),)
+    assert _fixed_cosets(act, "t") == ((0, 0),)
     assert sorted(len(o) for o in act.group.orbits) == [1, 3]
     act_d = k_action(q, "D")
     assert len(act_d.elements) == 6
@@ -183,20 +244,25 @@ def test_action_type_maps():
     assert len({e.type_map for e in act.elements}) == 6
 
 
+def _act_arrow(e, a):
+    """The image of arrow (x, i): (g(x), sigma(i)), on the quiver's arrows."""
+    return 3 * e.vertex_map[a // 3] + e.type_map[a % 3] - 1
+
+
 def test_action_permutes_arrows():
     q = _quiver(3, 0, 3)
     act = k_action(q, "C")
     for e in act.elements:
-        image = {e.act_arrow(a) for a in q.arrows}
-        assert image == set(q.arrows)
+        image = {_act_arrow(e, a) for a in range(len(q.arrows))}
+        assert image == set(range(len(q.arrows)))
 
 
 def test_action_commutes_with_targets():
     q = _quiver(6, 4, 2)
     act = k_action(q, "D")
     for e in act.elements:
-        for a in q.arrows:
-            assert e.vertex_map[q.target(a)] == q.target(e.act_arrow(a))
+        for a, w in enumerate(q.head):
+            assert e.vertex_map[w] == q.head[_act_arrow(e, a)]
 
 
 def _tampered(element, vertex_map):
@@ -207,19 +273,21 @@ def test_automorphism_check_rejects_tampered_vertex_maps():
     q = _quiver(3, 0, 3)
     t = k_action(q, "D").element("t")
     _assert_automorphisms(q, [t])
-    # t sends (1,0) to (0,1) and (2,0) to (0,2); swapping the two images
-    # keeps a bijection but breaks the type-1 arrow (0,0) -> (1,0).
-    swapped = dict(t.vertex_map)
-    swapped[(1, 0)], swapped[(2, 0)] = swapped[(2, 0)], swapped[(1, 0)]
+    # t sends (1,0) to (0,1) and (2,0) to (0,2), that is vertex 3 to 1 and
+    # 6 to 2; swapping the two images keeps a bijection but breaks the
+    # type-1 arrow (0,0) -> (1,0).
+    assert (t.vertex_map[3], t.vertex_map[6]) == (1, 2)
+    swapped = list(t.vertex_map)
+    swapped[3], swapped[6] = swapped[6], swapped[3]
     with pytest.raises(InternalInvariantViolation) as info:
-        _assert_automorphisms(q, [t, _tampered(t, swapped)])
+        _assert_automorphisms(q, [t, _tampered(t, tuple(swapped))])
     assert str(info.value) == (
         "t does not commute with targets on Arrow(source=(0, 0), type=1)"
     )
-    merged = dict(t.vertex_map)
-    merged[(1, 0)] = merged[(2, 0)]
+    merged = list(t.vertex_map)
+    merged[3] = merged[6]
     with pytest.raises(InternalInvariantViolation) as info:
-        _assert_automorphisms(q, [_tampered(t, merged)])
+        _assert_automorphisms(q, [_tampered(t, tuple(merged))])
     assert str(info.value) == "t is not a vertex bijection"
 
 

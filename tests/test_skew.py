@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import np_class_count, np_loop_profile, to_complex
-from mckay.cuts import build_cut, cut_type, invariant_cut
+from mckay.cuts import Cut, build_cut, cut_type, invariant_cut
 from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
-from mckay.mckay_quiver import build_quiver, k_action
+from mckay.mckay_quiver import Arrow, build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
 from mckay.skew import (
     _demonet,
@@ -39,8 +39,8 @@ def _skew(basis, kind, **kw):
 
 
 def test_skew_2i_kind_c():
-    _, _, s = _skew(LatticeBasis(2, 0, 2), "C")
-    assert [(v.orbit_rep, v.irrep, v.dimension, v.orbit_size) for v in s.vertices] == [
+    q, _, s = _skew(LatticeBasis(2, 0, 2), "C")
+    assert [(q.vertices[v.orbit_rep], v.irrep, v.dimension, v.orbit_size) for v in s.vertices] == [
         ((0, 0), "triv", 1, 1),
         ((0, 0), "omega", 1, 1),
         ((0, 0), "omega2", 1, 1),
@@ -55,8 +55,8 @@ def test_skew_2i_kind_c():
 
 
 def test_skew_2i_kind_d():
-    _, _, s = _skew(LatticeBasis(2, 0, 2), "D")
-    assert [(v.orbit_rep, v.irrep, v.dimension) for v in s.vertices] == [
+    q, _, s = _skew(LatticeBasis(2, 0, 2), "D")
+    assert [(q.vertices[v.orbit_rep], v.irrep, v.dimension) for v in s.vertices] == [
         ((0, 0), "triv", 1),
         ((0, 0), "sgn", 1),
         ((0, 0), "std", 2),
@@ -162,7 +162,8 @@ def test_carrier_field_follows_the_order_of_the_scalars():
     high = _action(basis, "D", root_order=8192, scalars=(1, 1, 4094))
     assert _QuiverCarrier(high).cyclotomic_order == 3 * 8192
     s = skew_quiver(high)
-    assert [(v.orbit_rep, v.irrep, v.dimension) for v in s.vertices] == [
+    vertices = high.quiver.vertices
+    assert [(vertices[v.orbit_rep], v.irrep, v.dimension) for v in s.vertices] == [
         ((0, 0), "triv", 1), ((0, 0), "sgn", 1), ((0, 0), "std", 2),
         ((0, 1), "triv", 3), ((0, 1), "sgn", 3), ((0, 2), "triv", 3),
         ((0, 2), "sgn", 3), ((1, 2), "triv", 2), ((1, 2), "omega", 2),
@@ -238,10 +239,10 @@ def test_witness_vertex_carries_a_loop():
         (LatticeBasis(7, 3, 1), "C"),
     ]:
         w = loop_witness(_action(basis, kind))
-        _, _, s = _skew(basis, kind)
+        q, _, s = _skew(basis, kind)
         loops = s.loops()
         assert loops
-        loop_reps = {s.vertices[i].orbit_rep for i, _ in loops}
+        loop_reps = {q.vertices[s.vertices[i].orbit_rep] for i, _ in loops}
         assert set(w.orbit) & loop_reps
 
 
@@ -294,8 +295,8 @@ def test_transport_matches_brute_force_degrees():
             assert set(st.degrees) == set(st.mult)
             orbit_of = act.group.orbit_of
             for ai, bi in st.mult:
-                o1 = orbit_of[st.vertices[ai].orbit_rep]
-                o2 = orbit_of[st.vertices[bi].orbit_rep]
+                o1 = {q.vertices[u] for u in orbit_of[st.vertices[ai].orbit_rep]}
+                o2 = {q.vertices[u] for u in orbit_of[st.vertices[bi].orbit_rep]}
                 brute = {
                     cut.degree(a)
                     for a in q.arrows
@@ -310,7 +311,7 @@ def test_transport_matches_brute_force_degrees():
     "degrees, message",
     [
         (set(), "block (0, 3) has multiplicity 1 but no underlying arrows"),
-        ({0, 1}, "arrows between orbits of (0, 0) and (0, 1) carry mixed degrees [0, 1]"),
+        ({0, 1}, "arrows between orbits of 0 and 1 carry mixed degrees [0, 1]"),
     ],
     ids=["empty", "mixed"],
 )
@@ -328,6 +329,15 @@ def test_transport_rejects_non_invariant_cut():
     cut = build_cut(q, (1, 4, 2))
     with pytest.raises(PreconditionFailed, match="^the cut is not stable under the symmetry action$"):
         transport_cut(s, act, cut)
+
+
+@pytest.mark.parametrize("source", [(100, 0), (0, 5)], ids=["out-of-range", "not-canonical"])
+def test_transport_rejects_arrows_outside_the_quiver(source):
+    # Arrow indices are computed from canonical coset representatives, so a
+    # foreign arrow is refused before any index is taken.
+    _, act, s = _skew(LatticeBasis(3, 0, 3), "C")
+    with pytest.raises(ValueError, match="^cut contains arrows outside the quiver$"):
+        transport_cut(s, act, Cut.of([Arrow(source, 1)]))
 
 
 def test_dual_twist_structure():
@@ -422,7 +432,7 @@ class _Tampered(_Wrapped):
 @pytest.mark.parametrize(
     "g, terms, coords",
     [
-        # The involution fixing (0, 1) scales the arrow by -1 = z^3 (W = 6);
+        # The involution fixing (0, 1), vertex 1, scales the arrow by -1 = z^3 (W = 6);
         # as z^4 the triv -> triv inner product is 1 + z^4 = 1 - z.
         (4, ((4, 1),), "(1, -1)"),
         # Two arrows at the identity, one at the involution: 2 - 1 = 1,
@@ -432,14 +442,14 @@ class _Tampered(_Wrapped):
 )
 def test_a_tampered_trace_is_a_non_integral_multiplicity(g, terms, coords):
     inner = _QuiverCarrier(_action(LatticeBasis(2, 0, 2), "D"))
-    block = ((0, 0), (0, 1))
+    block = (0, 1)  # the cosets (0, 0) and (0, 1)
     assert inner.cyclotomic_order == 6
-    assert inner.group.stabilizer((0, 1)) == (0, 4)
+    assert inner.group.stabilizer(1) == (0, 4)
     assert inner.block_trace(4, *block) == ((3, 1),)
     with pytest.raises(InternalInvariantViolation) as raised:
         _demonet(_Tampered(inner, g, block, terms))
     assert str(raised.value) == (
-        "block ((0, 0)/triv -> (0, 1)/triv) pair (0, 0)->(0, 1): inner "
+        "block (0/triv -> 1/triv) pair 0->1: inner "
         f"product {coords} is not a non-negative integer multiple of 2"
     )
 
