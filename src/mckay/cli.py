@@ -42,7 +42,7 @@ from .mckay_quiver import (
     k_action,
 )
 from .monomial_group import (
-    MonomialMatrix,
+    Key,
     conjugacy_classes,
     diagonal_subgroup,
     group_from_basis,
@@ -83,8 +83,9 @@ def _coset_label(v: tuple[int, int]) -> str:
     return f"({v[0]},{v[1]})"
 
 
-def _element_doc(g: MonomialMatrix) -> dict:
-    return {"perm": list(g.perm), "exps": list(g.exps)}
+def _element_doc(key: Key) -> dict:
+    perm, exps = key
+    return {"perm": list(perm), "exps": list(exps)}
 
 
 def _metadata(basis: LatticeBasis, **extra) -> dict:
@@ -108,7 +109,7 @@ def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
             "source": i // 3,
             "target": w,
             "type": i % 3 + 1,
-            "degree": cut.degree(q.arrows[i]) if cut is not None else None,
+            "degree": cut.degree(i) if cut is not None else None,
         }
         for i, w in enumerate(q.head)
     ]
@@ -188,13 +189,13 @@ def _cmd_group_info(args) -> dict:
             "diagonal_order": diag_order,
             "class_count": len(classes),
             "class_sizes": sorted(len(c) for c in classes),
-            "generators": [_element_doc(g) for g in group.generators],
+            "generators": [_element_doc(g) for g in group.generator_keys],
         },
     }
     if report is not None:
         comp = {
             "order": report.complement.order,
-            "elements": [_element_doc(g) for g in report.complement.elements],
+            "elements": [_element_doc(g) for g in report.complement.keys],
         }
         if report.i1 is not None:
             comp["i1"] = _element_doc(report.i1)
@@ -236,7 +237,7 @@ def _cmd_cut_build(args) -> dict:
     doc = {
         "metadata": _metadata(basis),
         "cut": {
-            "arrow_ids": [q.arrow_index(a) for a in cut.arrows],
+            "arrow_ids": list(cut.arrows),
             "type": list(cut_type(cut)),
             "validation": _validation_doc(validate_cut(q, cut)),
         },
@@ -257,19 +258,16 @@ def _cmd_cut_validate(args) -> dict:
         cut = build_cut(q, gamma)
     else:
         try:
-            ids = sorted(
-                {int(x) for x in args.arrow_ids.split(",")} if args.arrow_ids else set()
-            )
+            cut = Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)
         except ValueError:
             raise ValueError(f"cannot parse arrow ids {args.arrow_ids!r}") from None
-        missing = [i for i in ids if not 0 <= i < len(q.arrows)]
+        missing = [i for i in cut.arrows if not 0 <= i < len(q.head)]
         if missing:
             raise ValueError(f"arrow ids {missing} do not exist")
-        cut = Cut.of(q.arrows[i] for i in ids)
     doc = {
         "metadata": _metadata(basis),
         "cut": {
-            "arrow_ids": [q.arrow_index(a) for a in cut.arrows],
+            "arrow_ids": list(cut.arrows),
             "type": list(cut_type(cut)),
         },
         "validation": _validation_doc(validate_cut(q, cut)),
@@ -287,7 +285,7 @@ def _cmd_cut_enumerate(args) -> dict:
         "count": len(cuts),
         "cuts": [
             {
-                "arrow_ids": [q.arrow_index(a) for a in c.arrows],
+                "arrow_ids": list(c.arrows),
                 "type": list(cut_type(c)),
             }
             for c in cuts
@@ -348,7 +346,7 @@ def _cmd_classify(args) -> dict:
         s = transport_cut(s, act, cut)
         doc["verdict"] = "cut-exists"
         doc["witness"] = {
-            "invariant_cut_arrow_ids": [act.quiver.arrow_index(a) for a in cut.arrows],
+            "invariant_cut_arrow_ids": list(cut.arrows),
             "invariant_cut_type": list(cut_type(cut)),
         }
     else:
@@ -381,12 +379,8 @@ def _cmd_unskew_roundtrip(args) -> dict:
         "double_skew_vertex_count": report.double_skew_vertex_count,
         "isomorphism": list(report.isomorphism),
         "cut_recovered": report.cut_recovered,
-        "original_cut_arrow_ids": [
-            q.arrow_index(a) for a in report.original_cut.arrows
-        ],
-        "recovered_cut_arrow_ids": [
-            q.arrow_index(a) for a in report.recovered_cut.arrows
-        ],
+        "original_cut_arrow_ids": list(report.original_cut.arrows),
+        "recovered_cut_arrow_ids": list(report.recovered_cut.arrows),
     }
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .lattice import LatticeBasis
-from .mckay_quiver import ARROW_TYPES, Arrow, QuiverAction, TypedQuiver
+from .mckay_quiver import QuiverAction, TypedQuiver
 
 __all__ = [
     "Cut",
@@ -37,19 +37,21 @@ DEFAULT_ENUMERATION_LIMIT = 27
 
 @dataclass(frozen=True)
 class Cut:
-    """The set of degree-1 arrows, kept in canonical (source, type) order."""
+    """The set of degree-1 arrows as sorted arrow indices.  Arrow 3v + t
+    leaves vertex v with type t + 1 and vertices are numbered in coset
+    order, so index order is the canonical (source coset, type) order."""
 
-    arrows: tuple[Arrow, ...]
+    arrows: tuple[int, ...]
 
     @staticmethod
-    def of(arrows: Iterable[Arrow]) -> Cut:
+    def of(arrows: Iterable[int]) -> Cut:
         return Cut(tuple(sorted(set(arrows))))
 
     @cached_property
-    def arrow_set(self) -> frozenset[Arrow]:
+    def arrow_set(self) -> frozenset[int]:
         return frozenset(self.arrows)
 
-    def degree(self, arrow: Arrow) -> int:
+    def degree(self, arrow: int) -> int:
         return 1 if arrow in self.arrow_set else 0
 
     def __len__(self) -> int:
@@ -59,8 +61,8 @@ class Cut:
 def cut_type(cut: Cut) -> tuple[int, int, int]:
     """Per-type count of the cut arrows."""
     counts = [0, 0, 0]
-    for a in cut.arrows:
-        counts[a.type - 1] += 1
+    for i in cut.arrows:
+        counts[i % 3] += 1
     return tuple(counts)  # type: ignore[return-value]
 
 
@@ -98,9 +100,7 @@ def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     """
     check_cut_exists(q.quotient.basis, gamma)
     v = _value_function(q, gamma)
-    arrows = q.arrows
-    picked = [arrows[i] for i, w in enumerate(q.head) if v[i // 3] > v[w]]
-    cut = Cut.of(picked)
+    cut = Cut.of(i for i, w in enumerate(q.head) if v[i // 3] > v[w])
     if cut_type(cut) != tuple(gamma):
         raise InternalInvariantViolation(
             f"constructed cut has type {cut_type(cut)}, wanted {tuple(gamma)}"
@@ -164,19 +164,16 @@ def _has_cycle(vertices, edges) -> tuple[bool, list]:
 def _degrees(q: TypedQuiver, cut: Cut) -> list[int]:
     """The degree of every arrow of q under the cut, by arrow index."""
     degree = [0] * (3 * q.quotient.order)
-    for a in cut.arrows:
-        degree[q.arrow_index(a)] = 1
+    for i in cut.arrows:
+        degree[i] = 1
     return degree
 
 
 def _check_arrows(q: TypedQuiver, cut: Cut) -> None:
-    """Raise ValueError unless every arrow of the cut is an arrow of q: its
-    source a canonical coset representative and its type 1, 2 or 3."""
-    basis = q.quotient.basis
-    if not all(
-        0 <= x1 < basis.a and 0 <= x2 < basis.c and t in ARROW_TYPES
-        for (x1, x2), t in cut.arrows
-    ):
+    """Raise ValueError unless every arrow index of the cut is an arrow of
+    q, that is in range(3n)."""
+    na = 3 * q.quotient.order
+    if not all(0 <= i < na for i in cut.arrows):
         raise ValueError("cut contains arrows outside the quiver")
 
 
@@ -408,13 +405,12 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
     Cuts are emitted in lexicographic order of their sorted arrow-index
     lists.
     """
-    arrows = q.arrows
     results: list[Cut] = []
     _search(
         q,
         limit,
         lambda assign: results.append(
-            Cut.of(a for a, d in zip(arrows, assign) if d == 1)
+            Cut.of(i for i, d in enumerate(assign) if d == 1)
         ),
     )
     return tuple(results)

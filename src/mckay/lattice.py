@@ -71,9 +71,6 @@ class LatticeBasis:
         r1 = (x1 - q * self.b) % self.a
         return (r1, r2)
 
-    def contains(self, x: Sequence[int]) -> bool:
-        return self.reduce(x) == (0, 0)
-
     def cosets(self) -> tuple[tuple[int, int], ...]:
         """All coset representatives in lexicographic order."""
         return tuple((i, j) for i in range(self.a) for j in range(self.c))

@@ -4,9 +4,11 @@ Vertices are the cosets of Z^2/B, numbered once in coset order: (x1, x2)
 is vertex x1 c + x2 for B = [[a, b], [0, c]].  From every vertex three
 arrows leave, one per type: type 1 steps by e1 = (1, 0), type 2 by e2 =
 (0, 1), type 3 by e3 = (-1, -1); the steps sum to zero, so following the
-three types in any cyclic order closes up.  Every stage after the quiver
-reads the flat head table and vertex permutations on these indices; coset
-tuples and `Arrow` objects remain only where cuts and documents name them.
+three types in any cyclic order closes up.  The arrow of type t + 1 from
+vertex v is the index 3v + t, so index order is (source coset, type)
+order.  Every stage after the quiver reads the flat head table and vertex
+permutations on these indices, and cuts are sets of arrow indices; coset
+tuples remain only where documents name vertices.
 
 The symmetry action is generated by the order-3 rotation t (e1 -> e2 ->
 e3 -> e1) and, for kind D, the involution fixing type 3 and swapping
@@ -18,16 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InternalInvariantViolation
 from .lattice import AbelianQuotient, check_admissible
 from .monomial_group import involution_scalars
 
 __all__ = [
-    "ARROW_TYPES",
     "STEPS",
-    "Arrow",
     "TypedQuiver",
     "ActionElement",
     "GroupAction",
@@ -36,13 +36,7 @@ __all__ = [
     "k_action",
 ]
 
-ARROW_TYPES = (1, 2, 3)
 STEPS = {1: (1, 0), 2: (0, 1), 3: (-1, -1)}
-
-
-class Arrow(NamedTuple):
-    source: tuple[int, int]
-    type: int
 
 
 @dataclass(frozen=True)
@@ -50,9 +44,8 @@ class TypedQuiver:
     """The McKay quiver of Z^2/B on vertex indices.
 
     Vertex v is the coset `vertices[v]`, numbered in coset order, and arrow
-    3v + t leaves v with type t + 1; `head[3v + t]` is its head.  `Arrow`
-    objects and coset tuples are only the boundary that cuts and documents
-    read.
+    3v + t leaves v with type t + 1; `head[3v + t]` is its head.  Coset
+    tuples are only the boundary that documents read.
     """
 
     quotient: AbelianQuotient
@@ -60,12 +53,6 @@ class TypedQuiver:
     @cached_property
     def vertices(self) -> tuple[tuple[int, int], ...]:
         return self.quotient.cosets
-
-    @cached_property
-    def arrows(self) -> tuple[Arrow, ...]:
-        return tuple(
-            Arrow(v, i) for v in self.vertices for i in ARROW_TYPES
-        )
 
     @cached_property
     def head(self) -> tuple[int, ...]:
@@ -90,14 +77,6 @@ class TypedQuiver:
                     left + x2 - 1 if x2 else down,
                 )
         return tuple(head)
-
-    def target(self, arrow: Arrow) -> tuple[int, int]:
-        return self.vertices[self.head[self.arrow_index(arrow)]]
-
-    def arrow_index(self, arrow: Arrow) -> int:
-        """3v + type - 1 for an arrow of q, v its source's vertex index."""
-        x1, x2 = arrow.source
-        return 3 * (x1 * self.quotient.basis.c + x2) + arrow.type - 1
 
     @cached_property
     def constraint_tables(
@@ -282,10 +261,10 @@ class QuiverAction:
     def element(self, name: str) -> ActionElement:
         return self._by_name[name]
 
-    def is_arrow_set_invariant(self, arrows: Iterable[Arrow]) -> bool:
-        """Whether every element maps the arrow set onto itself, read on
-        arrow indices: arrow 3v + t goes to 3 perm[v] + sigma(t)."""
-        ids = [self.quiver.arrow_index(a) for a in arrows]
+    def is_arrow_set_invariant(self, arrows: Iterable[int]) -> bool:
+        """Whether every element maps the set of arrow indices onto itself:
+        arrow 3v + t goes to 3 perm[v] + sigma(t)."""
+        ids = list(arrows)
         s = set(ids)
         return all(
             3 * e.vertex_map[i // 3] + e.type_map[i % 3] - 1 in s
@@ -314,8 +293,8 @@ def _assert_automorphisms(q: TypedQuiver, elements: Iterable[ActionElement]) -> 
                     if perm[head[3 * v + j]] != head[3 * perm[v] + sigma[j]]
                 )
                 raise InternalInvariantViolation(
-                    f"{e.name} does not commute with targets on "
-                    f"{Arrow(q.vertices[v], j + 1)}"
+                    f"{e.name} does not commute with targets on the type-{j + 1} "
+                    f"arrow from {q.vertices[v]}"
                 )
 
 

@@ -1,32 +1,29 @@
 """Exact 3x3 monomial matrices over roots of unity and finite group closure.
 
-A monomial matrix is stored as a permutation together with a triple of
-scalar exponents: column j carries the scalar zeta^exps[j] into row
-perm[j], zeta a fixed primitive root of unity of order root_order.
-Scalar exponents are plain integers reduced modulo root_order, so all
-group arithmetic is exact integer arithmetic.
+A monomial matrix at root order m is the key (perm, exps): column j
+carries the scalar zeta^exps[j] into row perm[j], zeta a fixed primitive
+m-th root of unity.  Scalar exponents are plain integers reduced modulo
+m, so all group arithmetic is exact integer arithmetic on keys.
 
 Special-linear membership is the exact exponent identity
 sign(perm) * zeta^(e1+e2+e3) = 1: even permutations need the exponent
-sum to vanish, odd permutations need it to equal root_order/2 (which
-forces an even root order).
+sum to vanish, odd permutations need it to equal m/2 (which forces an
+even root order).
 
-Closures, classes and the splitting check compute on (perm, exps) keys at
-a common root order; MonomialMatrix objects are built only for the
-generators, the witnesses and whatever a caller reads from `elements`.
+Closures, classes, the splitting check and its witnesses are all keys at
+one root order; a document prints a key as its perm and exps lists.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionFailed
 
 __all__ = [
-    "MonomialMatrix",
     "FiniteMatrixGroup",
     "ComplementReport",
     "closure",
@@ -49,6 +46,7 @@ _ALL_PERMS = _EVEN_PERMS | frozenset({(0, 2, 1), (2, 1, 0), (1, 0, 2)})
 _INVERSE_PERM = {p: (p.index(0), p.index(1), p.index(2)) for p in _ALL_PERMS}
 
 Key = tuple[tuple[int, int, int], tuple[int, int, int]]
+_IDENTITY: Key = (_IDENTITY_PERM, (0, 0, 0))
 
 
 def _mul(a: Key, b: Key, m: int) -> Key:
@@ -103,122 +101,20 @@ def closure_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True, order=True)
-class MonomialMatrix:
-    """3x3 monomial matrix: column j maps to row perm[j] with scalar zeta^exps[j]."""
-
-    root_order: int
-    perm: tuple[int, int, int]
-    exps: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if self.root_order < 1:
-            raise ValueError(f"root order must be positive, got {self.root_order}")
-        if self.perm not in _ALL_PERMS:
-            raise ValueError(f"{self.perm} is not a permutation of (0, 1, 2)")
-        if any(not 0 <= e < self.root_order for e in self.exps):
-            raise ValueError(
-                f"exponents {self.exps} not reduced modulo {self.root_order}"
-            )
-
-    @staticmethod
-    def identity(root_order: int) -> MonomialMatrix:
-        return MonomialMatrix(root_order, (0, 1, 2), (0, 0, 0))
-
-    @staticmethod
-    def diagonal(root_order: int, exps: Sequence[int]) -> MonomialMatrix:
-        e = tuple(x % root_order for x in exps)
-        return MonomialMatrix(root_order, (0, 1, 2), e)  # type: ignore[arg-type]
-
-    @staticmethod
-    def rotation(root_order: int) -> MonomialMatrix:
-        """The scalar-free 3-cycle: e1 -> e2 -> e3 -> e1 (rows (0,0,1),(1,0,0),(0,1,0))."""
-        return MonomialMatrix(root_order, (1, 2, 0), (0, 0, 0))
-
-    @staticmethod
-    def transposition(root_order: int, p: int, q: int, s: int) -> MonomialMatrix:
-        """The monomial involution with entries alpha = zeta^p at (1,2) [1-based],
-        beta = zeta^q at (2,1) and gamma = zeta^s at (3,3).
-
-        Requires alpha*beta*gamma = -1 exactly (see involution_scalars);
-        this is the determinant condition.
-        """
-        p, q, s = involution_scalars(root_order, (p, q, s))
-        return MonomialMatrix(root_order, (1, 0, 2), (q, p, s))
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.perm == (0, 1, 2)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2) and self.exps == (0, 0, 0)
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.perm in _EVEN_PERMS else -1
-
-    @property
-    def is_special(self) -> bool:
-        """Exact determinant-1 test."""
-        total = sum(self.exps) % self.root_order
-        if self.sign == 1:
-            return total == 0
-        return self.root_order % 2 == 0 and total == self.root_order // 2
-
-    def __mul__(self, other: MonomialMatrix) -> MonomialMatrix:
-        if self.root_order != other.root_order:
-            raise ValueError(
-                f"mixed root orders {self.root_order} and {other.root_order}"
-            )
-        m = self.root_order
-        return MonomialMatrix(m, *_mul(self.key(), other.key(), m))
-
-    def inverse(self) -> MonomialMatrix:
-        m = self.root_order
-        return MonomialMatrix(m, *_inv(self.key(), m))
-
-    def __pow__(self, n: int) -> MonomialMatrix:
-        base = self if n >= 0 else self.inverse()
-        out = MonomialMatrix.identity(self.root_order)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
-    def with_root_order(self, new_order: int) -> MonomialMatrix:
-        """Re-express with a root order that is a multiple of the current one."""
-        if new_order % self.root_order:
-            raise ValueError(
-                f"{new_order} is not a multiple of root order {self.root_order}"
-            )
-        k = new_order // self.root_order
-        return MonomialMatrix(
-            new_order, self.perm, tuple(e * k for e in self.exps)  # type: ignore[arg-type]
-        )
-
-    def entries(self) -> tuple[tuple[int, int, int], ...]:
-        """Nonzero entries as (row, column, exponent), sorted by row."""
-        cells = [(self.perm[j], j, self.exps[j]) for j in range(3)]
-        return tuple(sorted(cells))
-
-    def key(self) -> Key:
-        return (self.perm, self.exps)
-
-
-def product(factors: Iterable[MonomialMatrix]) -> MonomialMatrix:
-    out: MonomialMatrix | None = None
-    for f in factors:
-        out = f if out is None else out * f
-    if out is None:
-        raise ValueError("empty product")
-    return out
+def _is_special(key: Key, m: int) -> bool:
+    """Exact determinant-1 test of the element with key `key` at root order m."""
+    perm, exps = key
+    total = sum(exps) % m
+    if perm in _EVEN_PERMS:
+        return total == 0
+    return m % 2 == 0 and total == m // 2
 
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
     """A multiplicatively closed finite set of monomial matrices, held as
-    sorted (perm, exps) keys at one root order; the matrices are built
-    only when `generators` or `elements` is read."""
+    sorted (perm, exps) keys at one root order, with the keys of the
+    generators it was closed from."""
 
     root_order: int
     generator_keys: tuple[Key, ...]
@@ -228,47 +124,25 @@ class FiniteMatrixGroup:
     def order(self) -> int:
         return len(self.keys)
 
-    @cached_property
-    def generators(self) -> tuple[MonomialMatrix, ...]:
-        return tuple(MonomialMatrix(self.root_order, *k) for k in self.generator_keys)
-
-    @cached_property
-    def elements(self) -> tuple[MonomialMatrix, ...]:
-        return tuple(MonomialMatrix(self.root_order, *k) for k in self.keys)
-
-    def identity(self) -> MonomialMatrix:
-        return MonomialMatrix.identity(self.root_order)
-
-
-def _lift_common(generators: Sequence[MonomialMatrix]) -> list[MonomialMatrix]:
-    m = lcm(*(g.root_order for g in generators))
-    return [g.with_root_order(m) for g in generators]
-
 
 def closure(
-    generators: Sequence[MonomialMatrix], max_elements: int | None = None
+    gen_keys: Sequence[Key], m: int, max_elements: int | None = None
 ) -> FiniteMatrixGroup:
-    """Breadth-first multiplicative closure of the generators.
+    """Breadth-first multiplicative closure of the generator keys at root
+    order m.
 
     Every generator must be special linear; the closure is aborted with
     ValueError once it exceeds the element cap (argument, else the
     MCKAY_MAX_CLOSURE environment variable, else 10000).
     """
-    if not generators:
+    if not gen_keys:
         raise ValueError("need at least one generator")
-    gens = _lift_common(generators)
-    for g in gens:
-        if not g.is_special:
-            raise ValueError(
-                f"generator with entries {g.entries()} has determinant != 1 "
-                f"at root order {g.root_order}"
-            )
+    for g in gen_keys:
+        if not _is_special(g, m):
+            raise ValueError(f"generator {g} has determinant != 1 at root order {m}")
     cap = max_elements if max_elements is not None else closure_cap()
-    m = gens[0].root_order
-    gen_keys = tuple(g.key() for g in gens)
-    identity: Key = (_IDENTITY_PERM, (0, 0, 0))
-    seen = {identity}
-    frontier = [identity]
+    seen = {_IDENTITY}
+    frontier = [_IDENTITY]
     while frontier:
         nxt: list[Key] = []
         for g in frontier:
@@ -283,7 +157,7 @@ def closure(
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return FiniteMatrixGroup(m, gen_keys, tuple(sorted(seen)))
+    return FiniteMatrixGroup(m, tuple(gen_keys), tuple(sorted(seen)))
 
 
 def diagonal_subgroup(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
@@ -327,23 +201,24 @@ def conjugacy_classes(g: FiniteMatrixGroup) -> list[tuple[Key, ...]]:
 
 @dataclass(frozen=True)
 class ComplementReport:
-    """Witnesses for the semidirect splitting G = N x| K."""
+    """Witnesses for the semidirect splitting G = N x| K, as keys at the
+    group's root order."""
 
     kind: str
     group_order: int
     diagonal_order: int
     complement: FiniteMatrixGroup
-    i1: MonomialMatrix | None
-    i2: MonomialMatrix | None
-    t_factorization: tuple[MonomialMatrix, MonomialMatrix]
-    r_factorization: tuple[MonomialMatrix, MonomialMatrix] | None
+    i1: Key | None
+    i2: Key | None
+    t_factorization: tuple[Key, Key]
+    r_factorization: tuple[Key, Key] | None
 
 
-def _find_generator(g: FiniteMatrixGroup, even: bool) -> MonomialMatrix:
-    for x in g.generators:
-        if even and x.perm == (1, 2, 0):
+def _find_generator(g: FiniteMatrixGroup, even: bool) -> Key:
+    for x in g.generator_keys:
+        if even and x[0] == (1, 2, 0):
             return x
-        if not even and x.sign == -1:
+        if not even and x[0] not in _EVEN_PERMS:
             return x
     raise PreconditionFailed(
         "generators contain no "
@@ -370,10 +245,11 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     """
     if kind not in ("C", "D"):
         raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
+    m = g.root_order
     n = diagonal_subgroup(g)
     t = _find_generator(g, even=True)
     if kind == "C":
-        complement = closure([t], max_elements=4)
+        complement = closure([t], m, max_elements=4)
         if complement.order != 3:
             raise PreconditionFailed(f"<t> has order {complement.order}, expected 3")
         if _meets_diagonal(complement):
@@ -382,7 +258,6 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
             raise PreconditionFailed(
                 f"|G| = {g.order} is not 3 * |N| = {3 * n.order}"
             )
-        ident = g.identity()
         return ComplementReport(
             kind="C",
             group_order=g.order,
@@ -390,20 +265,23 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
             complement=complement,
             i1=None,
             i2=None,
-            t_factorization=(ident, t),
+            t_factorization=(_IDENTITY, t),
             r_factorization=None,
         )
 
+    def product(*factors: Key) -> Key:
+        return reduce(lambda a, b: _mul(a, b, m), factors)
+
     r = _find_generator(g, even=False)
-    tinv = t.inverse()
-    i1 = product([t, r, r, tinv, r])
-    i2 = product([t, t, r, r, tinv, r, tinv])
-    pair = i1 * i2
-    if not (i1 * i1).is_identity or not (i2 * i2).is_identity:
+    tinv, rinv = _inv(t, m), _inv(r, m)
+    i1 = product(t, r, r, tinv, r)
+    i2 = product(t, t, r, r, tinv, r, tinv)
+    pair = product(i1, i2)
+    if product(i1, i1) != _IDENTITY or product(i2, i2) != _IDENTITY:
         raise PreconditionFailed("i1 or i2 is not an involution; bad scalar input")
-    if not (pair ** 3).is_identity:
+    if product(pair, pair, pair) != _IDENTITY:
         raise PreconditionFailed("(i1 i2)^3 != 1; bad scalar input")
-    complement = closure([i1, i2], max_elements=7)
+    complement = closure([i1, i2], m, max_elements=7)
     if complement.order != 6:
         raise PreconditionFailed(
             f"<i1, i2> has order {complement.order}, expected 6"
@@ -413,11 +291,11 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     if n.order * 6 != g.order:
         raise PreconditionFailed(f"|G| = {g.order} is not 6 * |N| = {6 * n.order}")
     # t = d_t * (i1 i2) and r = d_r * i1 with diagonal d_t, d_r.
-    d_t = product([t, i2.inverse(), i1.inverse()])
-    d_r = product([t, r.inverse(), r.inverse(), tinv])
-    if not d_t.is_diagonal or not d_r.is_diagonal:
+    d_t = product(t, _inv(i2, m), _inv(i1, m))
+    d_r = product(t, rinv, rinv, tinv)
+    if d_t[0] != _IDENTITY_PERM or d_r[0] != _IDENTITY_PERM:
         raise PreconditionFailed("factorization witnesses are not diagonal")
-    if d_t * pair != t or d_r * i1 != r:
+    if product(d_t, pair) != t or product(d_r, i1) != r:
         raise PreconditionFailed("factorization witnesses do not recompose")
     return ComplementReport(
         kind="D",
@@ -461,8 +339,9 @@ def default_root_order(d2: int, kind: str) -> int:
     return lcm(d2, 2) if kind == "D" else d2
 
 
-def diagonal_generators_from_basis(basis, root_order: int) -> list[MonomialMatrix]:
-    """Diagonal generators of the group dual to Z^2/B at the given root order.
+def diagonal_generators_from_basis(basis, root_order: int) -> list[Key]:
+    """Keys of the diagonal generators of the group dual to Z^2/B at the
+    given root order.
 
     The exponent vectors are root_order * B^-T applied to the standard
     basis; the third exponent is forced by the determinant condition.
@@ -470,7 +349,7 @@ def diagonal_generators_from_basis(basis, root_order: int) -> list[MonomialMatri
     a, b, c = basis.a, basis.b, basis.c
     det = basis.det
     raw = [(root_order * c, -root_order * b), (0, root_order * a)]
-    gens: list[MonomialMatrix] = []
+    gens: list[Key] = []
     for u, v in raw:
         if u % det or v % det:
             raise ValueError(
@@ -478,7 +357,8 @@ def diagonal_generators_from_basis(basis, root_order: int) -> list[MonomialMatri
                 f"exponent; generators are not integral"
             )
         e1, e2 = u // det, v // det
-        gens.append(MonomialMatrix.diagonal(root_order, (e1, e2, -e1 - e2)))
+        exps = (e1 % root_order, e2 % root_order, (-e1 - e2) % root_order)
+        gens.append((_IDENTITY_PERM, exps))
     return gens
 
 
@@ -510,11 +390,14 @@ def group_from_basis(
         )
     gens = diagonal_generators_from_basis(basis, m)
     if kind in ("C", "D"):
-        gens.append(MonomialMatrix.rotation(m))
+        # the 3-cycle t: e1 -> e2 -> e3 -> e1, scalar-free
+        gens.append(((1, 2, 0), (0, 0, 0)))
     if kind == "D":
-        p, q, s = scalars if scalars is not None else involution_scalars(m)
-        gens.append(MonomialMatrix.transposition(m, p, q, s))
-    g = closure(gens, max_elements=max_elements)
+        # the involution with alpha = zeta^p at (1,2), beta = zeta^q at
+        # (2,1) and gamma = zeta^s at (3,3) [1-based]
+        p, q, s = involution_scalars(m, scalars)
+        gens.append(((1, 0, 2), (q, p, s)))
+    g = closure(gens, m, max_elements=max_elements)
     expected = {"A": 1, "C": 3, "D": 6}[kind] * basis.det
     diag = sum(1 for p, _ in g.keys if p == _IDENTITY_PERM)
     if diag != basis.det:

@@ -18,8 +18,9 @@ transversals) and per-block dimensions and traces; the engine never looks
 at what the points stand for.  The first skew uses the C3 / S3 action on
 the vertex indices of Q_N and reads blocks off its head table, the second
 the dual C3 acting on skew-vertex indices, and one degree-transport routine
-carries a cut through either.  Coset tuples return only in `loop_witness`,
-whose record a document prints.
+carries a cut, a set of arrow indices of Q_N, through either; the round
+trip recovers the cut as arrow indices too.  Coset tuples return only in
+`loop_witness`, whose record a document prints.
 """
 from __future__ import annotations
 
@@ -33,13 +34,7 @@ from .cyclotomic import reduce_mod_cyclotomic
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .graphiso import find_isomorphism
 from .lattice import LatticeBasis
-from .mckay_quiver import (
-    Arrow,
-    GroupAction,
-    QuiverAction,
-    TypedQuiver,
-    k_action,
-)
+from .mckay_quiver import GroupAction, QuiverAction, TypedQuiver, k_action
 
 __all__ = [
     "SkewVertex",
@@ -137,10 +132,6 @@ class SkewQuiver:
     degrees: dict[tuple[int, int], int] | None
     group_size: int
     metadata: dict
-
-    @cached_property
-    def dimension_square_sum(self) -> int:
-        return sum(v.dimension ** 2 for v in self.vertices)
 
     def loops(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -636,12 +627,9 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
 
     # Pull the double-skew degrees back to arrows and compare with the cut.
     rev = {u: i for i, u in enumerate(mapping)}
-    recovered = [
-        Arrow(quiver.vertices[a // 3], a % 3 + 1)
-        for a, y in enumerate(head)
-        if degrees2.get((rev[a // 3], rev[y])) == 1
-    ]
-    recovered_cut = Cut.of(recovered)
+    recovered_cut = Cut.of(
+        a for a, y in enumerate(head) if degrees2.get((rev[a // 3], rev[y])) == 1
+    )
     return RoundTripReport(
         basis=quiver.quotient.basis,
         skew_vertex_count=len(s.vertices),

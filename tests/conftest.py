@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from mckay.lattice import LatticeBasis
-from mckay.monomial_group import MonomialMatrix
 
 
-def to_complex(g: MonomialMatrix) -> np.ndarray:
-    zeta = np.exp(2j * np.pi / g.root_order)
+def to_complex(key, m: int) -> np.ndarray:
+    """The matrix of the (perm, exps) key at root order m: column j carries
+    zeta^exps[j] into row perm[j], zeta = exp(2 pi i / m)."""
+    perm, exps = key
+    zeta = np.exp(2j * np.pi / m)
     out = np.zeros((3, 3), dtype=complex)
     for j in range(3):
-        out[g.perm[j], j] = zeta ** g.exps[j]
+        out[perm[j], j] = zeta ** exps[j]
     return out
 
 

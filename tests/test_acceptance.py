@@ -152,7 +152,7 @@ def test_criterion_5_demonet_consistency(capsys):
             )
             ok = (
                 len(s.vertices) == len(conjugacy_classes(g))
-                and s.dimension_square_sum == g.order
+                and sum(v.dimension ** 2 for v in s.vertices) == g.order
                 and degree_ok
             )
             if not ok:
@@ -190,9 +190,8 @@ def test_criterion_6_loop_witness(capsys):
                 loops = sorted(
                     (s.vertices[i].dimension, m) for i, m in s.loops()
                 )
-                oracle = np_loop_profile(
-                    [to_complex(x) for x in group_from_basis(basis, "D").elements]
-                )
+                g = group_from_basis(basis, "D")
+                oracle = np_loop_profile([to_complex(x, g.root_order) for x in g.keys])
                 if loops != [(3, 1), (3, 1)]:
                     failures.append(
                         f"C2xC2 kind D: loop profile (dim, count) = {loops}, "

@@ -188,8 +188,9 @@ def test_oracle_compare_sweeps_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Digests of group-info documents beyond the golden corpus, recorded before
-# the group layer moved from MonomialMatrix objects to integer keys.
+# Digests of group-info documents beyond the golden corpus, recorded while
+# the group layer still built matrix objects; the documents print the
+# (perm, exps) keys unchanged.
 GROUP_INFO_PINS = [
     ("group-info --basis 10,0;0,10 --kind D",
      "726f4ac8a84b139d17fa0c7ba1dd453396074a5ab3df84ff6a9af71638afcf57"),
@@ -264,25 +265,15 @@ def test_coset_reductions_stay_linear(monkeypatch, capsys, argv, n):
     assert calls <= 8 * n
 
 
-@pytest.mark.parametrize("k", [10, 30])
-def test_group_info_builds_few_matrices(monkeypatch, capsys, k):
-    # The group layer computes on (perm, exps) keys and builds MonomialMatrix
-    # objects only for what the document prints, so the count does not grow
-    # with |G| (600 at 10I, 5,400 at 30I).
-    from mckay.monomial_group import MonomialMatrix
-
-    original = MonomialMatrix.__post_init__
-    built = 0
-
-    def counting(self):
-        nonlocal built
-        built += 1
-        original(self)
-
-    monkeypatch.setattr(MonomialMatrix, "__post_init__", counting)
-    assert cli.main(["group-info", "--basis", f"{k},0;0,{k}", "--kind", "D"]) == 0
-    capsys.readouterr()
-    assert built <= 100
+def test_cut_validate_canonicalises_arrow_ids(capsys):
+    # A cut is its sorted, duplicate-free arrow indices, whatever order the
+    # ids are given in; an index outside range(3n) is refused.
+    canonical = run(capsys, "cut-validate", "--basis", "3,0;0,3", "--arrow-ids", "0,4,8")
+    shuffled = run(capsys, "cut-validate", "--basis", "3,0;0,3", "--arrow-ids", "8,0,4,0")
+    assert canonical[0] == 0
+    assert shuffled == canonical
+    assert cli.main(["cut-validate", "--basis", "3,0;0,3", "--arrow-ids", "-1"]) == 2
+    assert capsys.readouterr().err == "error: arrow ids [-1] do not exist\n"
 
 
 def test_oracle_compare_flags_discrepancy(capsys, monkeypatch):

@@ -92,7 +92,7 @@ def test_build_cut_3i():
     assert len(cut) == 9
     assert cut_type(cut) == (3, 3, 3)
     # degree-1 arrows leave exactly the cosets with x1 + x2 = 2 mod 3
-    sources = {a.source for a in cut.arrows}
+    sources = {q.vertices[i // 3] for i in cut.arrows}
     assert sources == {(0, 2), (1, 1), (2, 0)}
     assert validate_cut(q, cut).passed
 
@@ -123,7 +123,7 @@ def test_validate_rejects_trivial_cuts():
     empty = validate_cut(q, Cut.of([]))
     assert not empty.passed
     assert not empty.cycles_unit_degree
-    full = validate_cut(q, Cut.of(q.arrows))
+    full = validate_cut(q, Cut.of(range(len(q.head))))
     assert not full.passed
     assert full.witnesses
 
@@ -172,7 +172,7 @@ def test_enumerate_frozen_det3():
     assert {cut_type(c) for c in cuts} == {(1, 1, 1)}
     # each cut takes all three arrows out of a single coset
     for c in cuts:
-        assert len({a.source for a in c.arrows}) == 1
+        assert len({i // 3 for i in c.arrows}) == 1
 
 
 def test_enumerate_frozen_no_cuts():
@@ -196,7 +196,7 @@ def test_enumerate_matches_brute_force():
     # independent oracle: test every arrow subset on tiny quotients
     for a, b, c in [(3, 2, 1), (2, 0, 2), (4, 2, 1), (2, 1, 2)]:
         q = _quiver(a, b, c)
-        arrows = q.arrows
+        arrows = range(len(q.head))
         brute = set()
         for bits in itertools.product((0, 1), repeat=len(arrows)):
             chosen = Cut.of(a for a, keep in zip(arrows, bits) if keep)
@@ -211,8 +211,29 @@ def test_enumeration_order_is_deterministic():
     first = [c.arrows for c in enumerate_cuts(q)]
     second = [c.arrows for c in enumerate_cuts(q)]
     assert first == second
-    ids = [tuple(q.arrow_index(a) for a in arrows) for arrows in first]
-    assert ids == sorted(ids)
+    assert first == sorted(first)
+
+
+def _strictly_increasing(arrows):
+    return all(a < b for a, b in zip(arrows, arrows[1:]))
+
+
+def test_cuts_are_strictly_increasing_arrow_indices():
+    # Sorted indices are the canonical (source coset, type) order, since
+    # vertex v = x1 c + x2 numbers the cosets in their lexicographic order.
+    for a, b, c, kind in [(3, 2, 1, "C"), (3, 0, 3, "D"), (6, 4, 2, "C"), (7, 3, 1, None)]:
+        q = _quiver(a, b, c)
+        n = a * c
+        types = [(g1, g2, n - g1 - g2) for g1 in range(1, n) for g2 in range(1, n - g1)]
+        found = [build_cut(q, g) for g in types if cut_exists(q.quotient.basis, g)]
+        assert found
+        found += enumerate_cuts(q, limit=3 * n)
+        if kind is not None:
+            found.append(invariant_cut(k_action(q, kind)))
+        for cut in found:
+            assert isinstance(cut.arrows, tuple)
+            assert all(isinstance(i, int) and 0 <= i < 3 * n for i in cut.arrows)
+            assert _strictly_increasing(cut.arrows), (a, b, c, cut)
 
 
 def test_realized_types_closed_under_rotation():
@@ -250,9 +271,10 @@ def test_criterion_is_sharp_on_non_admissible_quotients():
 
 # The search as it was before degree-0 cycles were rejected during
 # propagation, kept verbatim (apart from its name, its guard's error, now
-# a plain ValueError, and its cycles and squares, now read from the
-# brute-force definitions above) as the reference that the pruned search
-# must reproduce cut for cut and in the same order.
+# a plain ValueError, its cycles and squares, now read from the
+# brute-force definitions above, and its arrows, now arrow indices whose
+# heads are stepped on coset tuples) as the reference that the pruned
+# search must reproduce cut for cut and in the same order.
 def reference_enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple[Cut, ...]:
     """All valid cuts, by exhaustive backtracking over arrow degrees.
 
@@ -261,8 +283,7 @@ def reference_enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LI
     for degree-0 acyclicity.  Cuts are emitted in lexicographic order of
     their sorted arrow-index lists.
     """
-    arrows = q.arrows
-    na = len(arrows)
+    na = 3 * len(q.vertices)
     if na > limit:
         raise ValueError(f"{na} arrows exceeds the enumeration guard {limit}")
     cycles = list(brute_cycles(q))
@@ -322,7 +343,7 @@ def reference_enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LI
             if sum(assign[y] for y in p1) != sum(assign[y] for y in p2):
                 return False
         degree_zero = [
-            (arrows[i].source, q.target(arrows[i]))
+            (q.vertices[i // 3], _step(q, q.vertices[i // 3], i % 3 + 1))
             for i in range(na)
             if assign[i] == 0
         ]
@@ -335,7 +356,7 @@ def reference_enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LI
         if pos == na:
             if leaf_ok():
                 results.append(
-                    Cut.of(arrows[i] for i in range(na) if assign[i] == 1)
+                    Cut.of(i for i in range(na) if assign[i] == 1)
                 )
             return
         for value in (1, 0):
@@ -439,7 +460,7 @@ def test_closed_walks_fix_the_type_of_every_cut():
         for cut in enumerate_cuts(q, 3 * n):
             degree = [0] * (3 * n)
             for a in cut.arrows:
-                degree[q.arrow_index(a)] = 1
+                degree[a] = 1
             gamma = cut_type(cut)
             for arrows, m in walks:
                 assert n * sum(degree[i] for i in arrows) == sum(

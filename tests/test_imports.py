@@ -1,5 +1,5 @@
 """Every import in the package and its tests is used, so is every function,
-class and method the package defines, the package stays
+class, method and module-level name the package defines, the package stays
 exact (no floating point, complex numbers or true division), and it raises
 only the three errors of its exit-code contract."""
 from __future__ import annotations
@@ -49,18 +49,26 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(name, qualified name, line) of each top-level function and class and
-    of each method of those classes, dunder methods aside."""
+    """(name, qualified name, line) of each top-level function, class and
+    assigned name and of each method of those classes, dunders aside."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*defs, ast.ClassDef)):
             yield node.name, node.name, node.lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _is_dunder(name.id):
+                        yield name.id, name.id, node.lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, defs) and not _is_dunder(item.name):
                     yield item.name, f"{node.name}.{item.name}", item.lineno
 
 
@@ -74,9 +82,9 @@ def _reads(tree: ast.Module) -> set[str]:
 
 
 def unused_definitions(package: dict[str, str], readers: list[str]) -> list[str]:
-    """The top-level functions, classes and methods of the package's modules
-    (path -> source) that no reader source reads as a name or an attribute;
-    a listing in `__all__` is not a read."""
+    """The top-level functions, classes, methods and assigned names of the
+    package's modules (path -> source) that no reader source reads as a name
+    or an attribute; a listing in `__all__` is not a read."""
     read: set[str] = set()
     for source in readers:
         read |= _reads(ast.parse(source))
@@ -100,6 +108,21 @@ def test_the_scan_sees_an_unused_definition():
     assert unused_definitions({"m.py": module}, [module, caller]) == [
         "m.py: Kept.spare (line 7)",
         "m.py: dropped (line 9)",
+    ]
+
+
+def test_the_scan_sees_an_unused_module_name():
+    # A constant that only a deleted method read, as ARROW_TYPES was once
+    # arrows were indices, is flagged; one read in an annotation is not.
+    module = (
+        "__all__ = ['STEPS', 'TYPES']\n__version__ = '1'\n"
+        "STEPS = {1: (1, 0)}\nTYPES = (1, 2, 3)\n_SPARE, _USED = 1, 2\n"
+        "Key = tuple[int, int]\n_IDENTITY: Key = (0, 0)\n"
+        "def step(t):\n    return STEPS[t], _IDENTITY, _USED\n"
+    )
+    assert unused_definitions({"m.py": module}, [module, "from m import step\nstep(1)\n"]) == [
+        "m.py: TYPES (line 4)",
+        "m.py: _SPARE (line 5)",
     ]
 
 

@@ -12,7 +12,6 @@ from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import (
     STEPS,
     ActionElement,
-    Arrow,
     GroupAction,
     _assert_automorphisms,
     build_quiver,
@@ -28,21 +27,26 @@ def test_vertex_and_arrow_counts():
     for (a, b, c), n in [((3, 0, 3), 9), ((2, 0, 2), 4), ((3, 2, 1), 3)]:
         q = _quiver(a, b, c)
         assert len(q.vertices) == n
-        assert len(q.arrows) == 3 * n
+        assert len(q.head) == 3 * n
+
+
+def _target(q, x, t):
+    """The head coset of the type-t arrow from the coset x."""
+    return q.vertices[q.head[3 * q.quotient.index_of(x) + t - 1]]
 
 
 def test_targets_frozen():
     q = _quiver(3, 0, 3)
-    assert q.target(Arrow((0, 0), 1)) == (1, 0)
-    assert q.target(Arrow((0, 0), 2)) == (0, 1)
-    assert q.target(Arrow((0, 0), 3)) == (2, 2)
-    assert q.target(Arrow((2, 2), 3)) == (1, 1)
+    assert _target(q, (0, 0), 1) == (1, 0)
+    assert _target(q, (0, 0), 2) == (0, 1)
+    assert _target(q, (0, 0), 3) == (2, 2)
+    assert _target(q, (2, 2), 3) == (1, 1)
 
 
 def test_three_regular_in_and_out():
     q = _quiver(6, 4, 2)
-    out = Counter(a.source for a in q.arrows)
-    into = Counter(q.target(a) for a in q.arrows)
+    out = Counter(i // 3 for i in range(len(q.head)))
+    into = Counter(q.head)
     assert set(out.values()) == {3}
     assert set(into.values()) == {3}
 
@@ -71,7 +75,7 @@ def test_each_arrow_in_two_cycles_and_four_squares():
     _, cycles, squares = q.constraint_tables
     in_cycles = Counter(i for cyc in cycles for i in cyc)
     assert set(in_cycles.values()) == {2}
-    assert sum(in_cycles.values()) == 2 * len(q.arrows)
+    assert sum(in_cycles.values()) == 2 * len(q.head)
 
     in_squares = Counter(i for sq in squares for i in set(sq))
     assert set(in_squares.values()) == {4}
@@ -166,9 +170,13 @@ def test_index_layer_matches_the_coset_definitions():
 
 
 def test_arrow_index_is_a_bijection():
+    # Arrow 3v + t is the type-(t + 1) arrow from coset vertices[v]; the
+    # indices are (source coset, type) pairs in their lexicographic order,
+    # the order a cut's sorted indices rely on.
     q = _quiver(3, 0, 3)
-    ids = {q.arrow_index(a) for a in q.arrows}
-    assert ids == set(range(27))
+    pairs = [(x, t) for x in q.quotient.cosets for t in (1, 2, 3)]
+    assert pairs == sorted(pairs)
+    assert [3 * q.quotient.index_of(x) + t - 1 for x, t in pairs] == list(range(27))
 
 
 def _fixed_cosets(act, name):
@@ -253,8 +261,8 @@ def test_action_permutes_arrows():
     q = _quiver(3, 0, 3)
     act = k_action(q, "C")
     for e in act.elements:
-        image = {_act_arrow(e, a) for a in range(len(q.arrows))}
-        assert image == set(range(len(q.arrows)))
+        image = {_act_arrow(e, a) for a in range(len(q.head))}
+        assert image == set(range(len(q.head)))
 
 
 def test_action_commutes_with_targets():
@@ -282,7 +290,7 @@ def test_automorphism_check_rejects_tampered_vertex_maps():
     with pytest.raises(InternalInvariantViolation) as info:
         _assert_automorphisms(q, [t, _tampered(t, tuple(swapped))])
     assert str(info.value) == (
-        "t does not commute with targets on Arrow(source=(0, 0), type=1)"
+        "t does not commute with targets on the type-1 arrow from (0, 0)"
     )
     merged = list(t.vertex_map)
     merged[3] = merged[6]

@@ -10,7 +10,7 @@ from conftest import np_class_count, np_loop_profile, to_complex
 from mckay.cuts import Cut, build_cut, cut_type, invariant_cut
 from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
-from mckay.mckay_quiver import Arrow, build_quiver, k_action
+from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
 from mckay.skew import (
     _demonet,
@@ -51,7 +51,7 @@ def test_skew_2i_kind_c():
         (3, 0): 1, (3, 1): 1, (3, 2): 1, (3, 3): 2,
     }
     assert s.loops() == ((3, 2),)
-    assert s.dimension_square_sum == 12 == s.group_size
+    assert sum(v.dimension ** 2 for v in s.vertices) == 12 == s.group_size
 
 
 def test_skew_2i_kind_d():
@@ -65,7 +65,7 @@ def test_skew_2i_kind_d():
     ]
     # each three-dimensional vertex carries a single loop
     assert s.loops() == ((3, 1), (4, 1))
-    assert s.dimension_square_sum == 24 == s.group_size
+    assert sum(v.dimension ** 2 for v in s.vertices) == 24 == s.group_size
     assert s.mult == {
         (0, 4): 1, (1, 3): 1, (2, 3): 1, (2, 4): 1,
         (3, 1): 1, (3, 2): 1, (3, 3): 1, (3, 4): 1,
@@ -78,14 +78,14 @@ def test_skew_3i_kind_c():
     assert len(s.vertices) == 11
     assert sorted(v.dimension for v in s.vertices) == [1] * 9 + [3, 3]
     assert s.loops() == ()
-    assert s.dimension_square_sum == 27
+    assert sum(v.dimension ** 2 for v in s.vertices) == 27
 
 
 def test_skew_3i_kind_d():
     _, _, s = _skew(LatticeBasis(3, 0, 3), "D")
     assert len(s.vertices) == 10
     assert sorted(v.dimension for v in s.vertices) == [1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
-    assert s.dimension_square_sum == 54
+    assert sum(v.dimension ** 2 for v in s.vertices) == 54
 
 
 def test_skew_abelian_case():
@@ -105,14 +105,14 @@ def test_vertex_count_equals_class_count():
             _, _, s = _skew(basis, kind)
             g = group_from_basis(basis, kind)
             assert len(s.vertices) == len(conjugacy_classes(g))
-            assert s.dimension_square_sum == g.order == s.group_size
+            assert sum(v.dimension ** 2 for v in s.vertices) == g.order == s.group_size
 
 
 def test_class_count_against_numeric_oracle():
     for basis, kind in [(LatticeBasis(6, 4, 2), "C"), (LatticeBasis(6, 4, 2), "D")]:
         _, _, s = _skew(basis, kind)
         g = group_from_basis(basis, kind)
-        assert len(s.vertices) == np_class_count([to_complex(x) for x in g.elements])
+        assert len(s.vertices) == np_class_count([to_complex(x, g.root_order) for x in g.keys])
 
 
 def _signed_permutations_det_1():
@@ -143,7 +143,7 @@ def test_loop_profile_against_numeric_oracle():
         profile = sorted((s.vertices[i].dimension, m) for i, m in s.loops())
         g = group_from_basis(basis, kind, **kw)
         assert profile == expected
-        assert np_loop_profile([to_complex(x) for x in g.elements]) == expected
+        assert np_loop_profile([to_complex(x, g.root_order) for x in g.keys]) == expected
     assert np_loop_profile(_signed_permutations_det_1()) == [(3, 1), (3, 1)]
 
 
@@ -299,8 +299,8 @@ def test_transport_matches_brute_force_degrees():
                 o2 = {q.vertices[u] for u in orbit_of[st.vertices[bi].orbit_rep]}
                 brute = {
                     cut.degree(a)
-                    for a in q.arrows
-                    if a.source in o1 and q.target(a) in o2
+                    for a, w in enumerate(q.head)
+                    if q.vertices[a // 3] in o1 and q.vertices[w] in o2
                 }
                 assert brute == {st.degrees[(ai, bi)]}, (basis, kind, ai, bi)
                 checked += 1
@@ -331,13 +331,14 @@ def test_transport_rejects_non_invariant_cut():
         transport_cut(s, act, cut)
 
 
-@pytest.mark.parametrize("source", [(100, 0), (0, 5)], ids=["out-of-range", "not-canonical"])
-def test_transport_rejects_arrows_outside_the_quiver(source):
-    # Arrow indices are computed from canonical coset representatives, so a
-    # foreign arrow is refused before any index is taken.
+@pytest.mark.parametrize("arrow", [27, -1], ids=["out-of-range", "not-canonical"])
+def test_transport_rejects_arrows_outside_the_quiver(arrow):
+    # 3I has the arrows 0, ..., 26.  27 is past the end, and -1 would index
+    # arrow 26 from the back, a second name for it; both are refused before
+    # any degree is read.
     _, act, s = _skew(LatticeBasis(3, 0, 3), "C")
     with pytest.raises(ValueError, match="^cut contains arrows outside the quiver$"):
-        transport_cut(s, act, Cut.of([Arrow(source, 1)]))
+        transport_cut(s, act, Cut.of([arrow]))
 
 
 def test_dual_twist_structure():
