@@ -10,6 +10,13 @@ ascending order, so the mapping it returns is the first one in that
 order.  Candidates share the vertex's signature (loop label and the sorted
 labels in and out); a candidate is checked against the placed vertices
 adjacent to either endpoint only, so each check costs their degrees.
+
+Candidates are anchored: once a vertex v has a neighbour w placed before
+it and joined to it by a non-None label, v's candidates are only those of
+its signature group adjacent to f(w) in the direction of that edge.  Every
+other candidate fails the check against w, so the first mapping is the
+same; on the round trip's quivers the search makes about one check per
+vertex instead of scanning a group of n/3.
 """
 from __future__ import annotations
 
@@ -52,12 +59,16 @@ def find_isomorphism(
     if Counter(map(repr, labels_a.values())) != Counter(map(repr, labels_b.values())):
         return None
     a, b = _Side(n, labels_a), _Side(n, labels_b)
-    by_signature: dict = {}
-    for u in range(n):
-        by_signature.setdefault(b.signature(u), []).append(u)
-    candidates = [by_signature.get(a.signature(v), []) for v in range(n)]
-    if any(not c for c in candidates):
+    # Signature groups by index: group_b[u] for u, group_a[v] for v.
+    group_ids: dict = {}
+    group_b = [group_ids.setdefault(b.signature(u), len(group_ids)) for u in range(n)]
+    group_a = [group_ids.get(a.signature(v)) for v in range(n)]
+    if None in group_a:
         return None
+    members: list[list[int]] = [[] for _ in group_ids]
+    for u, g in enumerate(group_b):
+        members[g].append(u)
+    candidates = [members[g] for g in group_a]
 
     # Order vertices connectivity-first so adjacency constraints bite early:
     # repeatedly the unplaced vertex with the least (-linked, |candidates|, v),
@@ -79,6 +90,22 @@ def find_isomorphism(
             if not placed[w]:
                 linked[w] += 1
                 heapq.heappush(heap, (-linked[w], len(candidates[w]), w))
+
+    # The anchor of v: its earliest neighbour in `order` before it joined by
+    # a non-None label, with the adjacency of b that must hold f(v): an
+    # edge v -> w puts f(v) among the sources into f(w), an edge w -> v
+    # among the targets out of f(w).  Every other candidate fails `check`
+    # against w.
+    position = [0] * n
+    for k, v in enumerate(order):
+        position[v] = k
+    anchor: list = [None] * n
+    for v in range(n):
+        near = [(position[w], w, b.into) for w, label in a.out[v].items() if label is not None]
+        near += [(position[w], w, b.out) for w, label in a.into[v].items() if label is not None]
+        near = [x for x in near if x[0] < position[v]]
+        if near:
+            anchor[v] = min(near, key=lambda x: x[0])[1:]
 
     mapping = [-1] * n
     preimage = [-1] * n
@@ -105,16 +132,27 @@ def find_isomorphism(
                 return False
         return True
 
-    # Depth-first over `order`; tried[k] is the next candidate index at depth k.
+    # Depth-first over `order`; tried[k] is the next candidate index at depth
+    # k and lists[k] the candidates drawn on entering it, which stay valid
+    # while the depths before it hold: the signature group of v, cut to the
+    # neighbours of its anchor's image, in ascending order.
     tried = [0] * n
+    lists: list[list[int]] = [[]] * n
     k = 0
     while 0 <= k < n:
         v = order[k]
         if mapping[v] >= 0:
             preimage[mapping[v]] = -1
             mapping[v] = -1
-        cands = candidates[v]
         i = tried[k]
+        if i == 0:
+            if anchor[v] is None:
+                lists[k] = candidates[v]
+            else:
+                w, side = anchor[v]
+                g = group_a[v]
+                lists[k] = sorted(u for u in side[mapping[w]] if group_b[u] == g)
+        cands = lists[k]
         while i < len(cands) and (preimage[cands[i]] >= 0 or not check(v, cands[i])):
             i += 1
         if i == len(cands):

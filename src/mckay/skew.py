@@ -7,9 +7,10 @@ carries arrows, each computed as an exact character inner product over the
 joint stabilizer.  Every character value is c * z^k and every trace a
 sum of (exponent mod W, count) terms, z a primitive W-th root of unity, so
 each block's inner product is summed exactly as a count vector over Z/W
-and reduced modulo the W-th cyclotomic polynomial once.  A multiplicity
-that is not a non-negative integer can only mean a bookkeeping bug and is
-raised, never rounded.
+and reduced modulo the W-th cyclotomic polynomial once; blocks with the
+same stabilizers and terms share one such sum.  A multiplicity that is
+not a non-negative integer can only mean a bookkeeping bug and is raised,
+never rounded.
 
 Both skews of the unskew round trip run through the same engine: a carrier
 supplies a GroupAction on the points 0, ..., n - 1 (element names, integer
@@ -164,9 +165,15 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     diagonal orbit on O1 x O2 holds a pair (r, u2), and exactly one with u2
     the least point of its orbit under the stabilizer of r.  A diagonal
     orbit can carry arrows only when its u2 is an out-neighbour of r, so only
-    those pairs are visited (`_orbit_pairs`), and a pair of skew vertices
-    over O1 and O2 only when O2 holds one of them.  Each skew vertex reads
-    its character values from one row indexed by group element.
+    those pairs are visited (`_orbit_pairs`), each once, block-major: a pair
+    adds its block's Hom dimension to every pair of skew vertices over O1
+    and O2.  Each skew vertex reads its character values from one row
+    indexed by group element.
+
+    A block's table of Hom dimensions depends only on the stabilizers of r
+    and of u2's representative and on its (h, h2, trace) terms, so the table
+    is summed and checked once per distinct such key, in a memo local to the
+    call, and read back for every later block with the same key.
     """
     group = carrier.group
     maps, table, inverse = group.maps, group.table, group.inverse
@@ -209,32 +216,16 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
             if maps[h][u2] == u2
         )
 
-    pairs = {
-        rep: _orbit_pairs(group, rep, stab[rep], carrier.out_neighbours(rep))
-        for rep in stab
-    }
-    targets = {
-        rep: sorted(bi for r2 in pairs[rep] for bi in over[r2]) for rep in stab
-    }
-
-    # A memo local to this call, so a one-shot call gets the whole gain.
-    block_cache: dict[tuple[int, int], tuple] = {}
-    block_dim = carrier.block_dim
-    mult: dict[tuple[int, int], int] = {}
-    for ai, va in enumerate(skew_vertices):
-        u1 = va.orbit_rep
-        row_a = rows[ai]
-        for bi in targets[u1]:
-            vb = skew_vertices[bi]
-            row_b = rows[bi]
-            total = 0
-            for u2 in pairs[u1][vb.orbit_rep]:
-                if block_dim(u1, u2) == 0:
-                    continue
-                # one term per joint stabilizer element
-                joint = block_cache.get((u1, u2))
-                if joint is None:
-                    joint = block_cache[(u1, u2)] = block_terms(u1, u2)
+    def block_values(u1: int, u2: int, rep2: int, joint: tuple) -> list[list[int]]:
+        """Hom dimension per pair of skew vertices over the orbits of u1 and
+        u2 (representative rep2), as rows by the former; each inner product
+        is summed as counts over Z/W, reduced once and checked."""
+        values = []
+        for ai in over[u1]:
+            row_a = rows[ai]
+            line = []
+            for bi in over[rep2]:
+                row_b = rows[bi]
                 counts: dict[int, int] = {}
                 for h1, h2, trace in joint:
                     # conj(chi_a(h1)) * chi_b(h2); conjugation negates the exponent
@@ -247,15 +238,43 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                             counts[i] = counts.get(i, 0) + c * n
                 coords = reduce_mod_cyclotomic(w, counts)
                 if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
+                    va, vb = skew_vertices[ai], skew_vertices[bi]
                     raise InternalInvariantViolation(
                         f"block ({va.orbit_rep}/{va.irrep} -> "
                         f"{vb.orbit_rep}/{vb.irrep}) pair {u1}->{u2}: inner "
                         f"product {coords} is not a non-negative integer "
                         f"multiple of {len(joint)}"
                     )
-                total += coords[0] // len(joint)
-            if total:
-                mult[(ai, bi)] = total
+                line.append(coords[0] // len(joint))
+            values.append(line)
+        return values
+
+    # A memo local to this call, so a one-shot call gets the whole gain.
+    classes: dict[tuple, list[list[int]]] = {}
+    block_dim = carrier.block_dim
+    mult: dict[tuple[int, int], int] = {}
+    for orbit in group.orbits:
+        u1 = orbit[0]
+        pairs = _orbit_pairs(group, u1, stab[u1], carrier.out_neighbours(u1))
+        totals: dict[tuple[int, int], int] = {}
+        for rep2, points in pairs.items():
+            for u2 in points:
+                if block_dim(u1, u2) == 0:
+                    continue
+                joint = block_terms(u1, u2)
+                key = (stab[u1], stab[rep2], joint)
+                values = classes.get(key)
+                if values is None:
+                    values = classes[key] = block_values(u1, u2, rep2, joint)
+                for ai, line in zip(over[u1], values):
+                    for bi, m in zip(over[rep2], line):
+                        totals[(ai, bi)] = totals.get((ai, bi), 0) + m
+        targets = sorted(bi for rep2 in pairs for bi in over[rep2])
+        for ai in over[u1]:
+            for bi in targets:
+                total = totals.get((ai, bi))
+                if total:
+                    mult[(ai, bi)] = total
 
     expected = len(group.points) * len(group.names)
     square_sum = sum(v.dimension ** 2 for v in skew_vertices)

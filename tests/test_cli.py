@@ -241,6 +241,22 @@ def test_skew_documents_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# A round trip whose signature groups hold 300 vertices each, recorded while
+# the isomorphism search still scanned the whole group for every vertex; its
+# `isomorphism` field is the first consistent mapping in candidate order.
+ROUND_TRIP_PINS = [
+    ("unskew-roundtrip --basis 30,0;0,30",
+     "354c286e719f7cd85b899f63bf30d04e1dc164e6f09ebf06303929436ac0060a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", ROUND_TRIP_PINS, ids=[p[0] for p in ROUND_TRIP_PINS])
+def test_round_trip_documents_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, n",
     [("classify --basis 21,0;0,21 --kind D", 441), ("unskew-roundtrip --basis 63,51;0,3", 189)],

@@ -2,18 +2,27 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import types
 
 import numpy as np
 import pytest
 
 from conftest import np_class_count, np_loop_profile, to_complex
+from mckay import skew
 from mckay.cuts import Cut, build_cut, cut_type, invariant_cut
+from mckay.cyclotomic import reduce_mod_cyclotomic
 from mckay.errors import InternalInvariantViolation, PreconditionFailed
+from mckay.graphiso import find_isomorphism
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import conjugacy_classes, group_from_basis
 from mckay.skew import (
+    _LABELS_BY_ORDER,
+    SkewVertex,
+    _char_value,
     _demonet,
+    _orbit_pairs,
     _QuiverCarrier,
     _transport,
     _TwistCarrier,
@@ -517,11 +526,189 @@ def test_the_engine_looks_up_no_empty_block():
             assert carrier.empty_calls == 0, basis
 
 
-@pytest.mark.parametrize("kind, calls", [("C", 912), ("D", 622)])
+@pytest.mark.parametrize("kind, calls", [("C", 900), ("D", 465)])
 def test_block_lookups_at_30i(kind, calls):
-    # One lookup per representative pair and pair of skew vertices over its
-    # orbits; a transversal of every diagonal orbit took 2,691 (kind C) and
-    # 2,842 (kind D) here, 1,779 and 2,220 of them on empty blocks.
+    # One lookup per representative pair.  Looking each up once per pair of
+    # skew vertices over its orbits took 912 (kind C) and 622 (kind D); a
+    # transversal of every diagonal orbit took 2,691 and 2,842, 1,779 and
+    # 2,220 of them on empty blocks.
     carrier = _Wrapped(_QuiverCarrier(_action(LatticeBasis(30, 0, 30), kind)))
     _demonet(carrier)
     assert carrier.block_dim_calls == calls
+
+
+def reference_demonet(carrier) -> tuple[tuple[SkewVertex, ...], dict]:
+    """Skew vertices and multiplicities, one skew-vertex pair at a time.
+
+    For each skew vertex a over r and each skew vertex b over an orbit met
+    by r's out-neighbours, sum the Hom dimensions of the blocks (r, u2),
+    one per representative pair with u2 in b's orbit, each inner product
+    summed and reduced on its own.  Multiplicities are inserted a by a,
+    then b in ascending order.
+    """
+    group = carrier.group
+    maps, table, inverse = group.maps, group.table, group.inverse
+    transversal = group.transversal
+    w = carrier.cyclotomic_order
+
+    stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
+
+    skew_vertices: list[SkewVertex] = []
+    rows: list[list] = []  # chi(h) of each skew vertex, by element h of its stabilizer
+    over: dict[int, range] = {}  # skew-vertex indices over each orbit representative
+    for orbit in group.orbits:
+        rep = orbit[0]
+        first = len(skew_vertices)
+        for label, deg in _LABELS_BY_ORDER[len(stab[rep])]:
+            skew_vertices.append(
+                SkewVertex(
+                    orbit_rep=rep,
+                    irrep=label,
+                    degree=deg,
+                    orbit_size=len(orbit),
+                    dimension=len(orbit) * deg,
+                )
+            )
+            row: list = [None] * len(table)
+            for h in stab[rep]:
+                row[h] = _char_value(group, w, stab[rep], label, h)
+            rows.append(row)
+        over[rep] = range(first, len(skew_vertices))
+
+    def block_terms(u1: int, u2: int) -> tuple:
+        """(h, h2, trace) per element h of the joint stabilizer of the
+        representative u1 and u2, h2 being h moved into the stabilizer of
+        u2's representative."""
+        g2 = transversal[u2]
+        g2i = inverse[g2]
+        return tuple(
+            (h, table[g2i][table[h][g2]], carrier.block_trace(h, u1, u2))
+            for h in stab[u1]
+            if maps[h][u2] == u2
+        )
+
+    pairs = {
+        rep: _orbit_pairs(group, rep, stab[rep], carrier.out_neighbours(rep))
+        for rep in stab
+    }
+    targets = {
+        rep: sorted(bi for r2 in pairs[rep] for bi in over[r2]) for rep in stab
+    }
+
+    # A memo local to this call, so a one-shot call gets the whole gain.
+    block_cache: dict[tuple[int, int], tuple] = {}
+    block_dim = carrier.block_dim
+    mult: dict[tuple[int, int], int] = {}
+    for ai, va in enumerate(skew_vertices):
+        u1 = va.orbit_rep
+        row_a = rows[ai]
+        for bi in targets[u1]:
+            vb = skew_vertices[bi]
+            row_b = rows[bi]
+            total = 0
+            for u2 in pairs[u1][vb.orbit_rep]:
+                if block_dim(u1, u2) == 0:
+                    continue
+                # one term per joint stabilizer element
+                joint = block_cache.get((u1, u2))
+                if joint is None:
+                    joint = block_cache[(u1, u2)] = block_terms(u1, u2)
+                counts: dict[int, int] = {}
+                for h1, h2, trace in joint:
+                    # conj(chi_a(h1)) * chi_b(h2); conjugation negates the exponent
+                    ca, ka = row_a[h1]
+                    cb, kb = row_b[h2]
+                    c = ca * cb
+                    if c:
+                        for e, n in trace:
+                            i = (kb - ka + e) % w
+                            counts[i] = counts.get(i, 0) + c * n
+                coords = reduce_mod_cyclotomic(w, counts)
+                if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
+                    raise InternalInvariantViolation(
+                        f"block ({va.orbit_rep}/{va.irrep} -> "
+                        f"{vb.orbit_rep}/{vb.irrep}) pair {u1}->{u2}: inner "
+                        f"product {coords} is not a non-negative integer "
+                        f"multiple of {len(joint)}"
+                    )
+                total += coords[0] // len(joint)
+            if total:
+                mult[(ai, bi)] = total
+
+    expected = len(group.points) * len(group.names)
+    square_sum = sum(v.dimension ** 2 for v in skew_vertices)
+    if square_sum != expected:
+        raise InternalInvariantViolation(
+            f"sum of squared dimensions {square_sum} != |V| * |K| = {expected}"
+        )
+    return tuple(skew_vertices), mult
+
+
+def _assert_same_as_reference(carrier):
+    vertices, mult = _demonet(carrier)
+    ref_vertices, ref_mult = reference_demonet(carrier)
+    assert vertices == ref_vertices
+    assert list(mult.items()) == list(ref_mult.items())
+
+
+@pytest.mark.parametrize(
+    "kind, kw", [("C", {}), ("D", {}), ("D", {"root_order": 4, "scalars": (2, 0, 0)})]
+)
+def test_block_major_engine_matches_the_reference(kind, kw):
+    for basis in admissible_bases(36, kind):
+        _assert_same_as_reference(_QuiverCarrier(_action(basis, kind, **kw)))
+
+
+def test_block_major_engine_matches_the_reference_for_the_twist():
+    bases = [b for b in admissible_bases(36, "C") if b.det % 3 == 0]
+    assert bases
+    for basis in bases:
+        _, act, s = _skew(basis, "C")
+        _assert_same_as_reference(_TwistCarrier(s, dual_twist_action(s), act))
+
+
+def test_block_classes_are_keyed_by_their_terms():
+    # At 3I of kind C the block 7 -> 1 is the last one visited, and its
+    # clean class, with the stabilizers and terms of the block 0 -> 1, was
+    # memoised on the first.  A tampered trace on it must be summed afresh.
+    inner = _QuiverCarrier(_action(LatticeBasis(3, 0, 3), "C"))
+    group = inner.group
+    assert group.stabilizer(7) == group.stabilizer(0) == (0, 1, 2)
+    assert group.stabilizer(1) == (0,)
+    assert inner.block_trace(0, 7, 1) == inner.block_trace(0, 0, 1) == ((0, 1),)
+    with pytest.raises(InternalInvariantViolation) as raised:
+        _demonet(_Tampered(inner, 0, (7, 1), ((1, 1),)))
+    assert str(raised.value) == (
+        "block (7/triv -> 1/triv) pair 7->1: inner product (0, 1) is not a "
+        "non-negative integer multiple of 1"
+    )
+
+
+def test_isomorphism_checks_grow_linearly(monkeypatch):
+    # Anchored candidates: each vertex tries only the neighbours of its
+    # anchor's image, so the round trip's search makes about one check per
+    # vertex.  Scanning the whole signature group made 34 (21I) to 159
+    # (45I) per vertex.
+    check = next(
+        c for c in find_isomorphism.__code__.co_consts
+        if isinstance(c, types.CodeType) and c.co_name == "check"
+    )
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is check:
+            calls[0] += 1
+
+    def counting(*args):
+        sys.setprofile(profile)
+        try:
+            return find_isomorphism(*args)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(skew, "find_isomorphism", counting)
+    for k in (21, 30, 45):
+        calls[0] = 0
+        report = unskew_round_trip(_quiver(LatticeBasis(k, 0, k)))
+        assert report.cut_recovered
+        assert 0 < calls[0] <= 2 * k * k, (k, calls[0])
