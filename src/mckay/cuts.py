@@ -270,24 +270,23 @@ def _search(
     q: TypedQuiver,
     limit: int,
     emit: Callable[[list[int]], None],
-    runs: Iterable[Iterable[tuple[int, int]]] = ((),),
+    fixed: Iterable[tuple[int, int]] = (),
     first: Sequence[int] = (),
     keep: Callable[[list[int]], bool] | None = None,
 ) -> None:
     """Backtracking over arrow degrees: call emit(degrees) at every valid
     leaf.  The arrows in `first` are decided first, the others in index
-    order, so with no `first` a run emits in lexicographic order of the
+    order, so with no `first` the leaves come in lexicographic order of the
     cut's arrow-index list.
 
-    One search runs per item of `runs`, from scratch, with its
-    (arrow index, degree) pairs set and propagated first; the constraints
-    are built once for all runs.  Elementary cycles give exactly-one
+    The (arrow index, degree) pairs of `fixed` are set and propagated
+    before the first decision.  Elementary cycles give exactly-one
     constraints that drive unit propagation; squares prune by degree
     intervals; an arrow u -> v fixed to degree 0 fails at once when v
     already reaches u through degree-0 arrows (a loop fails outright),
-    because such a cycle survives every completion.  Once every arrow in
-    `first` is decided, each node asks keep(degrees) and drops its subtree
-    on a false answer.  Leaves are checked again for balanced squares and
+    because such a cycle survives every completion.  Each node asks
+    keep(degrees), undecided arrows at -1, and drops its subtree on a
+    false answer.  Leaves are checked again for balanced squares and
     degree-0 acyclicity.
     """
     na = _arrow_count(q, limit)
@@ -301,7 +300,6 @@ def _search(
         for ai in sq:
             in_squares[ai].append(si)
     order = [*first, *sorted(set(range(na)) - set(first))]
-    settled = len(first)
     nv = na // 3
 
     assign = [-1] * na
@@ -378,7 +376,7 @@ def _search(
     def dfs(pos: int) -> None:
         while pos < na and assign[order[pos]] != -1:
             pos += 1
-        if pos >= settled and keep is not None and not keep(assign):
+        if keep is not None and not keep(assign):
             return
         if pos == na:
             if leaf_ok():
@@ -391,10 +389,8 @@ def _search(
                 dfs(pos + 1)
             undo(mark)
 
-    for fixed in runs:
-        if all(set_value(ai, value) for ai, value in fixed):
-            dfs(0)
-        undo(0)
+    if all(set_value(ai, value) for ai, value in fixed):
+        dfs(0)
 
 
 def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple[Cut, ...]:
@@ -496,26 +492,70 @@ def realized_types(
     """Set of type vectors realized by some valid cut, found by search alone
     (the closed-form criterion is never consulted).
 
-    Translations of Z^2/B are type-preserving automorphisms of q, and every
-    valid cut is non-empty (each elementary cycle carries degree 1).  So a
-    cut whose lowest arrow type is t translates to one that holds the
-    origin's type-t arrow and no arrow of a lower type; three constrained
-    searches, t = 1, 2, 3, meet every realized type.  Each search decides
-    the arrows of two short closed walks first, which fixes the type of
-    every cut below (`_forced_type`), and skips a subtree whose type is
-    already recorded, so one leaf is reached per type.  A leaf whose
-    counted type differs from the forced one is an internal error.  Raises
-    ValueError when q has more than `limit` arrows.
+    Every valid cut has gamma_1 > 0: with gamma_1 = 0 every e_1-orbit would
+    be a degree-0 cycle.  Translations of Z^2/B are type-preserving
+    automorphisms of q, so every realized type is met by one search with
+    the origin's type-1 arrow fixed to degree 1.  The search decides the
+    arrows of two short closed walks first, which fixes the type of every
+    cut below (`_forced_type`).  Before that point each walk's degree sum
+    S_i lies between its arrows fixed to 1 and its arrows not fixed to 0,
+    counted with multiplicity; a node is dropped when no (S1, S2) in that
+    box solves to a type with three positive components whose sums are not
+    yet recorded.  Past that point a subtree whose forced type is recorded
+    is skipped, so one leaf is reached per type.  A leaf whose counted type
+    differs from the forced one is an internal error.  Raises ValueError
+    when q has more than `limit` arrows.
     """
     na = _arrow_count(q, limit)
     n = na // 3
     walks = _closed_walks(q)
-    first = list(dict.fromkeys(walks[0][0] + walks[1][0]))
+    (w1, m1), (w2, m2) = walks
+    first = list(dict.fromkeys(w1 + w2))
     types: set[tuple[int, int, int]] = set()
+    recorded: set[tuple[int, int]] = set()
     forced = (0, 0, 0)
+
+    # With r_i = S_i - m_i3 the equations of `_forced_type` give
+    # d gamma_1 = n (q2 r1 - q1 r2), d gamma_2 = n (p1 r2 - p2 r1) and
+    # d gamma_3 = n (d + (p2 - q2) r1 + (q1 - p1) r2).  So gamma_k > 0 iff
+    # d times its bracket is positive: a r2 + b r1 + c > 0 with the integer
+    # coefficients (a, b, c) below.
+    p1, q1 = m1[0] - m1[2], m1[1] - m1[2]
+    p2, q2 = m2[0] - m2[2], m2[1] - m2[2]
+    d = p1 * q2 - q1 * p2
+    positive = [
+        (-d * q1, d * q2, 0),
+        (d * p1, -d * p2, 0),
+        (d * (q1 - p1), d * (p2 - q2), d * d),
+    ]
+
+    def open_box(lo1: int, hi1: int, lo2: int, hi2: int) -> bool:
+        """Whether some (S1, S2) in the box solves to positive components
+        and is not recorded."""
+        for s1 in range(lo1, hi1 + 1):
+            r1 = s1 - m1[2]
+            lo, hi = lo2 - m2[2], hi2 - m2[2]
+            for a, b, c in positive:
+                c += b * r1
+                if a > 0:
+                    lo = max(lo, -c // a + 1)
+                elif a < 0:
+                    hi = min(hi, (c - 1) // -a)
+                elif c <= 0:
+                    hi = lo - 1
+            for r2 in range(lo, hi + 1):
+                if (s1, r2 + m2[2]) not in recorded:
+                    return True
+        return False
 
     def keep(assign: list[int]) -> bool:
         nonlocal forced
+        d1 = [assign[i] for i in w1]
+        d2 = [assign[i] for i in w2]
+        if -1 in d1 or -1 in d2:
+            return open_box(
+                d1.count(1), len(d1) - d1.count(0), d2.count(1), len(d2) - d2.count(0)
+            )
         forced = _forced_type(n, walks, assign)
         return forced not in types
 
@@ -527,8 +567,8 @@ def realized_types(
                 f"{counted}, but its two closed walks force {forced}"
             )
         types.add(counted)  # type: ignore[arg-type]
+        recorded.add((sum(assign[i] for i in w1), sum(assign[i] for i in w2)))
 
-    # Arrow t is the origin's arrow of type t + 1.
-    runs = [[(t, 1)] + [(i, 0) for i in range(na) if i % 3 < t] for t in range(3)]
-    _search(q, limit, record, runs, first=first, keep=keep)
+    # Arrow 0 is the origin's arrow of type 1.
+    _search(q, limit, record, [(0, 1)], first=first, keep=keep)
     return types

@@ -17,6 +17,7 @@ direct integrality of B^-1 T B; disagreement is a bug, not bad input.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -41,19 +42,21 @@ ROTATION_MATRIX: tuple[tuple[int, int], tuple[int, int]] = ((0, -1), (1, -1))
 SWAP_MATRIX: tuple[tuple[int, int], tuple[int, int]] = ((0, 1), (1, 0))
 
 
-@dataclass(frozen=True, order=True)
-class LatticeBasis:
-    """Hermite-normal generator matrix [[a, b], [0, c]] of a rank-2 sublattice."""
+class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
+    """Hermite-normal generator matrix [[a, b], [0, c]] of a rank-2 sublattice.
 
-    a: int
-    b: int
-    c: int
+    A validated (a, b, c) tuple, so equality, ordering and hashing are the
+    triple's; a tuple is much cheaper to build than a frozen dataclass.
+    """
 
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError(f"degenerate basis a={self.a}, c={self.c}")
-        if not 0 <= self.b < self.a:
-            raise ValueError(f"off-diagonal {self.b} not reduced modulo {self.a}")
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> LatticeBasis:
+        if a <= 0 or c <= 0:
+            raise ValueError(f"degenerate basis a={a}, c={c}")
+        if not 0 <= b < a:
+            raise ValueError(f"off-diagonal {b} not reduced modulo {a}")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def det(self) -> int:

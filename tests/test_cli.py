@@ -175,9 +175,13 @@ ORACLE_PINS = [
      "e6cc250fe011752d33a8026c3dbab75d016800f27bec1cae615edd5f0f80704c"),
     # Recorded with the search that decided the origin's whole type-1 and
     # type-2 orbits, which needs minutes for this sweep; the walk-directed
-    # search needs about a second.
+    # search with walk-sum box pruning needs a fraction of a second.
     ("oracle-compare --kind C --max-det 45",
      "8168bfe6d780a7c10ef72ae4e38127b9d243e33dc47d974dbd3efc986acab74c"),
+    # Recorded with the walk-directed search before box pruning, which
+    # needs 20-30 seconds for this sweep; with box pruning, a few seconds.
+    ("oracle-compare --kind C --max-det 63",
+     "f8d18ca3642194dbaba12c44f38c079201215323bf0fe342364fd98467b577d8"),
 ]
 
 

@@ -439,6 +439,33 @@ def test_a_leaf_off_its_forced_type_is_an_internal_error(monkeypatch):
     )
 
 
+def test_every_cut_has_three_positive_type_components():
+    # A zero component would make every e_t-orbit a degree-0 cycle.  So a
+    # translate of every cut holds the origin's type-1 arrow, which is the
+    # one arrow realized_types fixes before it searches.
+    for basis in _hnf_bases(10):
+        q = build_quiver(AbelianQuotient(basis))
+        for cut in enumerate_cuts(q, 3 * basis.det):
+            assert min(cut_type(cut)) > 0, (basis, cut)
+
+
+@pytest.mark.parametrize("abc", [(39, 16, 1), (9, 6, 3)])
+def test_walk_sum_boxes_prune_before_the_forced_type(monkeypatch, abc):
+    # Nodes that reach the forced-type point, plus those below it; without
+    # the box test before that point they number 838 and 247.
+    calls = []
+    forced_type = cuts._forced_type
+
+    def counting(n, walks, assign):
+        calls.append(1)
+        return forced_type(n, walks, assign)
+
+    monkeypatch.setattr(cuts, "_forced_type", counting)
+    q = _quiver(*abc)
+    realized_types(q, limit=3 * q.quotient.order)
+    assert len(calls) <= 160
+
+
 def test_closed_walks_fix_the_type_of_every_cut():
     # n times a walk's degree sum is m . gamma on every valid cut, and the
     # two walks' lattice vectors (m1 - m3, m2 - m3) span a lattice of index n.

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import sys
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -535,6 +536,26 @@ def test_block_lookups_at_30i(kind, calls):
     carrier = _Wrapped(_QuiverCarrier(_action(LatticeBasis(30, 0, 30), kind)))
     _demonet(carrier)
     assert carrier.block_dim_calls == calls
+
+
+def test_twist_weights_are_checked_on_every_block():
+    # The weights are found once per orbit representative; a block read
+    # after its representative's first block must still meet the check.
+    _, act, s = _skew(LatticeBasis(3, 0, 3), "C")
+    v, (w1, w2) = next(
+        (v, ws[:2])
+        for v in range(len(s.vertices))
+        if len(ws := [w for (x, w), m in s.mult.items() if x == v and m]) > 1
+    )
+    m = s.mult[(v, w2)]
+    tampered = replace(s, mult={**s.mult, (v, w2): m + 1})
+    carrier = _TwistCarrier(tampered, dual_twist_action(tampered), act)
+    carrier._weights(v, w1)
+    with pytest.raises(InternalInvariantViolation) as raised:
+        carrier._weights(v, w2)
+    assert str(raised.value) == (
+        f"weight decomposition of block ({v}, {w2}) sums to {m}, multiplicity is {m + 1}"
+    )
 
 
 def reference_demonet(carrier) -> tuple[tuple[SkewVertex, ...], dict]:
