@@ -497,14 +497,15 @@ def realized_types(
     automorphisms of q, so every realized type is met by one search with
     the origin's type-1 arrow fixed to degree 1.  The search decides the
     arrows of two short closed walks first, which fixes the type of every
-    cut below (`_forced_type`).  Before that point each walk's degree sum
-    S_i lies between its arrows fixed to 1 and its arrows not fixed to 0,
+    cut below (`_forced_type`).  At every node each walk's degree sum S_i
+    lies between its arrows fixed to 1 and its arrows not fixed to 0,
     counted with multiplicity; a node is dropped when no (S1, S2) in that
     box solves to a type with three positive components whose sums are not
-    yet recorded.  Past that point a subtree whose forced type is recorded
-    is skipped, so one leaf is reached per type.  A leaf whose counted type
-    differs from the forced one is an internal error.  Raises ValueError
-    when q has more than `limit` arrows.
+    yet recorded.  Once both walks are decided the box is a single point,
+    so a subtree whose forced type is recorded is skipped and one leaf is
+    reached per type.  A leaf whose counted type differs from the forced
+    one is an internal error.  Raises ValueError when q has more than
+    `limit` arrows.
     """
     na = _arrow_count(q, limit)
     n = na // 3
@@ -513,7 +514,6 @@ def realized_types(
     first = list(dict.fromkeys(w1 + w2))
     types: set[tuple[int, int, int]] = set()
     recorded: set[tuple[int, int]] = set()
-    forced = (0, 0, 0)
 
     # With r_i = S_i - m_i3 the equations of `_forced_type` give
     # d gamma_1 = n (q2 r1 - q1 r2), d gamma_2 = n (p1 r2 - p2 r1) and
@@ -549,18 +549,15 @@ def realized_types(
         return False
 
     def keep(assign: list[int]) -> bool:
-        nonlocal forced
         d1 = [assign[i] for i in w1]
         d2 = [assign[i] for i in w2]
-        if -1 in d1 or -1 in d2:
-            return open_box(
-                d1.count(1), len(d1) - d1.count(0), d2.count(1), len(d2) - d2.count(0)
-            )
-        forced = _forced_type(n, walks, assign)
-        return forced not in types
+        return open_box(
+            d1.count(1), len(d1) - d1.count(0), d2.count(1), len(d2) - d2.count(0)
+        )
 
     def record(assign: list[int]) -> None:
         counted = tuple(sum(assign[t::3]) for t in range(3))
+        forced = _forced_type(n, walks, assign)
         if counted != forced:
             raise InternalInvariantViolation(
                 f"cut search on basis {q.quotient.basis.rows}: a leaf of type "

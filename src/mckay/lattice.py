@@ -46,7 +46,9 @@ class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
     """Hermite-normal generator matrix [[a, b], [0, c]] of a rank-2 sublattice.
 
     A validated (a, b, c) tuple, so equality, ordering and hashing are the
-    triple's; a tuple is much cheaper to build than a frozen dataclass.
+    triple's, also against a plain tuple; a tuple is much cheaper to build
+    than a frozen dataclass.  `_make` and `_replace` go through the same
+    checks.
     """
 
     __slots__ = ()
@@ -57,6 +59,13 @@ class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
         if not 0 <= b < a:
             raise ValueError(f"off-diagonal {b} not reduced modulo {a}")
         return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> LatticeBasis:
+        return cls(*iterable)
+
+    def _replace(self, **changes: int) -> LatticeBasis:
+        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def det(self) -> int:

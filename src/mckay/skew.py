@@ -527,7 +527,7 @@ class _TwistCarrier:
         self.head = action.quiver.head
         self.action = action
         self.cyclotomic_order = 3
-        self._weights_by_rep: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+        self._weights_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def block_dim(self, v: int, w: int) -> int:
         return self.s.mult.get((v, w), 0)
@@ -544,31 +544,28 @@ class _TwistCarrier:
         return self._successors[v]
 
     def _weights(self, v: int, w: int) -> tuple[tuple[int, int], ...]:
-        """(weight exponent, count) per representative pair of the underlying
-        orbits, checked against the block's multiplicity.  The pairs depend
-        only on the orbit representative of v, so they are found once per
-        representative."""
+        """(weight exponent, count) per representative pair of the underlying orbits."""
+        key = (v, w)
+        got = self._weights_cache.get(key)
+        if got is not None:
+            return got
+        group = self.action.group
         rep = self.s.vertices[v].orbit_rep
-        by_orbit = self._weights_by_rep.get(rep)
-        if by_orbit is None:
-            group = self.action.group
-            succ = self.head[3 * rep:3 * rep + 3]
-            pairs = _orbit_pairs(group, rep, group.stabilizer(rep), succ)
-            # u1 is the representative, reached by the identity, so the weight
-            # g2^-1 g1 is the inverse of u2's transversal element.
-            by_orbit = self._weights_by_rep[rep] = {
-                rep2: tuple(
-                    (group.inverse[group.transversal[u2]], succ.count(u2)) for u2 in points
-                )
-                for rep2, points in pairs.items()
-            }
-        weights = by_orbit.get(self.s.vertices[w].orbit_rep, ())
+        succ = self.head[3 * rep:3 * rep + 3]
+        pairs = _orbit_pairs(group, rep, group.stabilizer(rep), succ)
+        # u1 is the representative, reached by the identity, so the weight
+        # g2^-1 g1 is the inverse of u2's transversal element.
+        weights = tuple(
+            (group.inverse[group.transversal[u2]], succ.count(u2))
+            for u2 in pairs.get(self.s.vertices[w].orbit_rep, ())
+        )
         total = sum(c for _, c in weights)
         if total != self.block_dim(v, w):
             raise InternalInvariantViolation(
                 f"weight decomposition of block ({v}, {w}) sums to {total}, "
                 f"multiplicity is {self.block_dim(v, w)}"
             )
+        self._weights_cache[key] = weights
         return weights
 
     def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:

@@ -383,6 +383,10 @@ def test_search_matches_the_reference():
         reference = reference_enumerate_cuts(q, limit)
         assert enumerate_cuts(q, limit) == reference, basis
         assert realized_types(q, limit) == {cut_type(cut) for cut in reference}, basis
+        # A zero component would make every e_t-orbit a degree-0 cycle.  So
+        # a translate of every cut holds the origin's type-1 arrow, which is
+        # the one arrow realized_types fixes before it searches.
+        assert all(min(cut_type(cut)) > 0 for cut in reference), basis
     for a, b, c in [(19, 8, 1), (4, 0, 4)]:
         q = _quiver(a, b, c)
         reference = reference_enumerate_cuts(q, 3 * a * c)
@@ -439,31 +443,33 @@ def test_a_leaf_off_its_forced_type_is_an_internal_error(monkeypatch):
     )
 
 
-def test_every_cut_has_three_positive_type_components():
-    # A zero component would make every e_t-orbit a degree-0 cycle.  So a
-    # translate of every cut holds the origin's type-1 arrow, which is the
-    # one arrow realized_types fixes before it searches.
-    for basis in _hnf_bases(10):
-        q = build_quiver(AbelianQuotient(basis))
-        for cut in enumerate_cuts(q, 3 * basis.det):
-            assert min(cut_type(cut)) > 0, (basis, cut)
-
-
 @pytest.mark.parametrize("abc", [(39, 16, 1), (9, 6, 3)])
 def test_walk_sum_boxes_prune_before_the_forced_type(monkeypatch, abc):
-    # Nodes that reach the forced-type point, plus those below it; without
-    # the box test before that point they number 838 and 247.
-    calls = []
+    # The box test runs at every node; without it before the forced-type
+    # point, the nodes at or past that point alone number 838 and 247.
+    # The forced type itself is evaluated once per leaf, one leaf per type.
+    nodes = []
+    forced = []
+    search = cuts._search
     forced_type = cuts._forced_type
 
-    def counting(n, walks, assign):
-        calls.append(1)
+    def counting_search(*args, keep, **kwargs):
+        def counting_keep(assign):
+            nodes.append(1)
+            return keep(assign)
+
+        return search(*args, keep=counting_keep, **kwargs)
+
+    def counting_forced_type(n, walks, assign):
+        forced.append(1)
         return forced_type(n, walks, assign)
 
-    monkeypatch.setattr(cuts, "_forced_type", counting)
+    monkeypatch.setattr(cuts, "_search", counting_search)
+    monkeypatch.setattr(cuts, "_forced_type", counting_forced_type)
     q = _quiver(*abc)
-    realized_types(q, limit=3 * q.quotient.order)
-    assert len(calls) <= 160
+    types = realized_types(q, limit=3 * q.quotient.order)
+    assert len(nodes) <= 240
+    assert len(forced) == len(types)
 
 
 def test_closed_walks_fix_the_type_of_every_cut():

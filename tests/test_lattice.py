@@ -263,3 +263,8 @@ def test_basis_constructor_guards():
         LatticeBasis(2, 0, 0)
     with pytest.raises(ValueError):
         LatticeBasis(2, 2, 1)  # b must be reduced below a
+    with pytest.raises(ValueError, match="^degenerate basis a=0, c=3$"):
+        LatticeBasis(3, 0, 3)._replace(a=0)
+    with pytest.raises(ValueError, match="^off-diagonal 3 not reduced modulo 3$"):
+        LatticeBasis._make((3, 3, 1))
+    assert LatticeBasis(3, 0, 3)._replace(b=2) == LatticeBasis(3, 2, 3)

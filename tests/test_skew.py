@@ -539,8 +539,8 @@ def test_block_lookups_at_30i(kind, calls):
 
 
 def test_twist_weights_are_checked_on_every_block():
-    # The weights are found once per orbit representative; a block read
-    # after its representative's first block must still meet the check.
+    # Each block's weights are checked against its multiplicity, also a
+    # block read after another block of the same skew vertex.
     _, act, s = _skew(LatticeBasis(3, 0, 3), "C")
     v, (w1, w2) = next(
         (v, ws[:2])
