@@ -1,7 +1,7 @@
 """Command-line interface with deterministic JSON, DOT and text output.
 
 Exit codes: 0 success; 2 invalid input, any ValueError (bad arguments,
-singular basis, scalar constraints violated, enumeration guards); 3
+singular basis, scalar constraints violated, size guards); 3
 PreconditionFailed (inadmissible basis, missing cut, wrong divisibility);
 4 InternalInvariantViolation; 5 oracle discrepancy.
 """

@@ -8,7 +8,7 @@ exactly 1, and the arrows of degree 0 form an acyclic subquiver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
@@ -35,13 +35,10 @@ __all__ = [
 DEFAULT_ENUMERATION_LIMIT = 27
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(namedtuple("Cut", "arrows")):
     """The set of degree-1 arrows as sorted arrow indices.  Arrow 3v + t
     leaves vertex v with type t + 1 and vertices are numbered in coset
     order, so index order is the canonical (source coset, type) order."""
-
-    arrows: tuple[int, ...]
 
     @staticmethod
     def of(arrows: Iterable[int]) -> Cut:
@@ -53,9 +50,6 @@ class Cut:
 
     def degree(self, arrow: int) -> int:
         return 1 if arrow in self.arrow_set else 0
-
-    def __len__(self) -> int:
-        return len(self.arrows)
 
 
 def cut_type(cut: Cut) -> tuple[int, int, int]:
@@ -108,14 +102,12 @@ def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     return cut
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Pass/fail per weak-cut axiom, with a witness for each failure."""
+class ValidationReport(namedtuple(
+    "ValidationReport", "squares_balanced cycles_unit_degree degree_zero_acyclic witnesses"
+)):
+    """Pass/fail per weak-cut axiom, with a witness string for each failure."""
 
-    squares_balanced: bool
-    cycles_unit_degree: bool
-    degree_zero_acyclic: bool
-    witnesses: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

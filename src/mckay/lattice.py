@@ -18,7 +18,6 @@ direct integrality of B^-1 T B; disagreement is a bug, not bad input.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -46,9 +45,8 @@ class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
     """Hermite-normal generator matrix [[a, b], [0, c]] of a rank-2 sublattice.
 
     A validated (a, b, c) tuple, so equality, ordering and hashing are the
-    triple's, also against a plain tuple; a tuple is much cheaper to build
-    than a frozen dataclass.  `_make` and `_replace` go through the same
-    checks.
+    triple's, also against a plain tuple.  `_make` and `_replace` go
+    through the same checks as the constructor.
     """
 
     __slots__ = ()
@@ -93,11 +91,10 @@ class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
         return (d1, self.det // d1)
 
 
-@dataclass(frozen=True)
-class AbelianQuotient:
+class AbelianQuotient(namedtuple("AbelianQuotient", "basis")):
     """The finite group Z^2 / B with canonical coset representatives."""
 
-    basis: LatticeBasis
+    __slots__ = ()
 
     @property
     def order(self) -> int:

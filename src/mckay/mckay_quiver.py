@@ -18,16 +18,17 @@ on the type i; scalars are carried as exponents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Iterable
 
 from .errors import InternalInvariantViolation
 from .lattice import AbelianQuotient, check_admissible
-from .monomial_group import involution_scalars
+from .monomial_group import env_cap, involution_scalars
 
 __all__ = [
     "STEPS",
+    "DEFAULT_VERTEX_CAP",
     "TypedQuiver",
     "ActionElement",
     "GroupAction",
@@ -37,18 +38,16 @@ __all__ = [
 ]
 
 STEPS = {1: (1, 0), 2: (0, 1), 3: (-1, -1)}
+DEFAULT_VERTEX_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class TypedQuiver:
+class TypedQuiver(namedtuple("TypedQuiver", "quotient")):
     """The McKay quiver of Z^2/B on vertex indices.
 
     Vertex v is the coset `vertices[v]`, numbered in coset order, and arrow
     3v + t leaves v with type t + 1; `head[3v + t]` is its head.  Coset
     tuples are only the boundary that documents read.
     """
-
-    quotient: AbelianQuotient
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, int], ...]:
@@ -115,7 +114,17 @@ class TypedQuiver:
 
 
 def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
-    """Construct Q for the quotient and check 3-regularity in both directions."""
+    """Construct Q for the quotient and check 3-regularity in both directions.
+
+    A quotient of more cosets than the vertex cap (MCKAY_MAX_VERTICES, else
+    100000) is refused with ValueError before anything per coset is built.
+    """
+    cap = env_cap("MCKAY_MAX_VERTICES", DEFAULT_VERTEX_CAP)
+    if quotient.order > cap:
+        raise ValueError(
+            f"det(B) = {quotient.order} exceeds the vertex cap of {cap}; "
+            f"raise MCKAY_MAX_VERTICES if the quiver really is this large"
+        )
     q = TypedQuiver(quotient)
     indeg = [0] * quotient.order
     for w in q.head:
@@ -125,15 +134,11 @@ def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class ActionElement:
+class ActionElement(namedtuple("ActionElement", "name vertex_map type_map type_scalars")):
     """One symmetry of the quiver: vertex permutation (`vertex_map[v]` is
     the image of vertex v), type permutation, per-type scalars."""
 
-    name: str
-    vertex_map: tuple[int, ...]
-    type_map: tuple[int, int, int]
-    type_scalars: tuple[int, int, int]
+    __slots__ = ()
 
 
 def _compose(
@@ -149,19 +154,13 @@ def _compose(
     return ActionElement(name, vmap, tmap, scal)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True, eq=False)
-class GroupAction:
+class GroupAction(namedtuple("GroupAction", "names table maps points")):
     """A finite group acting on the points 0, ..., n - 1.
 
     Elements are indices into `names`, in element order with the identity
     first; `table[a][b]` is the index of a after b, and `maps[g][v]` is the
     image of the point v under element g.
     """
-
-    names: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    maps: tuple
-    points: tuple
 
     @classmethod
     def from_keys(cls, names, keys, compose, maps, points) -> GroupAction:
@@ -238,21 +237,13 @@ class GroupAction:
         return self._orbit_data[3][v] or tuple(g for g, m in enumerate(self.maps) if m[v] == v)
 
 
-@dataclass(frozen=True, eq=False)
-class QuiverAction:
+class QuiverAction(namedtuple("QuiverAction", "quiver kind root_order scalars elements group")):
     """The symmetry group (C3 for kind C, S3 for kind D) acting on a quiver;
     `group` holds its table and vertex maps in the order of `elements`.
 
     Only `k_action` builds one, after checking that the basis is admissible
     for the kind, so every stage that takes an action may rely on that.
     """
-
-    quiver: TypedQuiver
-    kind: str
-    root_order: int
-    scalars: tuple[int, int, int] | None
-    elements: tuple[ActionElement, ...]
-    group: GroupAction
 
     @cached_property
     def _by_name(self) -> dict[str, ActionElement]:

@@ -16,7 +16,7 @@ one root order; a document prints a key as its perm and exps lists.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from math import lcm
 from typing import Sequence
@@ -35,7 +35,7 @@ __all__ = [
     "default_root_order",
     "involution_scalars",
     "DEFAULT_CLOSURE_CAP",
-    "closure_cap",
+    "env_cap",
 ]
 
 DEFAULT_CLOSURE_CAP = 10000
@@ -87,17 +87,18 @@ def _conj(h: Key, y: Key, m: int) -> Key:
     )
 
 
-def closure_cap() -> int:
-    """Element bound for closure enumeration; MCKAY_MAX_CLOSURE overrides the default."""
-    raw = os.environ.get("MCKAY_MAX_CLOSURE")
+def env_cap(variable: str, default: int) -> int:
+    """A size bound: the environment variable's value if it is set, which
+    must be a positive integer, else the default."""
+    raw = os.environ.get(variable)
     if raw is None:
-        return DEFAULT_CLOSURE_CAP
+        return default
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"MCKAY_MAX_CLOSURE must be an integer, got {raw!r}") from None
+        raise ValueError(f"{variable} must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise ValueError(f"MCKAY_MAX_CLOSURE must be positive, got {cap}")
+        raise ValueError(f"{variable} must be positive, got {cap}")
     return cap
 
 
@@ -110,15 +111,12 @@ def _is_special(key: Key, m: int) -> bool:
     return m % 2 == 0 and total == m // 2
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(namedtuple("FiniteMatrixGroup", "root_order generator_keys keys")):
     """A multiplicatively closed finite set of monomial matrices, held as
     sorted (perm, exps) keys at one root order, with the keys of the
     generators it was closed from."""
 
-    root_order: int
-    generator_keys: tuple[Key, ...]
-    keys: tuple[Key, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -140,7 +138,9 @@ def closure(
     for g in gen_keys:
         if not _is_special(g, m):
             raise ValueError(f"generator {g} has determinant != 1 at root order {m}")
-    cap = max_elements if max_elements is not None else closure_cap()
+    cap = max_elements
+    if cap is None:
+        cap = env_cap("MCKAY_MAX_CLOSURE", DEFAULT_CLOSURE_CAP)
     seen = {_IDENTITY}
     frontier = [_IDENTITY]
     while frontier:
@@ -199,19 +199,15 @@ def conjugacy_classes(g: FiniteMatrixGroup) -> list[tuple[Key, ...]]:
     return classes
 
 
-@dataclass(frozen=True)
-class ComplementReport:
-    """Witnesses for the semidirect splitting G = N x| K, as keys at the
-    group's root order."""
+class ComplementReport(namedtuple(
+    "ComplementReport",
+    "kind group_order diagonal_order complement i1 i2 t_factorization r_factorization",
+)):
+    """Witnesses for the semidirect splitting G = N x| K: the complement as a
+    FiniteMatrixGroup and the involutions and factorization pairs as keys at
+    the group's root order; the kind-D witnesses are None for kind C."""
 
-    kind: str
-    group_order: int
-    diagonal_order: int
-    complement: FiniteMatrixGroup
-    i1: Key | None
-    i2: Key | None
-    t_factorization: tuple[Key, Key]
-    r_factorization: tuple[Key, Key] | None
+    __slots__ = ()
 
 
 def _find_generator(g: FiniteMatrixGroup, even: bool) -> Key:

@@ -25,7 +25,7 @@ trip recovers the cut as arrow indices too.  Coset tuples return only in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Protocol, Sequence
@@ -34,7 +34,6 @@ from .cuts import Cut, _check_arrows, _degrees, _has_cycle, invariant_cut, valid
 from .cyclotomic import reduce_mod_cyclotomic
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .graphiso import find_isomorphism
-from .lattice import LatticeBasis
 from .mckay_quiver import GroupAction, QuiverAction, TypedQuiver, k_action
 
 __all__ = [
@@ -113,26 +112,17 @@ def _char_value(
 # Skew quiver data.
 
 
-@dataclass(frozen=True)
-class SkewVertex:
+class SkewVertex(namedtuple("SkewVertex", "orbit_rep irrep degree orbit_size dimension")):
     """(orbit representative, stabilizer irreducible) with its induced dimension."""
 
-    orbit_rep: int
-    irrep: str
-    degree: int
-    orbit_size: int
-    dimension: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class SkewQuiver:
-    """Vertices with dimensions, arrow multiplicities, optional degrees."""
+class SkewQuiver(namedtuple("SkewQuiver", "vertices mult degrees group_size metadata")):
+    """Vertices with dimensions, arrow multiplicities and optional degrees,
+    both dicts keyed by vertex-index pairs."""
 
-    vertices: tuple[SkewVertex, ...]
-    mult: dict[tuple[int, int], int]
-    degrees: dict[tuple[int, int], int] | None
-    group_size: int
-    metadata: dict
+    __slots__ = ()
 
     def loops(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -366,14 +356,10 @@ def skew_quiver(action: QuiverAction) -> SkewQuiver:
     return s
 
 
-@dataclass(frozen=True)
-class LoopWitness:
+class LoopWitness(namedtuple("LoopWitness", "k vertex orbit special_c2xc2")):
     """The coset witnessing a loop when 3 does not divide |N|."""
 
-    k: int
-    vertex: tuple[int, int]
-    orbit: tuple[tuple[int, int], ...]
-    special_c2xc2: bool
+    __slots__ = ()
 
     @property
     def orbit_size(self) -> int:
@@ -440,7 +426,7 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
             if orbit_of[head[a]][0] == o2[0]
         }
 
-    return replace(s, degrees=_transport(s.vertices, s.mult, orbit_of, block_degrees))
+    return s._replace(degrees=_transport(s.vertices, s.mult, orbit_of, block_degrees))
 
 
 def _transport(
@@ -574,17 +560,14 @@ class _TwistCarrier:
         return tuple(((g * k) % 3, count) for k, count in self._weights(v, w))
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(namedtuple(
+    "RoundTripReport",
+    "basis skew_vertex_count double_skew_vertex_count isomorphism cut_recovered"
+    " original_cut recovered_cut",
+)):
     """Outcome of skewing by C3 and unskewing by its character group."""
 
-    basis: LatticeBasis
-    skew_vertex_count: int
-    double_skew_vertex_count: int
-    isomorphism: tuple[int, ...]
-    cut_recovered: bool
-    original_cut: Cut
-    recovered_cut: Cut
+    __slots__ = ()
 
 
 def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:

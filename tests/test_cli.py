@@ -371,8 +371,16 @@ def test_error_exit_code_table(capsys, monkeypatch, error, code):
     assert captured.err == "error: boom\n"
 
 
-# Every error argv of the golden corpus but the argparse rejection, with
-# its exit code and its exact one-line stderr.
+def _over_vertex_cap(det: int, cap: int) -> str:
+    return (
+        f"det(B) = {det} exceeds the vertex cap of {cap}; "
+        f"raise MCKAY_MAX_VERTICES if the quiver really is this large"
+    )
+
+
+# Every error argv of the golden corpus but the argparse rejection, then
+# the vertex guard's refusals, each with its exit code and its exact
+# one-line stderr.
 STDERR_PINS = [
     ("group-info --basis 2,0;0,2 --kind D --root-order 4 --scalars 1,0,1", 3,
      "diagonal part has order 16, expected 4; the involution scalars enlarge "
@@ -402,6 +410,9 @@ STDERR_PINS = [
     ("cut-build --basis 3,0;0,3 --gamma 1,1,7", 3, "no cut of type (1, 1, 7) exists on det 9"),
     ("unskew-roundtrip --basis 2,0;0,2", 3, "3 does not divide det(B) = 4"),
     ("unskew-roundtrip --basis 7,3;0,1", 3, "3 does not divide det(B) = 7"),
+    ("quiver --basis 99999999999,0;0,1", 2, _over_vertex_cap(99999999999, 100000)),
+    ("skew --basis 159601,400;0,1 --kind C", 2, _over_vertex_cap(159601, 100000)),
+    ("classify --basis 159601,400;0,1 --kind C", 2, _over_vertex_cap(159601, 100000)),
 ]
 
 
@@ -411,6 +422,16 @@ def test_error_stderr_is_pinned(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_vertex_guard_env_override(capsys, monkeypatch):
+    # The cap admits det(B) up to its value and refuses one vertex more.
+    monkeypatch.setenv("MCKAY_MAX_VERTICES", "8")
+    assert cli.main(["quiver", "--basis", "3,0;0,3"]) == 2
+    assert capsys.readouterr().err == f"error: {_over_vertex_cap(9, 8)}\n"
+    monkeypatch.setenv("MCKAY_MAX_VERTICES", "9")
+    assert cli.main(["quiver", "--basis", "3,0;0,3"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["group-info", "skew", "classify"])

@@ -89,7 +89,7 @@ def test_build_cut_3i():
     basis = LatticeBasis(3, 0, 3)
     q = build_quiver(AbelianQuotient(basis))
     cut = build_cut(q, (3, 3, 3))
-    assert len(cut) == 9
+    assert len(cut.arrows) == 9
     assert cut_type(cut) == (3, 3, 3)
     # degree-1 arrows leave exactly the cosets with x1 + x2 = 2 mod 3
     sources = {q.vertices[i // 3] for i in cut.arrows}

@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used, so is every function,
 class, method and module-level name the package defines, the package stays
-exact (no floating point, complex numbers or true division), and it raises
-only the three errors of its exit-code contract."""
+exact (no floating point, complex numbers or true division), it imports no
+module kept out of its start-up, and it raises only the three errors of its
+exit-code contract."""
 from __future__ import annotations
 
 import ast
@@ -152,17 +153,20 @@ def inexact_constructs(source: str) -> list[str]:
             and node.func.id in INEXACT_CALLS
         ):
             found.append((node.lineno, f"call of {node.func.id}"))
-        elif isinstance(node, ast.Import) or (
-            isinstance(node, ast.ImportFrom) and node.level == 0
-        ):
-            if isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            else:
-                modules = [node.module]
-            for module in modules:
+        else:
+            for module in _imported_modules(node):
                 if module.split(".")[0] in INEXACT_MODULES:
                     found.append((node.lineno, f"import of {module}"))
     return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The absolute modules an import statement names; [] for anything else."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
 
 
 def test_the_scan_sees_inexact_arithmetic():
@@ -190,6 +194,41 @@ def test_the_scan_sees_inexact_arithmetic():
 )
 def test_the_package_is_exact(path):
     assert inexact_constructs(path.read_text()) == []
+
+
+# Importing dataclasses pulls inspect, ast, dis and tokenize into every
+# CLI start; the package's records are namedtuple subclasses instead.
+START_UP_MODULES = {"dataclasses"}
+
+
+def start_up_imports(source: str) -> list[str]:
+    """Imports of modules the package keeps out of its start-up."""
+    return [
+        f"import of {module} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        for module in _imported_modules(node)
+        if module.split(".")[0] in START_UP_MODULES
+    ]
+
+
+def test_the_scan_sees_a_start_up_import():
+    source = (
+        "import collections\nimport dataclasses\n"
+        "from dataclasses import dataclass, replace\nfrom .dataclasses import f\n"
+    )
+    assert start_up_imports(source) == [
+        "import of dataclasses (line 2)",
+        "import of dataclasses (line 3)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_the_package_starts_without_dataclasses(path):
+    assert start_up_imports(path.read_text()) == []
 
 
 ALLOWED_RAISES = {"ValueError", "PreconditionFailed", "InternalInvariantViolation"}

@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 from conftest import _mat_key, _np_classes, np_class_count, np_closure, to_complex
 from mckay.lattice import LatticeBasis
 from mckay.monomial_group import (
+    DEFAULT_CLOSURE_CAP,
     _conj,
     _inv,
     _is_special,
     _mul,
     closure,
-    closure_cap,
     conjugacy_classes,
     diagonal_generators_from_basis,
     diagonal_subgroup,
+    env_cap,
     group_from_basis,
     involution_scalars,
     semidirect_check,
@@ -310,12 +311,12 @@ def test_explosion_guard_and_env_override(monkeypatch):
     with pytest.raises(ValueError, match="^closure exceeded 2 elements"):
         closure([ROTATION], 3, max_elements=2)
     monkeypatch.setenv("MCKAY_MAX_CLOSURE", "2")
-    assert closure_cap() == 2
+    assert env_cap("MCKAY_MAX_CLOSURE", DEFAULT_CLOSURE_CAP) == 2
     with pytest.raises(ValueError, match="^closure exceeded 2 elements"):
         closure([ROTATION], 3)
     monkeypatch.setenv("MCKAY_MAX_CLOSURE", "abc")
     with pytest.raises(ValueError):
-        closure_cap()
+        env_cap("MCKAY_MAX_CLOSURE", DEFAULT_CLOSURE_CAP)
 
 
 def test_scalar_constraint_rejected():

@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 import sys
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -548,7 +547,7 @@ def test_twist_weights_are_checked_on_every_block():
         if len(ws := [w for (x, w), m in s.mult.items() if x == v and m]) > 1
     )
     m = s.mult[(v, w2)]
-    tampered = replace(s, mult={**s.mult, (v, w2): m + 1})
+    tampered = s._replace(mult={**s.mult, (v, w2): m + 1})
     carrier = _TwistCarrier(tampered, dual_twist_action(tampered), act)
     carrier._weights(v, w1)
     with pytest.raises(InternalInvariantViolation) as raised:
