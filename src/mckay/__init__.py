@@ -1,7 +1,7 @@
 """Exact McKay quivers of finite monomial subgroups of SL(3, C).
 
-Everything is integer arithmetic; a sum of roots of unity is held as integer
-counts over its exponents and reduced modulo a cyclotomic polynomial.
+Everything is integer arithmetic; the skew engine computes in Z[omega],
+holding each sum of cube roots of unity as counts over exponents mod 3.
 Covered: abelian quotients of Z^2 presented by Hermite normal forms, their
 typed three-arrow McKay quivers, cut enumeration and closed-form existence
 criteria, skew-group quivers under the residual C3 or S3 action, and the

@@ -228,21 +228,27 @@ def _cmd_cut_exists(args) -> dict:
     }
 
 
-def _cmd_cut_build(args) -> dict:
-    basis = _parse_basis(args.basis)
-    gamma = _parse_triple(args.gamma, "gamma")
+def _cut_doc(basis: LatticeBasis, q: TypedQuiver, cut: Cut) -> dict:
+    return {
+        "metadata": _metadata(basis),
+        "cut": {"arrow_ids": list(cut.arrows), "type": list(cut_type(cut))},
+        "validation": _validation_doc(validate_cut(q, cut)),
+        **_quiver_doc(q, cut),
+    }
+
+
+def _gamma_cut_doc(basis: LatticeBasis, gamma_text: str) -> dict:
+    """The cut of type gamma; the criterion is decided before Q_N is built."""
+    gamma = _parse_triple(gamma_text, "gamma")
     check_cut_exists(basis, gamma)
     q = build_quiver(AbelianQuotient(basis))
-    cut = build_cut(q, gamma)
-    doc = {
-        "metadata": _metadata(basis),
-        "cut": {
-            "arrow_ids": list(cut.arrows),
-            "type": list(cut_type(cut)),
-            "validation": _validation_doc(validate_cut(q, cut)),
-        },
-    }
-    doc.update(_quiver_doc(q, cut))
+    return _cut_doc(basis, q, build_cut(q, gamma))
+
+
+def _cmd_cut_build(args) -> dict:
+    # cut-validate --gamma, with the validation nested under the cut
+    doc = _gamma_cut_doc(_parse_basis(args.basis), args.gamma)
+    doc["cut"]["validation"] = doc.pop("validation")
     return doc
 
 
@@ -251,29 +257,16 @@ def _cmd_cut_validate(args) -> dict:
     if args.arrow_ids is None:
         if not args.gamma:
             raise ValueError("cut-validate needs --gamma or --arrow-ids")
-        gamma = _parse_triple(args.gamma, "gamma")
-        check_cut_exists(basis, gamma)
+        return _gamma_cut_doc(basis, args.gamma)
     q = build_quiver(AbelianQuotient(basis))
-    if args.arrow_ids is None:
-        cut = build_cut(q, gamma)
-    else:
-        try:
-            cut = Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)
-        except ValueError:
-            raise ValueError(f"cannot parse arrow ids {args.arrow_ids!r}") from None
-        missing = [i for i in cut.arrows if not 0 <= i < len(q.head)]
-        if missing:
-            raise ValueError(f"arrow ids {missing} do not exist")
-    doc = {
-        "metadata": _metadata(basis),
-        "cut": {
-            "arrow_ids": list(cut.arrows),
-            "type": list(cut_type(cut)),
-        },
-        "validation": _validation_doc(validate_cut(q, cut)),
-    }
-    doc.update(_quiver_doc(q, cut))
-    return doc
+    try:
+        cut = Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)
+    except ValueError:
+        raise ValueError(f"cannot parse arrow ids {args.arrow_ids!r}") from None
+    missing = [i for i in cut.arrows if not 0 <= i < len(q.head)]
+    if missing:
+        raise ValueError(f"arrow ids {missing} do not exist")
+    return _cut_doc(basis, q, cut)
 
 
 def _cmd_cut_enumerate(args) -> dict:

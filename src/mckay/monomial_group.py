@@ -363,7 +363,6 @@ def group_from_basis(
     kind: str,
     root_order: int | None = None,
     scalars: tuple[int, int, int] | None = None,
-    max_elements: int | None = None,
 ) -> FiniteMatrixGroup:
     """Build the monomial group of the given kind over the quotient Z^2/B.
 
@@ -393,7 +392,7 @@ def group_from_basis(
         # (2,1) and gamma = zeta^s at (3,3) [1-based]
         p, q, s = involution_scalars(m, scalars)
         gens.append(((1, 0, 2), (q, p, s)))
-    g = closure(gens, m, max_elements=max_elements)
+    g = closure(gens, m)
     expected = {"A": 1, "C": 3, "D": 6}[kind] * basis.det
     diag = sum(1 for p, _ in g.keys if p == _IDENTITY_PERM)
     if diag != basis.det:

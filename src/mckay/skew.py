@@ -4,13 +4,13 @@ Vertices of the skewed quiver are pairs (orbit representative, irreducible
 character of the stabilizer); the arrow multiplicity between two such
 vertices is a sum of Hom-space dimensions, one per diagonal orbit that
 carries arrows, each computed as an exact character inner product over the
-joint stabilizer.  Every character value is c * z^k and every trace a
-sum of (exponent mod W, count) terms, z a primitive W-th root of unity, so
-each block's inner product is summed exactly as a count vector over Z/W
-and reduced modulo the W-th cyclotomic polynomial once; blocks with the
-same stabilizers and terms share one such sum.  A multiplicity that is
-not a non-negative integer can only mean a bookkeeping bug and is raised,
-never rounded.
+joint stabilizer.  All of this arithmetic lies in Z[omega], omega a
+primitive cube root of unity: every character value is c * omega^k and
+every trace a sum of (exponent mod 3, count) terms, so each block's inner
+product is summed exactly as a count vector over Z/3 and reduced modulo
+the third cyclotomic polynomial once; blocks with the same stabilizers and
+terms share one such sum.  A multiplicity that is not a non-negative
+integer can only mean a bookkeeping bug and is raised, never rounded.
 
 Both skews of the unskew round trip run through the same engine: a carrier
 supplies a GroupAction on the points 0, ..., n - 1 (element names, integer
@@ -26,9 +26,7 @@ trip recovers the cut as arrow indices too.  Coset tuples return only in
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
-from math import gcd, lcm
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .cuts import Cut, _check_arrows, _degrees, _has_cycle, invariant_cut, validate_cut
 from .cyclotomic import reduce_mod_cyclotomic
@@ -65,13 +63,12 @@ class Carrier(Protocol):
 
     Vertices are the group's points, the integers 0, ..., n - 1.
     `out_neighbours(v)` must include every w with `block_dim(v, w) != 0`.
-    `block_trace(g, v, w)` is the trace of g on the block as (exponent mod W,
-    count) terms, each meaning count * z^exponent with z a primitive
-    W-th root of unity, W = `cyclotomic_order`.
+    `block_trace(g, v, w)` is the trace of g on the block in Z[omega] as
+    (exponent mod 3, count) terms, each meaning count * omega^exponent with
+    omega a primitive cube root of unity.
     """
 
     group: GroupAction
-    cyclotomic_order: int
 
     def block_dim(self, v: int, w: int) -> int: ...
     def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]: ...
@@ -79,10 +76,9 @@ class Carrier(Protocol):
 
 
 def _char_value(
-    group: GroupAction, w: int, subgroup: tuple[int, ...], label: str, h: int
+    group: GroupAction, subgroup: tuple[int, ...], label: str, h: int
 ) -> tuple[int, int]:
-    """chi_label(h) for the stabilizer subgroup as a term (c, k): c * z^k, z a
-    primitive w-th root of unity."""
+    """chi_label(h) for the stabilizer subgroup as a term (c, k): c * omega^k."""
     order = len(subgroup)
     if label == "triv":
         return 1, 0
@@ -98,7 +94,7 @@ def _char_value(
                 f"{group.names[h]} is not a power of {group.names[gen]}"
             )
         j = {"omega": 1, "omega2": 2}[label]
-        return 1, (w // 3) * ((j * k) % 3)
+        return 1, (j * k) % 3
     if order == 6:
         o = group.orders[h]
         if label == "sgn":
@@ -168,7 +164,6 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     group = carrier.group
     maps, table, inverse = group.maps, group.table, group.inverse
     transversal = group.transversal
-    w = carrier.cyclotomic_order
 
     stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
 
@@ -190,7 +185,7 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
             )
             row: list = [None] * len(table)
             for h in stab[rep]:
-                row[h] = _char_value(group, w, stab[rep], label, h)
+                row[h] = _char_value(group, stab[rep], label, h)
             rows.append(row)
         over[rep] = range(first, len(skew_vertices))
 
@@ -209,7 +204,7 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     def block_values(u1: int, u2: int, rep2: int, joint: tuple) -> list[list[int]]:
         """Hom dimension per pair of skew vertices over the orbits of u1 and
         u2 (representative rep2), as rows by the former; each inner product
-        is summed as counts over Z/W, reduced once and checked."""
+        is summed as counts over Z/3, reduced once and checked."""
         values = []
         for ai in over[u1]:
             row_a = rows[ai]
@@ -224,9 +219,9 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                     c = ca * cb
                     if c:
                         for e, n in trace:
-                            i = (kb - ka + e) % w
+                            i = (kb - ka + e) % 3
                             counts[i] = counts.get(i, 0) + c * n
-                coords = reduce_mod_cyclotomic(w, counts)
+                coords = reduce_mod_cyclotomic(3, counts)
                 if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
                     va, vb = skew_vertices[ai], skew_vertices[bi]
                     raise InternalInvariantViolation(
@@ -283,30 +278,30 @@ class _QuiverCarrier:
     """Carrier for Q_N with the K-action; traces include the arrow scalars.
 
     Points are vertex indices and the blocks are read off the head table.
-    The scalars are roots of unity of order M = root_order, but only the
-    subgroup they generate matters: with g the gcd of M and every scalar
-    exponent, the traces live in the field of order lcm(M/g, 3) and use the
-    exponents divided by g, so a large M with scalars of small order costs
-    no more than a small one.
+    The traces lie in Z[omega] whatever the root order M of the scalars: an
+    arrow adds to a trace only on a type its element fixes, and only the
+    identity and the involutions fix a type.  `k_action` checks that each
+    involution squares to the identity with its scalars, so such a scalar
+    is +1 or -1, exponent 0 or M/2; any other exponent is raised here.
     """
 
     def __init__(self, action: QuiverAction):
         self.head = action.quiver.head
-        self.action = action
         self.group = action.group
         m = action.root_order
-        g = gcd(m, *(x for e in action.elements for x in e.type_scalars))
-        self.cyclotomic_order = lcm(m // g, 3)
-        scale = self.cyclotomic_order // (m // g)
-        # Per element and type: the scaled scalar exponent, or None when
+        # Per element and type: the sign of the arrow scalar, or None when
         # the element moves the type and so adds nothing to a trace.
-        self._fixed_exps = [
-            [
-                x // g * scale if e.type_map[i] == i + 1 else None
-                for i, x in enumerate(e.type_scalars)
-            ]
-            for e in action.elements
-        ]
+        self._signs: list[list[int | None]] = [[None] * 3 for _ in action.elements]
+        for g, e in enumerate(action.elements):
+            for i, x in enumerate(e.type_scalars):
+                if e.type_map[i] != i + 1:
+                    continue
+                if 2 * x not in (0, m):
+                    raise InternalInvariantViolation(
+                        f"{e.name} fixes type {i + 1} with scalar exponent {x} "
+                        f"modulo {m}, not 0 or {m // 2}"
+                    )
+                self._signs[g][i] = -1 if x else 1
 
     def block_dim(self, v: int, w: int) -> int:
         return self.head[3 * v:3 * v + 3].count(w)
@@ -317,9 +312,9 @@ class _QuiverCarrier:
     def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
         head = self.head
         return tuple(
-            (x, 1)
-            for i, x in enumerate(self._fixed_exps[g])
-            if x is not None and head[3 * v + i] == w
+            (0, sign)
+            for i, sign in enumerate(self._signs[g])
+            if sign is not None and head[3 * v + i] == w
         )
 
 
@@ -415,34 +410,29 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     if not report.passed:
         raise ValueError(f"cut fails validation: {report.witnesses}")
     degree = _degrees(quiver, cut)
-    head = quiver.head
-    orbit_of = action.group.orbit_of
-
-    def block_degrees(o1: tuple, o2: tuple) -> set[int]:
-        return {
-            degree[a]
-            for u1 in o1
-            for a in range(3 * u1, 3 * u1 + 3)
-            if orbit_of[head[a]][0] == o2[0]
-        }
-
-    return s._replace(degrees=_transport(s.vertices, s.mult, orbit_of, block_degrees))
+    edges = ((a // 3, y, degree[a]) for a, y in enumerate(quiver.head))
+    return s._replace(
+        degrees=_transport(s.vertices, s.mult, action.group.orbit_of, edges)
+    )
 
 
 def _transport(
     vertices: tuple[SkewVertex, ...],
     mult: dict[tuple[int, int], int],
     orbit_of: Sequence[tuple[int, ...]],
-    block_degrees: Callable[[tuple, tuple], set[int]],
+    edges: Iterable[tuple[int, int, int]],
 ) -> dict[tuple[int, int], int]:
     """Degrees of the skew blocks: each block takes the common degree of the
-    underlying arrows from its source's vertex orbit into its target's,
-    which `block_degrees(o1, o2)` returns as a set, and the degree-0 part
-    must stay acyclic."""
+    underlying edges (x, y, degree) from its source's vertex orbit into its
+    target's, read once into one degree set per orbit pair, and the degree-0
+    part must stay acyclic."""
+    table: dict[tuple[int, int], set[int]] = {}
+    for x, y, d in edges:
+        table.setdefault((orbit_of[x][0], orbit_of[y][0]), set()).add(d)
     degrees: dict[tuple[int, int], int] = {}
     for (ai, bi), m in sorted(mult.items()):
         rep1, rep2 = vertices[ai].orbit_rep, vertices[bi].orbit_rep
-        degs = block_degrees(orbit_of[rep1], orbit_of[rep2])
+        degs = table.get((rep1, rep2), ())
         if not degs:
             raise InternalInvariantViolation(
                 f"block ({ai}, {bi}) has multiplicity {m} but no underlying arrows"
@@ -452,9 +442,9 @@ def _transport(
                 f"arrows between orbits of {rep1} and {rep2} carry mixed "
                 f"degrees {sorted(degs)}"
             )
-        degrees[(ai, bi)] = degs.pop()
-    edges = [(i, j) for (i, j) in mult if degrees[(i, j)] == 0]
-    cyclic, walk = _has_cycle(tuple(range(len(vertices))), edges)
+        (degrees[(ai, bi)],) = degs
+    zero = [(i, j) for (i, j) in mult if degrees[(i, j)] == 0]
+    cyclic, walk = _has_cycle(tuple(range(len(vertices))), zero)
     if cyclic:
         raise InternalInvariantViolation(
             f"degree-0 part of the skew quiver has a cycle through {walk}"
@@ -500,10 +490,9 @@ class _TwistCarrier:
     """Carrier for the second skew: the dual C3 acting on S = Q_N * C3.
 
     Arrow blocks between twist-fixed vertices decompose into weight
-    spaces: each representative pair (u1, u2) of the underlying vertex
-    orbits (`_orbit_pairs`, u1 the representative) contributes its arrow
-    count with weight g2^-1 g1 read in the original C3; traces are sums of
-    cube roots of unity accordingly.
+    spaces: each arrow from the representative u1 into the target's vertex
+    orbit, with head u2, has weight g2^-1 g1 read in the original C3;
+    traces are sums of cube roots of unity, in Z[omega], accordingly.
     Elements of both C3s are indexed by their exponent of the generator.
     """
 
@@ -512,46 +501,36 @@ class _TwistCarrier:
         self.group = twist
         self.head = action.quiver.head
         self.action = action
-        self.cyclotomic_order = 3
-        self._weights_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._successors: list[list[int]] = [[] for _ in s.vertices]
+        for (i, j), m in s.mult.items():
+            if m:
+                self._successors[i].append(j)
 
     def block_dim(self, v: int, w: int) -> int:
         return self.s.mult.get((v, w), 0)
-
-    @cached_property
-    def _successors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.s.vertices]
-        for (i, j), m in self.s.mult.items():
-            if m:
-                out[i].append(j)
-        return out
 
     def out_neighbours(self, v: int) -> list[int]:
         return self._successors[v]
 
     def _weights(self, v: int, w: int) -> tuple[tuple[int, int], ...]:
-        """(weight exponent, count) per representative pair of the underlying orbits."""
-        key = (v, w)
-        got = self._weights_cache.get(key)
-        if got is not None:
-            return got
+        """(weight exponent, 1) per arrow from v's orbit representative u1
+        into w's vertex orbit, with head u2.  Only twist-fixed blocks get
+        here, and they lie over free C3-orbits, so each u2 stands for its own
+        diagonal orbit; u1 is reached by the identity, so the weight g2^-1 g1
+        is the inverse of u2's transversal element."""
         group = self.action.group
         rep = self.s.vertices[v].orbit_rep
-        succ = self.head[3 * rep:3 * rep + 3]
-        pairs = _orbit_pairs(group, rep, group.stabilizer(rep), succ)
-        # u1 is the representative, reached by the identity, so the weight
-        # g2^-1 g1 is the inverse of u2's transversal element.
+        rep2 = self.s.vertices[w].orbit_rep
         weights = tuple(
-            (group.inverse[group.transversal[u2]], succ.count(u2))
-            for u2 in pairs.get(self.s.vertices[w].orbit_rep, ())
+            (group.inverse[group.transversal[u2]], 1)
+            for u2 in self.head[3 * rep:3 * rep + 3]
+            if group.orbit_of[u2][0] == rep2
         )
-        total = sum(c for _, c in weights)
-        if total != self.block_dim(v, w):
+        if len(weights) != self.block_dim(v, w):
             raise InternalInvariantViolation(
-                f"weight decomposition of block ({v}, {w}) sums to {total}, "
+                f"weight decomposition of block ({v}, {w}) sums to {len(weights)}, "
                 f"multiplicity is {self.block_dim(v, w)}"
             )
-        self._weights_cache[key] = weights
         return weights
 
     def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
@@ -588,12 +567,8 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     vertices2, mult2 = _demonet(_TwistCarrier(s, twist, action))
     # A double-skew block inherits the common degree of the S-blocks
     # joining the two twist orbits.
-    degrees2 = _transport(
-        vertices2,
-        mult2,
-        twist.orbit_of,
-        lambda o1, o2: {s.degrees[(i, j)] for i in o1 for j in o2 if (i, j) in s.mult},
-    )
+    edges = ((i, j, d) for (i, j), d in s.degrees.items())
+    degrees2 = _transport(vertices2, mult2, twist.orbit_of, edges)
 
     if len(vertices2) != n:
         raise InternalInvariantViolation(

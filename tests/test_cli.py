@@ -261,6 +261,19 @@ def test_round_trip_documents_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_a_large_root_order_document_is_pinned(capsys):
+    # Recorded while the engine still summed traces in the field of order
+    # lcm(M/g, 3), g the gcd of M and the scalar exponents, whose cost grew
+    # with the root order M; only the signs of the scalars enter a trace,
+    # so the bytes stay and the cost does not.
+    argv = "skew --basis 2,0;0,2 --kind D --root-order 20000 --scalars 1,0,9999"
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5a583212dba6c0a314546d336e36dff9134c108a7b3b537b0935a63bbac9bff3"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, n",
     [("classify --basis 21,0;0,21 --kind D", 441), ("unskew-roundtrip --basis 63,51;0,3", 189)],

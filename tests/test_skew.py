@@ -156,21 +156,26 @@ def test_loop_profile_against_numeric_oracle():
     assert np_loop_profile(_signed_permutations_det_1()) == [(3, 1), (3, 1)]
 
 
-def test_carrier_field_follows_the_order_of_the_scalars():
+def test_every_trace_is_reduced_in_the_field_of_cube_roots(monkeypatch):
     # Default kind D scalars are all -1, whatever the root order.
     basis = LatticeBasis(3, 0, 3)
-    big = _QuiverCarrier(_action(basis, "D", root_order=8192))
-    assert big.cyclotomic_order == 6
-    s = skew_quiver(big.action)
+    s = skew_quiver(_action(basis, "D", root_order=8192))
     _, _, small = _skew(basis, "D", root_order=2)
     assert s.vertices == small.vertices and s.mult == small.mult
-    twelfth = _action(basis, "D", root_order=12, scalars=(5, 7, 6))
-    assert _QuiverCarrier(twelfth).cyclotomic_order == 12
-    # Scalars of order 8192 need the field of order 3 * 8192.  The literal was
-    # captured from the earlier power-basis engine, which took 25 s here.
+    # Scalars of order 8192 still give traces in Z[omega]: only the identity
+    # and the involutions fix a type, and there a scalar is +1 or -1.  The
+    # literal was captured from the earlier power-basis engine, which took
+    # 25 s here.
     high = _action(basis, "D", root_order=8192, scalars=(1, 1, 4094))
-    assert _QuiverCarrier(high).cyclotomic_order == 3 * 8192
+    orders = set()
+
+    def reduce(order, counts):
+        orders.add(order)
+        return reduce_mod_cyclotomic(order, counts)
+
+    monkeypatch.setattr(skew, "reduce_mod_cyclotomic", reduce)
     s = skew_quiver(high)
+    assert orders == {3}
     vertices = high.quiver.vertices
     assert [(vertices[v.orbit_rep], v.irrep, v.dimension) for v in s.vertices] == [
         ((0, 0), "triv", 1), ((0, 0), "sgn", 1), ((0, 0), "std", 2),
@@ -185,6 +190,31 @@ def test_carrier_field_follows_the_order_of_the_scalars():
         ((6, 7), 1), ((6, 8), 1), ((6, 9), 1), ((7, 3), 1), ((7, 4), 1),
         ((8, 3), 1), ((8, 4), 1), ((9, 3), 1), ((9, 4), 1),
     ]
+
+
+def test_a_huge_root_order_builds_no_field_of_its_order():
+    # Only the signs +1 and -1 of the scalars enter a trace, so a root order
+    # of 2,000,000 gives the quiver of the golden 2I case at root order 4;
+    # the engine never reduces modulo a cyclotomic polynomial of order M.
+    basis = LatticeBasis(2, 0, 2)
+    _, _, huge = _skew(basis, "D", root_order=2_000_000, scalars=(1, 0, 999_999))
+    _, _, small = _skew(basis, "D", root_order=4, scalars=(1, 0, 1))
+    assert huge.vertices == small.vertices and huge.mult == small.mult
+
+
+def test_a_fixed_type_scalar_other_than_a_sign_is_refused():
+    # k_action checks that each involution squares to the identity with its
+    # scalars, so a type an element fixes has the scalar +1 or -1; the
+    # carrier relies on that and refuses any other exponent.
+    act = _action(LatticeBasis(2, 0, 2), "D", root_order=4, scalars=(1, 0, 1))
+    s = act.elements[2]
+    assert (s.name, s.type_map, s.type_scalars) == ("s", (2, 1, 3), (3, 1, 2))
+    tampered = act._replace(elements=(
+        *act.elements[:2], s._replace(type_scalars=(3, 1, 1)), *act.elements[3:]
+    ))
+    with pytest.raises(InternalInvariantViolation) as raised:
+        _QuiverCarrier(tampered)
+    assert str(raised.value) == "s fixes type 3 with scalar exponent 1 modulo 4, not 0 or 2"
 
 
 def test_weighted_three_regularity():
@@ -327,8 +357,9 @@ def test_transport_matches_brute_force_degrees():
 def test_transport_names_an_empty_or_mixed_block(degrees, message):
     _, act, s = _skew(LatticeBasis(3, 0, 3), "C")
     assert min(s.mult.items()) == ((0, 3), 1)
+    edges = [(0, 1, d) for d in degrees]  # 0 and 1 represent the block's orbits
     with pytest.raises(InternalInvariantViolation) as raised:
-        _transport(s.vertices, s.mult, act.group.orbit_of, lambda o1, o2: set(degrees))
+        _transport(s.vertices, s.mult, act.group.orbit_of, edges)
     assert str(raised.value) == message
 
 
@@ -409,7 +440,6 @@ class _Wrapped:
     def __init__(self, inner, every_point=False):
         self.inner = inner
         self.group = inner.group
-        self.cyclotomic_order = inner.cyclotomic_order
         self.every_point = every_point
         self.block_dim_calls = 0
 
@@ -442,9 +472,9 @@ class _Tampered(_Wrapped):
 @pytest.mark.parametrize(
     "g, terms, coords",
     [
-        # The involution fixing (0, 1), vertex 1, scales the arrow by -1 = z^3 (W = 6);
-        # as z^4 the triv -> triv inner product is 1 + z^4 = 1 - z.
-        (4, ((4, 1),), "(1, -1)"),
+        # The involution fixing (0, 1), vertex 1, scales the arrow by -1;
+        # as omega the triv -> triv inner product is 1 + omega.
+        (4, ((1, 1),), "(1, 1)"),
         # Two arrows at the identity, one at the involution: 2 - 1 = 1,
         # an integer but not a multiple of |joint| = 2.
         (0, ((0, 2),), "(1, 0)"),
@@ -453,9 +483,8 @@ class _Tampered(_Wrapped):
 def test_a_tampered_trace_is_a_non_integral_multiplicity(g, terms, coords):
     inner = _QuiverCarrier(_action(LatticeBasis(2, 0, 2), "D"))
     block = (0, 1)  # the cosets (0, 0) and (0, 1)
-    assert inner.cyclotomic_order == 6
     assert inner.group.stabilizer(1) == (0, 4)
-    assert inner.block_trace(4, *block) == ((3, 1),)
+    assert inner.block_trace(4, *block) == ((0, -1),)
     with pytest.raises(InternalInvariantViolation) as raised:
         _demonet(_Tampered(inner, g, block, terms))
     assert str(raised.value) == (
@@ -569,7 +598,6 @@ def reference_demonet(carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     group = carrier.group
     maps, table, inverse = group.maps, group.table, group.inverse
     transversal = group.transversal
-    w = carrier.cyclotomic_order
 
     stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
 
@@ -591,7 +619,7 @@ def reference_demonet(carrier) -> tuple[tuple[SkewVertex, ...], dict]:
             )
             row: list = [None] * len(table)
             for h in stab[rep]:
-                row[h] = _char_value(group, w, stab[rep], label, h)
+                row[h] = _char_value(group, stab[rep], label, h)
             rows.append(row)
         over[rep] = range(first, len(skew_vertices))
 
@@ -641,9 +669,9 @@ def reference_demonet(carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                     c = ca * cb
                     if c:
                         for e, n in trace:
-                            i = (kb - ka + e) % w
+                            i = (kb - ka + e) % 3
                             counts[i] = counts.get(i, 0) + c * n
-                coords = reduce_mod_cyclotomic(w, counts)
+                coords = reduce_mod_cyclotomic(3, counts)
                 if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
                     raise InternalInvariantViolation(
                         f"block ({va.orbit_rep}/{va.irrep} -> "
