@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 from typing import Sequence
 
 from .cuts import (
     Cut,
-    ValidationReport,
     build_cut,
     check_cut_exists,
     cut_exists,
@@ -36,7 +36,6 @@ from .lattice import (
     is_admissible,
 )
 from .mckay_quiver import (
-    QuiverAction,
     TypedQuiver,
     build_quiver,
     k_action,
@@ -48,7 +47,7 @@ from .monomial_group import (
     group_from_basis,
     semidirect_check,
 )
-from .skew import loop_witness, skew_quiver, transport_cut, unskew_round_trip
+from .skew import _transport_cut, loop_witness, skew_quiver, unskew_round_trip
 
 __all__ = ["main", "run"]
 
@@ -150,16 +149,6 @@ def _skew_doc(s, q: TypedQuiver) -> dict:
     }
 
 
-def _validation_doc(report: ValidationReport) -> dict:
-    return {
-        "squares_balanced": report.squares_balanced,
-        "cycles_unit_degree": report.cycles_unit_degree,
-        "degree_zero_acyclic": report.degree_zero_acyclic,
-        "passed": report.passed,
-        "witnesses": list(report.witnesses),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns a JSON-serializable document.
 
@@ -228,45 +217,45 @@ def _cmd_cut_exists(args) -> dict:
     }
 
 
-def _cut_doc(basis: LatticeBasis, q: TypedQuiver, cut: Cut) -> dict:
-    return {
+def _cmd_cut_validate(args) -> dict:
+    """cut-validate, and cut-build: cut-validate --gamma with the validation
+    nested under the cut.  For a gamma the criterion is decided before Q_N
+    is built."""
+    basis = _parse_basis(args.basis)
+    if args.command == "cut-build" or args.arrow_ids is None:
+        if args.gamma is None:
+            raise ValueError("cut-validate needs --gamma or --arrow-ids")
+        gamma = _parse_triple(args.gamma, "gamma")
+        check_cut_exists(basis, gamma)
+        q = build_quiver(AbelianQuotient(basis))
+        cut = build_cut(q, gamma)
+    else:
+        q = build_quiver(AbelianQuotient(basis))
+        try:
+            cut = Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)
+        except ValueError:
+            raise ValueError(f"cannot parse arrow ids {args.arrow_ids!r}") from None
+        missing = [i for i in cut.arrows if not 0 <= i < len(q.head)]
+        if missing:
+            raise ValueError(f"arrow ids {missing} do not exist")
+    report = validate_cut(q, cut)
+    validation = {
+        "squares_balanced": report.squares_balanced,
+        "cycles_unit_degree": report.cycles_unit_degree,
+        "degree_zero_acyclic": report.degree_zero_acyclic,
+        "passed": report.passed,
+        "witnesses": list(report.witnesses),
+    }
+    doc = {
         "metadata": _metadata(basis),
         "cut": {"arrow_ids": list(cut.arrows), "type": list(cut_type(cut))},
-        "validation": _validation_doc(validate_cut(q, cut)),
         **_quiver_doc(q, cut),
     }
-
-
-def _gamma_cut_doc(basis: LatticeBasis, gamma_text: str) -> dict:
-    """The cut of type gamma; the criterion is decided before Q_N is built."""
-    gamma = _parse_triple(gamma_text, "gamma")
-    check_cut_exists(basis, gamma)
-    q = build_quiver(AbelianQuotient(basis))
-    return _cut_doc(basis, q, build_cut(q, gamma))
-
-
-def _cmd_cut_build(args) -> dict:
-    # cut-validate --gamma, with the validation nested under the cut
-    doc = _gamma_cut_doc(_parse_basis(args.basis), args.gamma)
-    doc["cut"]["validation"] = doc.pop("validation")
+    if args.command == "cut-build":
+        doc["cut"]["validation"] = validation
+    else:
+        doc["validation"] = validation
     return doc
-
-
-def _cmd_cut_validate(args) -> dict:
-    basis = _parse_basis(args.basis)
-    if args.arrow_ids is None:
-        if not args.gamma:
-            raise ValueError("cut-validate needs --gamma or --arrow-ids")
-        return _gamma_cut_doc(basis, args.gamma)
-    q = build_quiver(AbelianQuotient(basis))
-    try:
-        cut = Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)
-    except ValueError:
-        raise ValueError(f"cannot parse arrow ids {args.arrow_ids!r}") from None
-    missing = [i for i in cut.arrows if not 0 <= i < len(q.head)]
-    if missing:
-        raise ValueError(f"arrow ids {missing} do not exist")
-    return _cut_doc(basis, q, cut)
 
 
 def _cmd_cut_enumerate(args) -> dict:
@@ -294,14 +283,15 @@ def _refuse_inadmissible(basis: LatticeBasis, kind: str) -> None:
         check_admissible(basis, kind)
 
 
-def _build_action(args, basis: LatticeBasis) -> QuiverAction:
+def _cmd_skew(args) -> dict:
+    """skew, and classify: the skew quiver, for classify with the cut
+    verdict, its witness and the invariant cut's degrees when 3 | n."""
+    basis = _parse_basis(args.basis)
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
     _refuse_inadmissible(basis, args.kind)
     q = build_quiver(AbelianQuotient(basis))
-    return k_action(q, args.kind, scalars=scalars, root_order=args.root_order)
-
-
-def _action_meta(act) -> dict:
+    act = k_action(q, args.kind, scalars=scalars, root_order=args.root_order)
+    s = skew_quiver(act)
     meta = {
         "kind": act.kind,
         "root_order": act.root_order,
@@ -311,51 +301,27 @@ def _action_meta(act) -> dict:
         # convention: rotation acts scalar-free, the involution acts on
         # arrow types 1, 2, 3 with these root-of-unity exponents
         meta["involution_type_scalars"] = list(act.element("s").type_scalars)
-    return meta
-
-
-def _cmd_skew(args) -> dict:
-    basis = _parse_basis(args.basis)
-    act = _build_action(args, basis)
-    s = skew_quiver(act)
-    doc = {
-        "metadata": _metadata(basis, **_action_meta(act)),
-    }
-    doc.update(_skew_doc(s, act.quiver))
-    return doc
-
-
-def _cmd_classify(args) -> dict:
-    basis = _parse_basis(args.basis)
-    act = _build_action(args, basis)
-    n = basis.det
-    doc = {
-        "metadata": _metadata(basis, **_action_meta(act)),
-        "divisible_by_3": n % 3 == 0,
-    }
-    s = skew_quiver(act)
-    if n % 3 == 0:
+    doc = {"metadata": _metadata(basis, **meta)}
+    if args.command == "classify" and basis.det % 3 == 0:
         cut = invariant_cut(act)
-        s = transport_cut(s, act, cut)
-        doc["verdict"] = "cut-exists"
-        doc["witness"] = {
+        s = _transport_cut(s, act, cut)
+        doc.update(divisible_by_3=True, verdict="cut-exists", witness={
             "invariant_cut_arrow_ids": list(cut.arrows),
             "invariant_cut_type": list(cut_type(cut)),
-        }
-    else:
+        })
+    elif args.command == "classify":
         witness = loop_witness(act)
         if not s.loops():
             raise InternalInvariantViolation(
                 "no loops on the skew quiver although 3 does not divide |N|"
             )
-        doc["verdict"] = "no-cut"
-        doc["witness"] = {
+        doc.update(divisible_by_3=False, verdict="no-cut", witness={
             "k": witness.k,
             "coset": list(witness.vertex),
             "orbit": [list(v) for v in witness.orbit],
             "orbit_size": witness.orbit_size,
             "special_c2xc2": witness.special_c2xc2,
-        }
+        })
     doc.update(_skew_doc(s, act.quiver))
     return doc
 
@@ -380,7 +346,6 @@ def _cmd_unskew_roundtrip(args) -> dict:
 def _cmd_oracle_compare(args) -> dict:
     kind = args.kind or "C"
     cases = []
-    discrepancies = []
     for basis in admissible_bases(args.max_det, kind):
         q = build_quiver(AbelianQuotient(basis))
         realized = realized_types(q, limit=max(DEFAULT_ENUMERATION_LIMIT, 3 * basis.det))
@@ -391,21 +356,18 @@ def _cmd_oracle_compare(args) -> dict:
             for g2 in range(1, n - g1)
             if cut_exists(basis, (g1, g2, n - g1 - g2))
         }
-        case = {
+        cases.append({
             "basis": [list(r) for r in basis.rows],
             "det": n,
             "realized_types": sorted(list(t) for t in realized),
             "predicted_types": sorted(list(t) for t in predicted),
             "match": realized == predicted,
-        }
-        cases.append(case)
-        if realized != predicted:
-            discrepancies.append(case)
+        })
     return {
         "max_det": args.max_det,
         "kind": kind,
         "cases": cases,
-        "discrepancies": discrepancies,
+        "discrepancies": [case for case in cases if not case["match"]],
     }
 
 
@@ -413,8 +375,73 @@ def _cmd_oracle_compare(args) -> dict:
 # Rendering.
 
 
+_ATOMS = frozenset({int, str, bool, type(None)})
+# The C encoder runs only without indent.  It escapes every control
+# character, so a raw NUL in its output can only be a separator.
+_encode = json.JSONEncoder(separators=("\x00", ":")).encode
+_CHUNK = 4096  # list items rendered at a time, so a long list keeps a small working set
+
+
 def _to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Exactly json.dumps(doc, sort_keys=True, indent=2) + "\\n", with the
+    bulk of the document rendered by the stdlib's C encoder."""
+    return _render(doc, "") + "\n"
+
+
+def _render(value, ind: str) -> str:
+    """One value rendered with its last line at indentation ind."""
+    t = type(value)
+    if t in _ATOMS:
+        return _encode(value)
+    bad = set(map(type, value)) - {str} if t is dict else {t} - {list}
+    if bad:
+        raise InternalInvariantViolation(f"cannot render {min(b.__name__ for b in bad)} as JSON")
+    if not value:
+        return "{}" if t is dict else "[]"
+    inner = ind + "  "
+    if t is dict:
+        items = [f"{_encode(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+    else:
+        items = [
+            f",\n{inner}".join(_render_column(value[i:i + _CHUNK], inner))
+            for i in range(0, len(value), _CHUNK)
+        ]
+    brackets = "{}" if t is dict else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{ind}{brackets[1]}"
+
+
+def _render_column(values, ind: str) -> list[str]:
+    """Each of the values rendered at indentation ind.
+
+    Atoms take one C encoder call.  Dicts that share one key set fill one
+    row template whose values are rendered column by column, a column of
+    lists that all have n > 0 items as n columns of items.  Anything else
+    is rendered value by value.
+    """
+    types = set(map(type, values))
+    if types <= _ATOMS:
+        return _encode(values)[1:-1].split("\x00")
+    first = values[0]
+    keys = sorted(first) if types == {dict} and set(map(type, first)) == {str} else ()
+    try:
+        columns = [list(map(itemgetter(key), values)) for key in keys]
+    except KeyError:
+        keys = ()
+    if not keys or set(map(len, values)) != {len(keys)}:
+        return [_render(value, ind) for value in values]
+    inner = ind + "  "
+    fields, cells = [], []
+    for key, column in zip(keys, columns):
+        name = _encode(key).replace("%", "%%")
+        lengths = set(map(len, column)) if set(map(type, column)) == {list} else ()
+        if len(lengths) == 1 and (n := lengths.pop()):
+            fields.append(f"{name}: [\n{inner}  " + f",\n{inner}  ".join(["%s"] * n) + f"\n{inner}]")
+            cells += (_render_column(list(map(itemgetter(k), column)), inner + "  ") for k in range(n))
+        else:
+            fields.append(f"{name}: %s")
+            cells.append(_render_column(column, inner))
+    row = f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{ind}}}"
+    return [row % cell for cell in zip(*cells)]
 
 
 def _to_dot(doc: dict) -> str:
@@ -471,18 +498,31 @@ def _to_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_COMMANDS = {
-    "group-info": _cmd_group_info,
-    "quiver": _cmd_quiver,
-    "cut-exists": _cmd_cut_exists,
-    "cut-build": _cmd_cut_build,
-    "cut-validate": _cmd_cut_validate,
-    "cut-enumerate": _cmd_cut_enumerate,
-    "skew": _cmd_skew,
-    "classify": _cmd_classify,
-    "unskew-roundtrip": _cmd_unskew_roundtrip,
-    "oracle-compare": _cmd_oracle_compare,
+_GAMMA = {"--gamma": {"required": True, "help": "type vector g1,g2,g3"}}
+
+# name: (implementation, help, the kinds of --kind with --root-order and
+# --scalars, or None for no symmetry options, further options)
+_SPECS = {
+    "group-info": (_cmd_group_info, "group order, classes, complement", ("A", "C", "D"), {}),
+    "quiver": (_cmd_quiver, "the McKay quiver of Z^2/B", None, {}),
+    "cut-exists": (_cmd_cut_exists, "closed-form cut criterion", None, _GAMMA),
+    "cut-build": (_cmd_cut_validate, "construct the cut of a given type", None, _GAMMA),
+    "cut-validate": (_cmd_cut_validate, "check the weak-cut axioms", None, {
+        "--gamma": {"default": None, "help": "build and validate this type"},
+        "--arrow-ids": {"default": None, "help": "validate these arrow ids"},
+    }),
+    "cut-enumerate": (_cmd_cut_enumerate, "exhaustively enumerate cuts", None, {
+        "--limit": {"type": int, "default": DEFAULT_ENUMERATION_LIMIT},
+    }),
+    "skew": (_cmd_skew, "the skew-group quiver Q_N * K", ("C", "D"), {}),
+    "classify": (_cmd_skew, "cut existence verdict with witness", ("C", "D"), {}),
+    "unskew-roundtrip": (_cmd_unskew_roundtrip, "skew by C3, unskew by its dual", None, {}),
+    "oracle-compare": (_cmd_oracle_compare, "enumeration vs criterion sweep", None, {
+        "--max-det": {"type": int, "default": 9},
+        "--kind": {"choices": ("A", "C", "D"), "default": "C"},
+    }),
 }
+_COMMANDS = {name: spec[0] for name, spec in _SPECS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -492,9 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "monomial subgroups of SL(3).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, basis=True):
-        if basis:
+    for name, (_, help_text, kinds, options) in _SPECS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "oracle-compare":  # the one command that sweeps bases
             p.add_argument(
                 "--basis",
                 "-B",
@@ -507,52 +547,12 @@ def _build_parser() -> argparse.ArgumentParser:
             default="json",
             help="output format (default json)",
         )
-
-    def symmetry(p, kinds):
-        p.add_argument("--kind", choices=kinds, required=True)
-        p.add_argument("--root-order", type=int, default=None)
-        p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
-
-    p = sub.add_parser("group-info", help="group order, classes, complement")
-    common(p)
-    symmetry(p, ("A", "C", "D"))
-
-    p = sub.add_parser("quiver", help="the McKay quiver of Z^2/B")
-    common(p)
-
-    p = sub.add_parser("cut-exists", help="closed-form cut criterion")
-    common(p)
-    p.add_argument("--gamma", required=True, help="type vector g1,g2,g3")
-
-    p = sub.add_parser("cut-build", help="construct the cut of a given type")
-    common(p)
-    p.add_argument("--gamma", required=True, help="type vector g1,g2,g3")
-
-    p = sub.add_parser("cut-validate", help="check the weak-cut axioms")
-    common(p)
-    p.add_argument("--gamma", default=None, help="build and validate this type")
-    p.add_argument("--arrow-ids", default=None, help="validate these arrow ids")
-
-    p = sub.add_parser("cut-enumerate", help="exhaustively enumerate cuts")
-    common(p)
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
-
-    p = sub.add_parser("skew", help="the skew-group quiver Q_N * K")
-    common(p)
-    symmetry(p, ("C", "D"))
-
-    p = sub.add_parser("classify", help="cut existence verdict with witness")
-    common(p)
-    symmetry(p, ("C", "D"))
-
-    p = sub.add_parser("unskew-roundtrip", help="skew by C3, unskew by its dual")
-    common(p)
-
-    p = sub.add_parser("oracle-compare", help="enumeration vs criterion sweep")
-    common(p, basis=False)
-    p.add_argument("--max-det", type=int, default=9)
-    p.add_argument("--kind", choices=("A", "C", "D"), default="C")
-
+        if kinds:
+            p.add_argument("--kind", choices=kinds, required=True)
+            p.add_argument("--root-order", type=int, default=None)
+            p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
+        for flag, settings in options.items():
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -560,10 +560,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch a parsed job; returns (document, exit code)."""
     doc = _COMMANDS[args.command](args)
     doc.update(schema=1, command=args.command)
-    code = EXIT_OK
-    if args.command == "oracle-compare" and doc["discrepancies"]:
-        code = EXIT_DISCREPANCY
-    return doc, code
+    return doc, EXIT_DISCREPANCY if doc.get("discrepancies") else EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -574,12 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if not e.code else EXIT_INVALID
     try:
         doc, code = run(args)
-        if args.format == "json":
-            out = _to_json(doc)
-        elif args.format == "dot":
-            out = _to_dot(doc)
-        else:
-            out = _to_text(doc)
+        out = {"json": _to_json, "dot": _to_dot, "text": _to_text}[args.format](doc)
     except (McKayError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", EXIT_INVALID)

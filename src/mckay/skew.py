@@ -409,8 +409,14 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     report = validate_cut(quiver, cut)
     if not report.passed:
         raise ValueError(f"cut fails validation: {report.witnesses}")
-    degree = _degrees(quiver, cut)
-    edges = ((a // 3, y, degree[a]) for a, y in enumerate(quiver.head))
+    return _transport_cut(s, action, cut)
+
+
+def _transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
+    """transport_cut for a cut already checked invariant and valid, as
+    `invariant_cut` returns it."""
+    degree = _degrees(action.quiver, cut)
+    edges = ((a // 3, y, degree[a]) for a, y in enumerate(action.quiver.head))
     return s._replace(
         degrees=_transport(s.vertices, s.mult, action.group.orbit_of, edges)
     )
@@ -560,8 +566,7 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     action = k_action(quiver, "C")
     cut = invariant_cut(action)  # raises PreconditionFailed unless 3 | n
     n = quiver.quotient.order
-    s = skew_quiver(action)
-    s = transport_cut(s, action, cut)
+    s = _transport_cut(skew_quiver(action), action, cut)
 
     twist = dual_twist_action(s)
     vertices2, mult2 = _demonet(_TwistCarrier(s, twist, action))

@@ -6,6 +6,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckay import cli, errors
 
@@ -46,6 +48,84 @@ def test_json_round_trip_identity(capsys):
     assert code == 0
     doc = json.loads(out)
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+
+
+# Strings and keys with control characters, quotes, backslashes, % and
+# non-ASCII text, next to ordinary ones.
+_CHARS = 'ab%"\\\x00\n\x1f\x7f\u00e9\u20ac\U0001f600'
+_TEXT = st.text(st.sampled_from(_CHARS), max_size=4) | st.text(max_size=3)
+_ATOM = st.none() | st.booleans() | st.integers(-(2**80), 2**80) | _TEXT
+_FIELDS = (
+    _ATOM,
+    st.lists(_ATOM, min_size=2, max_size=2),
+    st.lists(_ATOM, max_size=3) | _ATOM,
+    st.lists(st.lists(_ATOM, max_size=2), min_size=1, max_size=1),
+)
+
+
+@st.composite
+def _records(draw):
+    """Dicts that share one key set, each field of one kind: atoms, lists
+    of one length, lists of any length or atoms, nested lists; sometimes a
+    last row with other keys or with one key more."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({key: draw(st.sampled_from(_FIELDS)) for key in keys})
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    last = draw(st.sampled_from(["same", "other", "more"]))
+    if last == "other":
+        rows.append(draw(st.dictionaries(_TEXT, _ATOM, max_size=3)))
+    elif last == "more":
+        rows.append({**rows[0], "".join(keys) + "+": None})
+    return rows
+
+
+_VALUE = st.recursive(
+    _ATOM | _records(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(_TEXT, _VALUE, max_size=3))
+def test_json_rendering_matches_the_stdlib(doc):
+    assert cli._to_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_long_lists_render_across_chunks(monkeypatch):
+    # Lists render a chunk at a time; three items per chunk puts chunk
+    # boundaries inside every list here.
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    doc = {
+        "atoms": list(range(-4, 6)),
+        "rows": [{"id": i, "pair": [i, -i], "tail": [0] * (i % 3)} for i in range(10)],
+        "more": [{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3, "extra": None}],
+        "mixed": [{"id": 0}, {"id": 1, "extra": None}, [], {}, "x", [[1], [2, 3]]],
+    }
+    assert cli._to_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (0.5, "float"),
+        ([{"id": 0, "x": 1}, {"id": 1, "x": 2.0}], "float"),
+        ([{"pair": [0, 1]}, {"pair": [0, 1e300]}], "float"),
+        ({1: "a"}, "int"),
+        ((0, 1), "tuple"),
+        ({0, 1}, "set"),
+        (b"x", "bytes"),
+        (object(), "object"),
+    ],
+    ids=["float", "record-float", "record-list-float", "int-key", "tuple", "set", "bytes", "object"],
+)
+def test_a_non_json_value_in_a_document_exits_4(capsys, monkeypatch, value, name):
+    # No floating point enters a result: the JSON output refuses it.
+    monkeypatch.setitem(cli._COMMANDS, "quiver", lambda args: {"value": value})
+    assert cli.main(["quiver", "--basis", "3,0;0,3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot render {name} as JSON\n"
 
 
 def test_byte_determinism(capsys):
@@ -410,6 +490,7 @@ STDERR_PINS = [
     ("cut-enumerate --basis 4,0;0,4 --limit 3", 2,
      "48 arrows exceeds the enumeration guard 3"),
     ("cut-validate --basis 3,2;0,1", 2, "cut-validate needs --gamma or --arrow-ids"),
+    ("cut-validate --basis 3,2;0,1 --gamma=", 2, "cannot parse gamma ''"),
     ("cut-validate --basis 3,2;0,1 --arrow-ids 0,99", 2, "arrow ids [99] do not exist"),
     ("skew --basis 2,0;0,2 --kind D --root-order 4 --scalars 1,1,1", 2,
      "scalar exponents (1, 1, 1) violate alpha*beta*gamma = -1 modulo 4"),
@@ -489,12 +570,12 @@ _COUNTED = ("build_quiver", "k_action", "check_admissible", "validate_cut")
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (("classify", "--basis", "3,0;0,3", "--kind", "C"), (1, 1, 1, 2)),
-        (("classify", "--basis", "3,0;0,3", "--kind", "D"), (1, 1, 1, 2)),
+        (("classify", "--basis", "3,0;0,3", "--kind", "C"), (1, 1, 1, 1)),
+        (("classify", "--basis", "3,0;0,3", "--kind", "D"), (1, 1, 1, 1)),
         (("classify", "--basis", "7,3;0,1", "--kind", "C"), (1, 1, 1, 0)),
         (("classify", "--basis", "2,0;0,2", "--kind", "D"), (1, 1, 1, 0)),
         (("skew", "--basis", "3,0;0,3", "--kind", "D"), (1, 1, 1, 0)),
-        (("unskew-roundtrip", "--basis", "3,0;0,3"), (1, 1, 1, 2)),
+        (("unskew-roundtrip", "--basis", "3,0;0,3"), (1, 1, 1, 1)),
         (("cut-build", "--basis", "3,2;0,1", "--gamma", "1,1,1"), (1, 0, 0, 1)),
         (("cut-validate", "--basis", "3,2;0,1", "--gamma", "1,1,1"), (1, 0, 0, 1)),
     ],
