@@ -299,8 +299,11 @@ def _cmd_skew(args) -> dict:
     }
     if act.kind == "D":
         # convention: rotation acts scalar-free, the involution acts on
-        # arrow types 1, 2, 3 with these root-of-unity exponents
-        meta["involution_type_scalars"] = list(act.element("s").type_scalars)
+        # arrow types 1, 2, 3 by alpha*gamma^2, alpha*beta^2 and -1, given
+        # here as root-of-unity exponents
+        ea, eb, ec = act.scalars
+        m = act.root_order
+        meta["involution_type_scalars"] = [(ea + 2 * ec) % m, (ea + 2 * eb) % m, m // 2]
     doc = {"metadata": _metadata(basis, **meta)}
     if args.command == "classify" and basis.det % 3 == 0:
         cut = invariant_cut(act)

@@ -11,10 +11,11 @@ permutations on these indices, and cuts are sets of arrow indices; coset
 tuples remain only where documents name vertices.
 
 The symmetry action is generated by the order-3 rotation t (e1 -> e2 ->
-e3 -> e1) and, for kind D, the involution fixing type 3 and swapping
-types 1 and 2.  An action element maps the arrow (x, i) to (g(x), sigma(i))
-and multiplies its basis vector by a root-of-unity scalar depending only
-on the type i; scalars are carried as exponents.
+e3 -> e1) and, for kind D, the involution s fixing type 3 and swapping
+types 1 and 2.  An element is its type permutation sigma: it maps the
+arrow (x, i) to (g(x), sigma(i)), where g is the linear map sending each
+step e_i to e_sigma(i).  The kind-D arrow scalars are not carried; the
+skew side needs only which types an element fixes (see `mckay.skew`).
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ __all__ = [
     "STEPS",
     "DEFAULT_VERTEX_CAP",
     "TypedQuiver",
-    "ActionElement",
     "GroupAction",
     "QuiverAction",
     "build_quiver",
@@ -134,26 +134,6 @@ def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
     return q
 
 
-class ActionElement(namedtuple("ActionElement", "name vertex_map type_map type_scalars")):
-    """One symmetry of the quiver: vertex permutation (`vertex_map[v]` is
-    the image of vertex v), type permutation, per-type scalars."""
-
-    __slots__ = ()
-
-
-def _compose(
-    f: ActionElement, g: ActionElement, name: str, root_order: int
-) -> ActionElement:
-    """The element acting as f after g."""
-    vmap = tuple(map(f.vertex_map.__getitem__, g.vertex_map))
-    tmap = tuple(f.type_map[g.type_map[i] - 1] for i in range(3))
-    scal = tuple(
-        (g.type_scalars[i] + f.type_scalars[g.type_map[i] - 1]) % root_order
-        for i in range(3)
-    )
-    return ActionElement(name, vmap, tmap, scal)  # type: ignore[arg-type]
-
-
 class GroupAction(namedtuple("GroupAction", "names table maps points")):
     """A finite group acting on the points 0, ..., n - 1.
 
@@ -237,20 +217,16 @@ class GroupAction(namedtuple("GroupAction", "names table maps points")):
         return self._orbit_data[3][v] or tuple(g for g, m in enumerate(self.maps) if m[v] == v)
 
 
-class QuiverAction(namedtuple("QuiverAction", "quiver kind root_order scalars elements group")):
+class QuiverAction(namedtuple("QuiverAction", "quiver kind root_order scalars type_maps group")):
     """The symmetry group (C3 for kind C, S3 for kind D) acting on a quiver;
-    `group` holds its table and vertex maps in the order of `elements`.
+    `type_maps[g]` is the type permutation of element g of `group`, whose
+    vertex maps `group.maps` follow the same element order.
 
     Only `k_action` builds one, after checking that the basis is admissible
     for the kind, so every stage that takes an action may rely on that.
     """
 
-    @cached_property
-    def _by_name(self) -> dict[str, ActionElement]:
-        return {e.name: e for e in self.elements}
-
-    def element(self, name: str) -> ActionElement:
-        return self._by_name[name]
+    __slots__ = ()
 
     def is_arrow_set_invariant(self, arrows: Iterable[int]) -> bool:
         """Whether every element maps the set of arrow indices onto itself:
@@ -258,33 +234,33 @@ class QuiverAction(namedtuple("QuiverAction", "quiver kind root_order scalars el
         ids = list(arrows)
         s = set(ids)
         return all(
-            3 * e.vertex_map[i // 3] + e.type_map[i % 3] - 1 in s
-            for e in self.elements
+            3 * perm[i // 3] + sigma[i % 3] - 1 in s
+            for perm, sigma in zip(self.group.maps, self.type_maps)
             for i in ids
         )
 
 
-def _assert_automorphisms(q: TypedQuiver, elements: Iterable[ActionElement]) -> None:
-    """Check that each element permutes the vertices and maps the type-i
-    arrow from v onto the type-sigma(i) arrow from its image, target
-    included: perm[head[3v + i]] == head[3 perm[v] + sigma(i)]."""
+def _assert_automorphisms(q: TypedQuiver, names, maps, type_maps) -> None:
+    """Check that each element, given by its name, vertex map and type map,
+    permutes the vertices and maps the type-i arrow from v onto the
+    type-sigma(i) arrow from its image, target included:
+    perm[head[3v + i]] == head[3 perm[v] + sigma(i)]."""
     head = q.head
     by_type = [head[i::3] for i in range(3)]
     identity = list(range(len(q.vertices)))
-    for e in elements:
-        perm = e.vertex_map
+    for name, perm, type_map in zip(names, maps, type_maps):
         if sorted(perm) != identity:
-            raise InternalInvariantViolation(f"{e.name} is not a vertex bijection")
+            raise InternalInvariantViolation(f"{name} is not a vertex bijection")
         for i in range(3):
-            image = by_type[e.type_map[i] - 1]
+            image = by_type[type_map[i] - 1]
             if list(map(perm.__getitem__, by_type[i])) != list(map(image.__getitem__, perm)):
-                sigma = [j - 1 for j in e.type_map]
+                sigma = [j - 1 for j in type_map]
                 v, j = next(
                     (v, j) for v in identity for j in range(3)
                     if perm[head[3 * v + j]] != head[3 * perm[v] + sigma[j]]
                 )
                 raise InternalInvariantViolation(
-                    f"{e.name} does not commute with targets on the type-{j + 1} "
+                    f"{name} does not commute with targets on the type-{j + 1} "
                     f"arrow from {q.vertices[v]}"
                 )
 
@@ -305,6 +281,17 @@ def _linear_map(q: TypedQuiver, type_map: tuple[int, int, int]) -> tuple[int, ..
     return tuple(perm)
 
 
+# The type permutation of each element, by name, in element order: the
+# rotation t sends type i to i + 1, and s swaps types 1 and 2.
+_TYPE_MAPS = {
+    "C": {"1": (1, 2, 3), "t": (2, 3, 1), "t^2": (3, 1, 2)},
+    "D": {
+        "1": (1, 2, 3), "t": (2, 3, 1), "s": (2, 1, 3),
+        "t^2": (3, 1, 2), "ts": (3, 2, 1), "st": (1, 3, 2),
+    },
+}
+
+
 def k_action(
     q: TypedQuiver,
     kind: str,
@@ -314,12 +301,14 @@ def k_action(
     """The C3 (kind C) or S3 (kind D) action on the quiver.
 
     t is the rotation (x1, x2) -> (-x2, x1 - x2) and s the swap
-    (x1, x2) -> (x2, x1), both read as permutations of vertex indices.
+    (x1, x2) -> (x2, x1); each element's vertex permutation is the linear
+    map of its type permutation, checked to be a quiver automorphism.
     For kind D, scalars = (p, q, s) are the exponents of the involution
     generator's matrix entries (alpha, beta, gamma with alpha*beta*gamma
-    = -1); the induced arrow scalars by type are alpha*gamma^2,
-    alpha*beta^2, -1.  Omitted scalars default to alpha = beta = gamma
-    = -1 at root order 2.  Kind C carries no scalars.
+    = -1) at root order M; they are validated and recorded for the
+    documents, but no element carries them, because no skew multiplicity
+    depends on them.  Omitted scalars default to alpha = beta = gamma = -1
+    at root order 2.  Kind C carries no scalars.
     """
     if kind not in ("C", "D"):
         raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
@@ -334,47 +323,24 @@ def k_action(
         scalars = involution_scalars(m, scalars)
 
     points = tuple(range(len(q.vertices)))
-    identity = ActionElement("1", points, (1, 2, 3), (0, 0, 0))
-    t = ActionElement("t", _linear_map(q, (2, 3, 1)), (2, 3, 1), (0, 0, 0))
-    t2 = _compose(t, t, "t^2", m)
-    elements = [identity, t, t2]
-    if kind == "D":
-        p, qq, s = scalars  # type: ignore[misc]
-        swap = ActionElement(
-            "s",
-            _linear_map(q, (2, 1, 3)),
-            (2, 1, 3),
-            ((p + 2 * s) % m, (p + 2 * qq) % m, m // 2),
-        )
-        # Scalar-honest transpositions come from conjugate words t s t^2
-        # and t^2 s t, not from the short words ts and st.
-        ts = _compose(t2, _compose(swap, t, "_", m), "ts", m)
-        st = _compose(t, _compose(swap, t2, "_", m), "st", m)
-        elements = [identity, t, swap, t2, ts, st]
-
-    if _compose(t2, t, "_", m).type_map != (1, 2, 3):
-        raise InternalInvariantViolation("t^3 != 1 on types")
-    _assert_automorphisms(q, elements)
-    for e in elements:
-        if sorted(e.type_map) != [1, 2, 3]:
-            raise InternalInvariantViolation(f"{e.name} does not permute types")
-        # Involutions must square to the identity with scalars included;
-        # this pins the conjugate-word convention.
-        sq = _compose(e, e, "_", m)
-        if e.type_map in ((2, 1, 3), (3, 2, 1), (1, 3, 2)):
-            if sq.type_map != (1, 2, 3) or any(sq.type_scalars) or sq.vertex_map != points:
-                raise InternalInvariantViolation(
-                    f"involution {e.name} does not square to the identity"
-                )
-    # Group relations on the permutation parts: distinct and closed.
+    names, type_maps = zip(*_TYPE_MAPS[kind].items())
+    maps = [_linear_map(q, sigma) for sigma in type_maps]
+    _assert_automorphisms(q, names, maps, type_maps)
+    for name, perm, sigma in zip(names, maps, type_maps):
+        involution = sigma in ((2, 1, 3), (3, 2, 1), (1, 3, 2))
+        if involution and tuple(map(perm.__getitem__, perm)) != points:
+            raise InternalInvariantViolation(
+                f"involution {name} does not square to the identity"
+            )
+    # Group relations on the type permutations: distinct and closed.
     group = GroupAction.from_keys(
-        (e.name for e in elements),
-        [e.type_map for e in elements],
+        names,
+        type_maps,
         lambda a, b: tuple(a[b[i] - 1] for i in range(3)),
-        (e.vertex_map for e in elements),
+        maps,
         points,
     )
     return QuiverAction(
         quiver=q, kind=kind, root_order=m, scalars=scalars,
-        elements=tuple(elements), group=group,
+        type_maps=type_maps, group=group,
     )

@@ -17,11 +17,13 @@ supplies a GroupAction on the points 0, ..., n - 1 (element names, integer
 Cayley table and vertex permutations, with orbits, stabilizers and
 transversals) and per-block dimensions and traces; the engine never looks
 at what the points stand for.  The first skew uses the C3 / S3 action on
-the vertex indices of Q_N and reads blocks off its head table, the second
-the dual C3 acting on skew-vertex indices, and one degree-transport routine
-carries a cut, a set of arrow indices of Q_N, through either; the round
-trip recovers the cut as arrow indices too.  Coset tuples return only in
-`loop_witness`, whose record a document prints.
+the vertex indices of Q_N and reads blocks off its head table; its traces
+are signs, and no arrow scalar enters them (see `_QuiverCarrier`).  The
+second uses the dual C3 acting on skew-vertex indices.  One
+degree-transport routine carries a cut, a set of arrow indices of Q_N,
+through either; the round trip recovers the cut as arrow indices too.
+Coset tuples return only in `loop_witness`, whose record a document
+prints.
 """
 from __future__ import annotations
 
@@ -275,33 +277,26 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
 
 
 class _QuiverCarrier:
-    """Carrier for Q_N with the K-action; traces include the arrow scalars.
+    """Carrier for Q_N with the K-action.
 
     Points are vertex indices and the blocks are read off the head table.
-    The traces lie in Z[omega] whatever the root order M of the scalars: an
-    arrow adds to a trace only on a type its element fixes, and only the
-    identity and the involutions fix a type.  `k_action` checks that each
-    involution squares to the identity with its scalars, so such a scalar
-    is +1 or -1, exponent 0 or M/2; any other exponent is raised here.
+    An arrow adds to a trace only on a type its element fixes, and then by
+    its arrow scalar.  Only the identity and the three involutions fix a
+    type.  Whatever the kind-D scalars (p, q, s) at root order M are, s
+    acts on type 3, the type it fixes, with exponent M/2, that is by -1;
+    ts and st are the conjugates of s by the scalar-free rotation t, so
+    they too act by -1 on the type they fix.  So a trace is (0, 1) per
+    arrow for the identity and (0, -1) per arrow for every other element,
+    and the skew quiver does not depend on the scalars.
     """
 
     def __init__(self, action: QuiverAction):
         self.head = action.quiver.head
         self.group = action.group
-        m = action.root_order
-        # Per element and type: the sign of the arrow scalar, or None when
-        # the element moves the type and so adds nothing to a trace.
-        self._signs: list[list[int | None]] = [[None] * 3 for _ in action.elements]
-        for g, e in enumerate(action.elements):
-            for i, x in enumerate(e.type_scalars):
-                if e.type_map[i] != i + 1:
-                    continue
-                if 2 * x not in (0, m):
-                    raise InternalInvariantViolation(
-                        f"{e.name} fixes type {i + 1} with scalar exponent {x} "
-                        f"modulo {m}, not 0 or {m // 2}"
-                    )
-                self._signs[g][i] = -1 if x else 1
+        # Per element: the types it fixes, the only ones that add to a trace.
+        self._fixed = [
+            tuple(i for i in range(3) if sigma[i] == i + 1) for sigma in action.type_maps
+        ]
 
     def block_dim(self, v: int, w: int) -> int:
         return self.head[3 * v:3 * v + 3].count(w)
@@ -311,11 +306,8 @@ class _QuiverCarrier:
 
     def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
         head = self.head
-        return tuple(
-            (0, sign)
-            for i, sign in enumerate(self._signs[g])
-            if sign is not None and head[3 * v + i] == w
-        )
+        sign = 1 if g == 0 else -1
+        return tuple((0, sign) for i in self._fixed[g] if head[3 * v + i] == w)
 
 
 def skew_quiver(action: QuiverAction) -> SkewQuiver:
@@ -330,12 +322,8 @@ def skew_quiver(action: QuiverAction) -> SkewQuiver:
         vertices=vertices,
         mult=mult,
         degrees=None,
-        group_size=len(action.quiver.vertices) * len(action.elements),
-        metadata={
-            "kind": action.kind,
-            "root_order": action.root_order,
-            "scalars": action.scalars,
-        },
+        group_size=len(action.quiver.vertices) * len(action.group.names),
+        metadata={"kind": action.kind},
     )
     dims = [v.dimension for v in s.vertices]
     out_sum = [0] * len(dims)

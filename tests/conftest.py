@@ -68,6 +68,17 @@ def np_class_count(elements: list[np.ndarray]) -> int:
     return len(_np_classes(elements))
 
 
+def np_power_sums(elements: list[np.ndarray], kmax: int) -> list[int]:
+    """Sum over conjugacy classes of chi_V(g)^k for k = 1, ..., kmax.
+
+    By column orthogonality this is tr(M^k) for McKay's matrix M, whose
+    entry (i, j) is <chi_V chi_i, chi_j>; it sees the labels that the loop
+    profile does not, such as V against V tensor a sign character.
+    """
+    chi = [np.trace(elements[c[0]]) for c in _np_classes(elements)]
+    return [_near_int(sum(x ** k for x in chi), "power sum") for k in range(1, kmax + 1)]
+
+
 def _near_int(x: complex, what: str) -> int:
     r = round(x.real)
     assert abs(x - r) < 1e-6, f"{what} {x} is not an integer"

@@ -341,11 +341,22 @@ def test_round_trip_documents_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "extra, expected",
+    [((), [1, 1, 1]), (("--root-order", "12", "--scalars", "1,11,6"), [1, 11, 6])],
+)
+def test_involution_type_scalars_follow_the_scalars(capsys, extra, expected):
+    # alpha*gamma^2, alpha*beta^2 and -1 as exponents: (p + 2s, p + 2q, M/2)
+    code, doc = run_json(capsys, "skew", "--basis", "2,0;0,2", "--kind", "D", *extra)
+    assert code == 0
+    assert doc["metadata"]["involution_type_scalars"] == expected
+
+
 def test_a_large_root_order_document_is_pinned(capsys):
     # Recorded while the engine still summed traces in the field of order
     # lcm(M/g, 3), g the gcd of M and the scalar exponents, whose cost grew
-    # with the root order M; only the signs of the scalars enter a trace,
-    # so the bytes stay and the cost does not.
+    # with the root order M; no scalar enters a trace now, so the bytes
+    # stay and the cost does not.
     argv = "skew --basis 2,0;0,2 --kind D --root-order 20000 --scalars 1,0,9999"
     code, out = run(capsys, *argv.split())
     assert code == 0

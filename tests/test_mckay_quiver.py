@@ -11,7 +11,6 @@ from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import (
     STEPS,
-    ActionElement,
     GroupAction,
     _assert_automorphisms,
     build_quiver,
@@ -149,9 +148,9 @@ def test_index_layer_matches_the_coset_definitions():
             act = k_action(q, kind)
             group = act.group
             brute = _brute_maps(quotient)
-            for e in act.elements:
-                assert e.vertex_map == tuple(index_of(brute[e.name](x)) for x in cosets), (
-                    basis, kind, e.name,
+            for name, perm in zip(group.names, group.maps):
+                assert perm == tuple(index_of(brute[name](x)) for x in cosets), (
+                    basis, kind, name,
                 )
             maps = [brute[name] for name in group.names]
             orbits = sorted({tuple(sorted({g(x) for g in maps})) for x in cosets})
@@ -179,8 +178,12 @@ def test_arrow_index_is_a_bijection():
     assert [3 * q.quotient.index_of(x) + t - 1 for x, t in pairs] == list(range(27))
 
 
+def _vertex_map(act, name):
+    return act.group.maps[act.group.names.index(name)]
+
+
 def _fixed_cosets(act, name):
-    perm = act.element(name).vertex_map
+    perm = _vertex_map(act, name)
     return tuple(act.quiver.vertices[v] for v, w in enumerate(perm) if v == w)
 
 
@@ -199,7 +202,7 @@ def test_k_action_2i():
     assert _fixed_cosets(act, "t") == ((0, 0),)
     assert sorted(len(o) for o in act.group.orbits) == [1, 3]
     act_d = k_action(q, "D")
-    assert len(act_d.elements) == 6
+    assert len(act_d.group.names) == 6
     assert sorted(len(o) for o in act_d.group.orbits) == [1, 3]
     # the free C3 orbit keeps size 3 under S3, so stabilizers have order 2
     orbit = next(o for o in act_d.group.orbits if len(o) == 3)
@@ -246,56 +249,53 @@ def test_group_action_rejects_non_groups(keys, modulus):
 def test_action_type_maps():
     q = _quiver(2, 0, 2)
     act = k_action(q, "D")
-    assert act.element("t").type_map == (2, 3, 1)
-    assert act.element("s").type_map == (2, 1, 3)
+    type_maps = dict(zip(act.group.names, act.type_maps))
+    assert type_maps["t"] == (2, 3, 1)
+    assert type_maps["s"] == (2, 1, 3)
     # the type maps realize S3 faithfully
-    assert len({e.type_map for e in act.elements}) == 6
+    assert len(set(act.type_maps)) == 6
 
 
-def _act_arrow(e, a):
+def _act_arrow(perm, sigma, a):
     """The image of arrow (x, i): (g(x), sigma(i)), on the quiver's arrows."""
-    return 3 * e.vertex_map[a // 3] + e.type_map[a % 3] - 1
+    return 3 * perm[a // 3] + sigma[a % 3] - 1
 
 
 def test_action_permutes_arrows():
     q = _quiver(3, 0, 3)
     act = k_action(q, "C")
-    for e in act.elements:
-        image = {_act_arrow(e, a) for a in range(len(q.head))}
+    for perm, sigma in zip(act.group.maps, act.type_maps):
+        image = {_act_arrow(perm, sigma, a) for a in range(len(q.head))}
         assert image == set(range(len(q.head)))
 
 
 def test_action_commutes_with_targets():
     q = _quiver(6, 4, 2)
     act = k_action(q, "D")
-    for e in act.elements:
+    for perm, sigma in zip(act.group.maps, act.type_maps):
         for a, w in enumerate(q.head):
-            assert e.vertex_map[w] == q.head[_act_arrow(e, a)]
-
-
-def _tampered(element, vertex_map):
-    return ActionElement(element.name, vertex_map, element.type_map, element.type_scalars)
+            assert perm[w] == q.head[_act_arrow(perm, sigma, a)]
 
 
 def test_automorphism_check_rejects_tampered_vertex_maps():
     q = _quiver(3, 0, 3)
-    t = k_action(q, "D").element("t")
-    _assert_automorphisms(q, [t])
+    t = _vertex_map(k_action(q, "D"), "t")
+    _assert_automorphisms(q, ["t"], [t], [(2, 3, 1)])
     # t sends (1,0) to (0,1) and (2,0) to (0,2), that is vertex 3 to 1 and
     # 6 to 2; swapping the two images keeps a bijection but breaks the
     # type-1 arrow (0,0) -> (1,0).
-    assert (t.vertex_map[3], t.vertex_map[6]) == (1, 2)
-    swapped = list(t.vertex_map)
+    assert (t[3], t[6]) == (1, 2)
+    swapped = list(t)
     swapped[3], swapped[6] = swapped[6], swapped[3]
     with pytest.raises(InternalInvariantViolation) as info:
-        _assert_automorphisms(q, [t, _tampered(t, tuple(swapped))])
+        _assert_automorphisms(q, ["t", "t"], [t, tuple(swapped)], [(2, 3, 1)] * 2)
     assert str(info.value) == (
         "t does not commute with targets on the type-1 arrow from (0, 0)"
     )
-    merged = list(t.vertex_map)
+    merged = list(t)
     merged[3] = merged[6]
     with pytest.raises(InternalInvariantViolation) as info:
-        _assert_automorphisms(q, [_tampered(t, tuple(merged))])
+        _assert_automorphisms(q, ["t"], [tuple(merged)], [(2, 3, 1)])
     assert str(info.value) == "t is not a vertex bijection"
 
 
@@ -306,13 +306,3 @@ def test_action_requires_admissibility():
     q = _quiver(7, 3, 1)
     with pytest.raises(PreconditionFailed, match="^swap condition fails: k1=7 "):
         k_action(q, "D")
-
-
-def test_involution_scalars_depend_on_exponents():
-    q = _quiver(2, 0, 2)
-    act = k_action(q, "D")  # default scalars at root order 2
-    s = act.element("s")
-    assert s.type_scalars == (1, 1, 1)
-    act12 = k_action(q, "D", scalars=(1, 11, 6), root_order=12)
-    s12 = act12.element("s")
-    assert s12.type_scalars == ((1 + 2 * 6) % 12, (1 + 2 * 11) % 12, 6)

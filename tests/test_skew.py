@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import np_class_count, np_loop_profile, to_complex
+from conftest import np_class_count, np_loop_profile, np_power_sums, to_complex
 from mckay import skew
 from mckay.cuts import Cut, build_cut, cut_type, invariant_cut
 from mckay.cyclotomic import reduce_mod_cyclotomic
@@ -137,23 +137,62 @@ def _signed_permutations_det_1():
     return out
 
 
+def _accepted_scalars(basis, m):
+    """Every kind-D scalar choice (p, q, s) at root order m that
+    group_from_basis accepts for the basis."""
+    out = []
+    for p, q in itertools.product(range(m), repeat=2):
+        scalars = (p, q, (m // 2 - p - q) % m)
+        try:
+            group_from_basis(basis, "D", root_order=m, scalars=scalars)
+        except PreconditionFailed:
+            continue
+        out.append(scalars)
+    return out
+
+
 def test_loop_profile_against_numeric_oracle():
     # B = 2I: kind C gives A4 (3 x 3 = 1 + 1' + 1'' + 3 + 3, one vertex with two
     # loops); kind D gives S4 with V = std x sgn for every admissible choice
-    # of scalars (std and std' carry one loop each).
-    basis = LatticeBasis(2, 0, 2)
-    for kind, kw, expected in [
-        ("C", {}, [(3, 2)]),
-        ("D", {}, [(3, 1), (3, 1)]),
-        ("D", {"root_order": 2, "scalars": (1, 0, 0)}, [(3, 1), (3, 1)]),
-        ("D", {"root_order": 4, "scalars": (2, 0, 0)}, [(3, 1), (3, 1)]),
-    ]:
+    # of scalars (std and std' carry one loop each).  At B = 3I, 3 divides
+    # |N| and there is no loop.  Each scalar choice the closure accepts is
+    # compared with the closure, the independent check of the trace sign
+    # the carrier gives every involution: a sign of +1 keeps the loop
+    # profiles and vertex counts but moves tr(M^3) at 3I from 78 to 84.
+    two, three = LatticeBasis(2, 0, 2), LatticeBasis(3, 0, 3)
+    cases = [(two, "C", {}, [(3, 2)])]
+    s4 = [(3, 1), (3, 1)]
+    for basis, m, expected in [(two, 2, s4), (two, 4, s4), (three, 6, [])]:
+        for scalars in _accepted_scalars(basis, m):
+            cases.append((basis, "D", {"root_order": m, "scalars": scalars}, expected))
+    assert len(cases) == 1 + 17  # of 4 + 16 + 36 kind-D choices
+    for basis, kind, kw, expected in cases:
         _, _, s = _skew(basis, kind, **kw)
         profile = sorted((s.vertices[i].dimension, m) for i, m in s.loops())
         g = group_from_basis(basis, kind, **kw)
-        assert profile == expected
-        assert np_loop_profile([to_complex(x, g.root_order) for x in g.keys]) == expected
+        elements = [to_complex(x, g.root_order) for x in g.keys]
+        assert profile == expected, (basis, kw)
+        assert np_loop_profile(elements) == expected, (basis, kw)
+        assert len(s.vertices) == np_class_count(elements), (basis, kw)
+        matrix = np.zeros((len(s.vertices),) * 2, dtype=np.int64)
+        for (i, j), count in s.mult.items():
+            matrix[i, j] = count
+        powers = itertools.accumulate([matrix] * 3, np.matmul)
+        assert [int(np.trace(p)) for p in powers] == np_power_sums(elements, 3), (basis, kw)
     assert np_loop_profile(_signed_permutations_det_1()) == [(3, 1), (3, 1)]
+
+
+@pytest.mark.parametrize("kw", [{}, {"root_order": 12, "scalars": (1, 11, 6)}])
+def test_an_involution_traces_its_fixed_type_by_minus_one(kw):
+    # At 2I the three arrows from vertex 0 have distinct heads; s fixes
+    # vertex 0 and type 3 and acts there by -1 whatever the scalars.
+    act = _action(LatticeBasis(2, 0, 2), "D", **kw)
+    carrier = _QuiverCarrier(act)
+    w = act.quiver.head[2]  # the type-3 arrow from vertex 0
+    s = act.group.names.index("s")
+    assert act.group.maps[s][0] == 0
+    assert carrier.block_trace(s, 0, w) == ((0, -1),)
+    assert carrier.block_trace(0, 0, w) == ((0, 1),)
 
 
 def test_every_trace_is_reduced_in_the_field_of_cube_roots(monkeypatch):
@@ -163,9 +202,9 @@ def test_every_trace_is_reduced_in_the_field_of_cube_roots(monkeypatch):
     _, _, small = _skew(basis, "D", root_order=2)
     assert s.vertices == small.vertices and s.mult == small.mult
     # Scalars of order 8192 still give traces in Z[omega]: only the identity
-    # and the involutions fix a type, and there a scalar is +1 or -1.  The
-    # literal was captured from the earlier power-basis engine, which took
-    # 25 s here.
+    # and the involutions fix a type, and an involution acts there by -1.
+    # The literal was captured from the earlier power-basis engine, which
+    # took 25 s here.
     high = _action(basis, "D", root_order=8192, scalars=(1, 1, 4094))
     orders = set()
 
@@ -193,28 +232,14 @@ def test_every_trace_is_reduced_in_the_field_of_cube_roots(monkeypatch):
 
 
 def test_a_huge_root_order_builds_no_field_of_its_order():
-    # Only the signs +1 and -1 of the scalars enter a trace, so a root order
-    # of 2,000,000 gives the quiver of the golden 2I case at root order 4;
+    # No scalar enters a trace, only the sign -1 of an involution on the
+    # type it fixes, so a root order of 2,000,000 gives the quiver of the
+    # golden 2I case at root order 4;
     # the engine never reduces modulo a cyclotomic polynomial of order M.
     basis = LatticeBasis(2, 0, 2)
     _, _, huge = _skew(basis, "D", root_order=2_000_000, scalars=(1, 0, 999_999))
     _, _, small = _skew(basis, "D", root_order=4, scalars=(1, 0, 1))
     assert huge.vertices == small.vertices and huge.mult == small.mult
-
-
-def test_a_fixed_type_scalar_other_than_a_sign_is_refused():
-    # k_action checks that each involution squares to the identity with its
-    # scalars, so a type an element fixes has the scalar +1 or -1; the
-    # carrier relies on that and refuses any other exponent.
-    act = _action(LatticeBasis(2, 0, 2), "D", root_order=4, scalars=(1, 0, 1))
-    s = act.elements[2]
-    assert (s.name, s.type_map, s.type_scalars) == ("s", (2, 1, 3), (3, 1, 2))
-    tampered = act._replace(elements=(
-        *act.elements[:2], s._replace(type_scalars=(3, 1, 1)), *act.elements[3:]
-    ))
-    with pytest.raises(InternalInvariantViolation) as raised:
-        _QuiverCarrier(tampered)
-    assert str(raised.value) == "s fixes type 3 with scalar exponent 1 modulo 4, not 0 or 2"
 
 
 def test_weighted_three_regularity():
