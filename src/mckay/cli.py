@@ -198,10 +198,11 @@ def _cmd_group_info(args) -> dict:
 def _cmd_quiver(args) -> dict:
     basis = _parse_basis(args.basis)
     q = build_quiver(AbelianQuotient(basis))
+    # q.constraint_tables holds 2n elementary cycles and 3n squares; the counts need no tables.
     doc = {
         "metadata": _metadata(basis),
-        "cycle_count": len(q.constraint_tables[1]),
-        "square_count": len(q.constraint_tables[2]),
+        "cycle_count": 2 * basis.det,
+        "square_count": 3 * basis.det,
     }
     doc.update(_quiver_doc(q))
     return doc
@@ -230,6 +231,8 @@ def _cmd_cut_validate(args) -> dict:
         q = build_quiver(AbelianQuotient(basis))
         cut = build_cut(q, gamma)
     else:
+        if args.gamma is not None:
+            raise ValueError("cut-validate takes --gamma or --arrow-ids, not both")
         q = build_quiver(AbelianQuotient(basis))
         try:
             cut = Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)

@@ -93,12 +93,10 @@ class TypedQuiver(namedtuple("TypedQuiver", "quotient")):
         nv = len(head) // 3
         seen: set[tuple[int, int, int]] = set()
         for a in range(0, 3 * nv, 3):
-            # the type-1 arrow a, then types 2, 3 or types 3, 2
+            # the type-1 arrow a, then types 2, 3 or types 3, 2; build_quiver checked they close up
             for s, t in ((1, 2), (2, 1)):
                 b = 3 * head[a] + s
                 c = 3 * head[b] + t
-                if 3 * head[c] != a:
-                    raise InternalInvariantViolation("type steps failed to close up")
                 seen.add(min((a, b, c), (b, c, a), (c, a, b)))
         cycles = tuple(sorted(seen))
         if len(cycles) != 2 * nv:
@@ -114,7 +112,8 @@ class TypedQuiver(namedtuple("TypedQuiver", "quotient")):
 
 
 def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
-    """Construct Q for the quotient and check 3-regularity in both directions.
+    """Construct Q for the quotient; check 3-regularity in both directions
+    and that the type steps close up into the elementary cycles.
 
     A quotient of more cosets than the vertex cap (MCKAY_MAX_VERTICES, else
     100000) is refused with ValueError before anything per coset is built.
@@ -126,11 +125,16 @@ def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
             f"raise MCKAY_MAX_VERTICES if the quiver really is this large"
         )
     q = TypedQuiver(quotient)
+    head = q.head
     indeg = [0] * quotient.order
-    for w in q.head:
+    for w in head:
         indeg[w] += 1
     if any(d != 3 for d in indeg):
         raise InternalInvariantViolation("in-degrees are not all 3")
+    for v in range(quotient.order):
+        u = 3 * head[3 * v]
+        if head[3 * head[u + 1] + 2] != v or head[3 * head[u + 2] + 1] != v:
+            raise InternalInvariantViolation("type steps failed to close up")
     return q
 
 

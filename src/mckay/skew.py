@@ -12,23 +12,24 @@ the third cyclotomic polynomial once; blocks with the same stabilizers and
 terms share one such sum.  A multiplicity that is not a non-negative
 integer can only mean a bookkeeping bug and is raised, never rounded.
 
-Both skews of the unskew round trip run through the same engine: a carrier
-supplies a GroupAction on the points 0, ..., n - 1 (element names, integer
+Both skews of the unskew round trip run through the same engine on plain
+data: a GroupAction on the points 0, ..., n - 1 (element names, integer
 Cayley table and vertex permutations, with orbits, stabilizers and
-transversals) and per-block dimensions and traces; the engine never looks
-at what the points stand for.  The first skew uses the C3 / S3 action on
-the vertex indices of Q_N and reads blocks off its head table; its traces
-are signs, and no arrow scalar enters them (see `_QuiverCarrier`).  The
-second uses the dual C3 acting on skew-vertex indices.  One
-degree-transport routine carries a cut, a set of arrow indices of Q_N,
-through either; the round trip recovers the cut as arrow indices too.
-Coset tuples return only in `loop_witness`, whose record a document
-prints.
+transversals) and a function `blocks(v)` mapping each out-neighbour w of an
+orbit representative v to the block's trace row, row[h] the terms of h for
+each h fixing v and w; the engine never looks at what the points stand for.
+The first skew uses the C3 / S3 action on the vertex indices of Q_N (see
+`_quiver_blocks`: its traces are signs, and no arrow scalar enters them),
+the second the dual C3 acting on skew-vertex indices (see `_dual_twist`).
+One degree-transport routine gives the blocks of S, of the double skew and
+of Q_N itself, over one-point orbits, the degrees of a cut of Q_N's arrow
+indices; the round trip recovers the cut as arrow indices too.  Coset
+tuples return only in `loop_witness`, whose record a document prints.
 """
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import Iterable, Protocol, Sequence
+from collections import Counter, namedtuple
+from typing import Callable, Iterable, Sequence
 
 from .cuts import Cut, _check_arrows, _degrees, _has_cycle, invariant_cut, validate_cut
 from .cyclotomic import reduce_mod_cyclotomic
@@ -44,7 +45,6 @@ __all__ = [
     "skew_quiver",
     "loop_witness",
     "transport_cut",
-    "dual_twist_action",
     "unskew_round_trip",
 ]
 
@@ -58,23 +58,6 @@ _LABELS_BY_ORDER = {
     3: (("triv", 1), ("omega", 1), ("omega2", 1)),
     6: (("triv", 1), ("sgn", 1), ("std", 2)),
 }
-
-
-class Carrier(Protocol):
-    """What the skewing engine needs to know about a quiver with a group action.
-
-    Vertices are the group's points, the integers 0, ..., n - 1.
-    `out_neighbours(v)` must include every w with `block_dim(v, w) != 0`.
-    `block_trace(g, v, w)` is the trace of g on the block in Z[omega] as
-    (exponent mod 3, count) terms, each meaning count * omega^exponent with
-    omega a primitive cube root of unity.
-    """
-
-    group: GroupAction
-
-    def block_dim(self, v: int, w: int) -> int: ...
-    def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]: ...
-    def out_neighbours(self, v: int) -> Iterable[int]: ...
 
 
 def _char_value(
@@ -110,13 +93,13 @@ def _char_value(
 # Skew quiver data.
 
 
-class SkewVertex(namedtuple("SkewVertex", "orbit_rep irrep degree orbit_size dimension")):
+class SkewVertex(namedtuple("SkewVertex", "orbit_rep irrep orbit_size dimension")):
     """(orbit representative, stabilizer irreducible) with its induced dimension."""
 
     __slots__ = ()
 
 
-class SkewQuiver(namedtuple("SkewQuiver", "vertices mult degrees group_size metadata")):
+class SkewQuiver(namedtuple("SkewQuiver", "vertices mult degrees group_size")):
     """Vertices with dimensions, arrow multiplicities and optional degrees,
     both dicts keyed by vertex-index pairs."""
 
@@ -146,13 +129,17 @@ def _orbit_pairs(
     return out
 
 
-def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
+# blocks(v): each out-neighbour w of the orbit representative v -> its trace row
+Blocks = Callable[[int], dict]
+
+
+def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...], dict]:
     """Core skewing engine; returns vertices and multiplicities.
 
     The group is transitive on an orbit O1 with representative r, so every
     diagonal orbit on O1 x O2 holds a pair (r, u2), and exactly one with u2
     the least point of its orbit under the stabilizer of r.  A diagonal
-    orbit can carry arrows only when its u2 is an out-neighbour of r, so only
+    orbit can carry arrows only when its u2 is a key of `blocks(r)`, so only
     those pairs are visited (`_orbit_pairs`), each once, block-major: a pair
     adds its block's Hom dimension to every pair of skew vertices over O1
     and O2.  Each skew vertex reads its character values from one row
@@ -163,7 +150,6 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
     is summed and checked once per distinct such key, in a memo local to the
     call, and read back for every later block with the same key.
     """
-    group = carrier.group
     maps, table, inverse = group.maps, group.table, group.inverse
     transversal = group.transversal
 
@@ -180,7 +166,6 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
                 SkewVertex(
                     orbit_rep=rep,
                     irrep=label,
-                    degree=deg,
                     orbit_size=len(orbit),
                     dimension=len(orbit) * deg,
                 )
@@ -191,14 +176,14 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
             rows.append(row)
         over[rep] = range(first, len(skew_vertices))
 
-    def block_terms(u1: int, u2: int) -> tuple:
-        """(h, h2, trace) per element h of the joint stabilizer of the
+    def block_terms(u1: int, u2: int, row: Sequence) -> tuple:
+        """(h, h2, row[h]) per element h of the joint stabilizer of the
         representative u1 and u2, h2 being h moved into the stabilizer of
         u2's representative."""
         g2 = transversal[u2]
         g2i = inverse[g2]
         return tuple(
-            (h, table[g2i][table[h][g2]], carrier.block_trace(h, u1, u2))
+            (h, table[g2i][table[h][g2]], row[h])
             for h in stab[u1]
             if maps[h][u2] == u2
         )
@@ -238,17 +223,15 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
 
     # A memo local to this call, so a one-shot call gets the whole gain.
     classes: dict[tuple, list[list[int]]] = {}
-    block_dim = carrier.block_dim
     mult: dict[tuple[int, int], int] = {}
     for orbit in group.orbits:
         u1 = orbit[0]
-        pairs = _orbit_pairs(group, u1, stab[u1], carrier.out_neighbours(u1))
+        block = blocks(u1)
+        pairs = _orbit_pairs(group, u1, stab[u1], block)
         totals: dict[tuple[int, int], int] = {}
         for rep2, points in pairs.items():
             for u2 in points:
-                if block_dim(u1, u2) == 0:
-                    continue
-                joint = block_terms(u1, u2)
+                joint = block_terms(u1, u2, block[u2])
                 key = (stab[u1], stab[rep2], joint)
                 values = classes.get(key)
                 if values is None:
@@ -276,10 +259,10 @@ def _demonet(carrier: Carrier) -> tuple[tuple[SkewVertex, ...], dict]:
 # First skew: the McKay quiver of Q_N under the C3 / S3 action.
 
 
-class _QuiverCarrier:
-    """Carrier for Q_N with the K-action.
+def _quiver_blocks(action: QuiverAction) -> Blocks:
+    """The blocks of Q_N with the K-action: points are vertex indices, and
+    blocks(v) maps each head of v's three arrows to its trace row.
 
-    Points are vertex indices and the blocks are read off the head table.
     An arrow adds to a trace only on a type its element fixes, and then by
     its arrow scalar.  Only the identity and the three involutions fix a
     type.  Whatever the kind-D scalars (p, q, s) at root order M are, s
@@ -287,27 +270,29 @@ class _QuiverCarrier:
     ts and st are the conjugates of s by the scalar-free rotation t, so
     they too act by -1 on the type they fix.  So a trace is (0, 1) per
     arrow for the identity and (0, -1) per arrow for every other element,
-    and the skew quiver does not depend on the scalars.
+    and the skew quiver does not depend on the scalars.  A row depends only
+    on the set of types whose arrows share the head, so the rows are built
+    once per action, one per set.
     """
-
-    def __init__(self, action: QuiverAction):
-        self.head = action.quiver.head
-        self.group = action.group
-        # Per element: the types it fixes, the only ones that add to a trace.
-        self._fixed = [
-            tuple(i for i in range(3) if sigma[i] == i + 1) for sigma in action.type_maps
+    head = action.quiver.head
+    # Per element: the types it fixes, the only ones that add to a trace.
+    fixed = [tuple(i for i in range(3) if sigma[i] == i + 1) for sigma in action.type_maps]
+    # The trace row of a block, by the bit mask of the types of its arrows.
+    rows = [
+        [
+            tuple((0, 1 if g == 0 else -1) for i in types if mask >> i & 1)
+            for g, types in enumerate(fixed)
         ]
+        for mask in range(8)
+    ]
 
-    def block_dim(self, v: int, w: int) -> int:
-        return self.head[3 * v:3 * v + 3].count(w)
+    def blocks(v: int) -> dict:
+        masks: dict[int, int] = {}
+        for i, w in enumerate(head[3 * v:3 * v + 3]):
+            masks[w] = masks.get(w, 0) | 1 << i
+        return {w: rows[mask] for w, mask in masks.items()}
 
-    def out_neighbours(self, v: int) -> tuple[int, ...]:
-        return self.head[3 * v:3 * v + 3]
-
-    def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
-        head = self.head
-        sign = 1 if g == 0 else -1
-        return tuple((0, sign) for i in self._fixed[g] if head[3 * v + i] == w)
+    return blocks
 
 
 def skew_quiver(action: QuiverAction) -> SkewQuiver:
@@ -317,13 +302,12 @@ def skew_quiver(action: QuiverAction) -> SkewQuiver:
     completeness identity (sum of squared dimensions equals |N| * |K|) and
     3-regularity weighted by dimensions at every vertex.
     """
-    vertices, mult = _demonet(_QuiverCarrier(action))
+    vertices, mult = _demonet(action.group, _quiver_blocks(action))
     s = SkewQuiver(
         vertices=vertices,
         mult=mult,
         degrees=None,
         group_size=len(action.quiver.vertices) * len(action.group.names),
-        metadata={"kind": action.kind},
     )
     dims = [v.dimension for v in s.vertices]
     out_sum = [0] * len(dims)
@@ -405,27 +389,29 @@ def _transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     `invariant_cut` returns it."""
     degree = _degrees(action.quiver, cut)
     edges = ((a // 3, y, degree[a]) for a, y in enumerate(action.quiver.head))
-    return s._replace(
-        degrees=_transport(s.vertices, s.mult, action.group.orbit_of, edges)
-    )
+    reps = [v.orbit_rep for v in s.vertices]
+    orbit_reps = [orbit[0] for orbit in action.group.orbit_of]
+    return s._replace(degrees=_transport(reps, s.mult, orbit_reps, edges))
 
 
 def _transport(
-    vertices: tuple[SkewVertex, ...],
+    reps: Sequence[int],
     mult: dict[tuple[int, int], int],
-    orbit_of: Sequence[tuple[int, ...]],
+    edge_reps: Sequence[int],
     edges: Iterable[tuple[int, int, int]],
 ) -> dict[tuple[int, int], int]:
-    """Degrees of the skew blocks: each block takes the common degree of the
-    underlying edges (x, y, degree) from its source's vertex orbit into its
-    target's, read once into one degree set per orbit pair, and the degree-0
+    """Degrees of the blocks (i, j) of mult, whose ends lie over the orbit
+    representatives reps[i] and reps[j]: each block takes the common degree
+    of the underlying edges (x, y, degree) from its source's orbit into its
+    target's, the orbit of the point x being that of edge_reps[x].  The
+    edges are read once into one degree set per orbit pair, and the degree-0
     part must stay acyclic."""
     table: dict[tuple[int, int], set[int]] = {}
     for x, y, d in edges:
-        table.setdefault((orbit_of[x][0], orbit_of[y][0]), set()).add(d)
+        table.setdefault((edge_reps[x], edge_reps[y]), set()).add(d)
     degrees: dict[tuple[int, int], int] = {}
     for (ai, bi), m in sorted(mult.items()):
-        rep1, rep2 = vertices[ai].orbit_rep, vertices[bi].orbit_rep
+        rep1, rep2 = reps[ai], reps[bi]
         degs = table.get((rep1, rep2), ())
         if not degs:
             raise InternalInvariantViolation(
@@ -438,10 +424,10 @@ def _transport(
             )
         (degrees[(ai, bi)],) = degs
     zero = [(i, j) for (i, j) in mult if degrees[(i, j)] == 0]
-    cyclic, walk = _has_cycle(tuple(range(len(vertices))), zero)
+    cyclic, walk = _has_cycle(tuple(range(len(reps))), zero)
     if cyclic:
         raise InternalInvariantViolation(
-            f"degree-0 part of the skew quiver has a cycle through {walk}"
+            f"degree-0 part has a cycle through {walk}"
         )
     return degrees
 
@@ -452,85 +438,63 @@ def _transport(
 _C3_LABEL_CYCLE = {"triv": "omega", "omega": "omega2", "omega2": "triv"}
 
 
-def dual_twist_action(s: SkewQuiver) -> GroupAction:
-    """The character group of C3 acting on skew-vertex indices by label twist.
+def _dual_twist(s: SkewQuiver, action: QuiverAction) -> tuple[GroupAction, Blocks]:
+    """The character group of C3 acting on the skew-vertex indices of
+    S = Q_N * C3 by label twist, with the blocks of S for it.
 
-    Generator: (u, phi) -> (u, phi tensor lambda); free-orbit vertices are
-    fixed.  lambda is the weight-one character of the acting C3 pulled back
-    to the whole group; it is trivial on the diagonal part, so only the
-    stabilizer-irrep label moves.
+    Generator: (u, phi) -> (u, phi tensor lambda), lambda the weight-one
+    character of the acting C3 pulled back to the whole group; it is
+    trivial on the diagonal part, so only the stabilizer-irrep label moves,
+    and free-orbit vertices are fixed.  Only the identity fixes a block with
+    a moved end; its trace is the multiplicity.  A block between fixed
+    vertices lies over free C3-orbits, so each head u2 of an arrow from v's
+    representative u1 into w's vertex orbit stands for its own diagonal
+    orbit, and the block splits into weight spaces: that arrow has weight
+    g2^-1 g1 in the original C3, the inverse of u2's transversal element
+    since u1 is reached by the identity, and g acts on weight k by
+    omega^(gk).  The weights are counted against the multiplicity on every
+    such block.  Elements of both C3s are indexed by their exponent of the
+    generator.
     """
-    if s.metadata.get("kind") != "C":
-        raise ValueError("the dual twist is defined for kind C skews only")
     index = {(v.orbit_rep, v.irrep): i for i, v in enumerate(s.vertices)}
-    perm = []
-    for v in s.vertices:
-        if v.orbit_size == 3:
-            # trivial stabilizer: only one irrep, fixed by the twist
-            perm.append(index[(v.orbit_rep, v.irrep)])
-        else:
-            perm.append(index[(v.orbit_rep, _C3_LABEL_CYCLE[v.irrep])])
-    p = tuple(perm)
+    # A vertex over a free orbit has one irrep, fixed by the twist.
+    p = tuple(
+        i if v.orbit_size == 3 else index[(v.orbit_rep, _C3_LABEL_CYCLE[v.irrep])]
+        for i, v in enumerate(s.vertices)
+    )
     p2 = tuple(p[i] for i in p)
     points = tuple(range(len(p)))
     if tuple(p[i] for i in p2) != points:
         raise InternalInvariantViolation("dual twist does not have order 3")
-    return GroupAction.from_keys(
+    twist = GroupAction.from_keys(
         ("1", "g", "g^2"), (0, 1, 2), lambda a, b: (a + b) % 3, (points, p, p2), points
     )
+    group, head = action.group, action.quiver.head
+    successors: list[dict[int, int]] = [{} for _ in points]
+    for (i, j), m in s.mult.items():
+        successors[i][j] = m
 
+    def blocks(v: int) -> dict:
+        out = {}
+        for w, m in successors[v].items():
+            row = [((0, m),)]
+            if p[v] == v and p[w] == w:
+                u1, rep2 = s.vertices[v].orbit_rep, s.vertices[w].orbit_rep
+                weights = [
+                    group.inverse[group.transversal[u2]]
+                    for u2 in head[3 * u1:3 * u1 + 3]
+                    if group.orbit_of[u2][0] == rep2
+                ]
+                if len(weights) != m:
+                    raise InternalInvariantViolation(
+                        f"weight decomposition of block ({v}, {w}) sums to "
+                        f"{len(weights)}, multiplicity is {m}"
+                    )
+                row += [tuple(((g * k) % 3, 1) for k in weights) for g in (1, 2)]
+            out[w] = row
+        return out
 
-class _TwistCarrier:
-    """Carrier for the second skew: the dual C3 acting on S = Q_N * C3.
-
-    Arrow blocks between twist-fixed vertices decompose into weight
-    spaces: each arrow from the representative u1 into the target's vertex
-    orbit, with head u2, has weight g2^-1 g1 read in the original C3;
-    traces are sums of cube roots of unity, in Z[omega], accordingly.
-    Elements of both C3s are indexed by their exponent of the generator.
-    """
-
-    def __init__(self, s: SkewQuiver, twist: GroupAction, action: QuiverAction):
-        self.s = s
-        self.group = twist
-        self.head = action.quiver.head
-        self.action = action
-        self._successors: list[list[int]] = [[] for _ in s.vertices]
-        for (i, j), m in s.mult.items():
-            if m:
-                self._successors[i].append(j)
-
-    def block_dim(self, v: int, w: int) -> int:
-        return self.s.mult.get((v, w), 0)
-
-    def out_neighbours(self, v: int) -> list[int]:
-        return self._successors[v]
-
-    def _weights(self, v: int, w: int) -> tuple[tuple[int, int], ...]:
-        """(weight exponent, 1) per arrow from v's orbit representative u1
-        into w's vertex orbit, with head u2.  Only twist-fixed blocks get
-        here, and they lie over free C3-orbits, so each u2 stands for its own
-        diagonal orbit; u1 is reached by the identity, so the weight g2^-1 g1
-        is the inverse of u2's transversal element."""
-        group = self.action.group
-        rep = self.s.vertices[v].orbit_rep
-        rep2 = self.s.vertices[w].orbit_rep
-        weights = tuple(
-            (group.inverse[group.transversal[u2]], 1)
-            for u2 in self.head[3 * rep:3 * rep + 3]
-            if group.orbit_of[u2][0] == rep2
-        )
-        if len(weights) != self.block_dim(v, w):
-            raise InternalInvariantViolation(
-                f"weight decomposition of block ({v}, {w}) sums to {len(weights)}, "
-                f"multiplicity is {self.block_dim(v, w)}"
-            )
-        return weights
-
-    def block_trace(self, g: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
-        if g == 0:
-            return ((0, self.block_dim(v, w)),)
-        return tuple(((g * k) % 3, count) for k, count in self._weights(v, w))
+    return twist, blocks
 
 
 class RoundTripReport(namedtuple(
@@ -556,37 +520,36 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     n = quiver.quotient.order
     s = _transport_cut(skew_quiver(action), action, cut)
 
-    twist = dual_twist_action(s)
-    vertices2, mult2 = _demonet(_TwistCarrier(s, twist, action))
+    twist, blocks = _dual_twist(s, action)
+    vertices2, mult2 = _demonet(twist, blocks)
     # A double-skew block inherits the common degree of the S-blocks
     # joining the two twist orbits.
-    edges = ((i, j, d) for (i, j), d in s.degrees.items())
-    degrees2 = _transport(vertices2, mult2, twist.orbit_of, edges)
+    degrees2 = _transport(
+        [v.orbit_rep for v in vertices2],
+        mult2,
+        [orbit[0] for orbit in twist.orbit_of],
+        ((i, j, d) for (i, j), d in s.degrees.items()),
+    )
 
     if len(vertices2) != n:
         raise InternalInvariantViolation(
             f"double skew has {len(vertices2)} vertices, Q_N has {n}"
         )
 
-    # Label maps for the isomorphism search: (multiplicity, degree) per pair,
-    # read off the head table as vertex indices.
+    # Q_N's blocks are its arrows from x to y, over one-point orbits, so the
+    # same transport gives each its degree, read off the head table.
+    head = quiver.head
+    degree = _degrees(quiver, cut)
+    arrows = Counter((a // 3, y) for a, y in enumerate(head))
+    points = range(n)
+    degrees = _transport(
+        points, arrows, points, ((a // 3, y, degree[a]) for a, y in enumerate(head))
+    )
+    # Label maps for the isomorphism search: (multiplicity, degree) per pair.
     labels_a = {
         (i, j): (m, degrees2[(i, j)]) for (i, j), m in mult2.items()
     }
-    head = quiver.head
-    degree = _degrees(quiver, cut)
-    labels_b: dict[tuple[int, int], tuple[int, int]] = {}
-    for x in range(n):
-        out = range(3 * x, 3 * x + 3)
-        for y in sorted({head[a] for a in out}):
-            arrows = [a for a in out if head[a] == y]
-            degs = {degree[a] for a in arrows}
-            if len(degs) > 1:
-                raise InternalInvariantViolation(
-                    f"invariant cut mixes degrees inside block "
-                    f"{quiver.vertices[x]} -> {quiver.vertices[y]}"
-                )
-            labels_b[(x, y)] = (len(arrows), degs.pop())
+    labels_b = {(x, y): (m, degrees[(x, y)]) for (x, y), m in arrows.items()}
 
     mapping = find_isomorphism(n, labels_a, labels_b)
     if mapping is None:

@@ -503,6 +503,8 @@ STDERR_PINS = [
     ("cut-validate --basis 3,2;0,1", 2, "cut-validate needs --gamma or --arrow-ids"),
     ("cut-validate --basis 3,2;0,1 --gamma=", 2, "cannot parse gamma ''"),
     ("cut-validate --basis 3,2;0,1 --arrow-ids 0,99", 2, "arrow ids [99] do not exist"),
+    ("cut-validate --basis 3,0;0,3 --arrow-ids 0,4,8 --gamma 3,3,3", 2,
+     "cut-validate takes --gamma or --arrow-ids, not both"),
     ("skew --basis 2,0;0,2 --kind D --root-order 4 --scalars 1,1,1", 2,
      "scalar exponents (1, 1, 1) violate alpha*beta*gamma = -1 modulo 4"),
     ("classify --basis 2,0;0,2 --kind D --root-order 3", 2,

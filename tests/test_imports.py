@@ -1,12 +1,14 @@
 """Every import in the package and its tests is used, so is every function,
 class, method and module-level name the package defines, the package stays
 exact (no floating point, complex numbers or true division), it imports no
-module kept out of its start-up, and it raises only the three errors of its
-exit-code contract."""
+module kept out of its start-up, it raises only the three errors of its
+exit-code contract, and the README names only what the package has."""
 from __future__ import annotations
 
 import ast
 import builtins
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -288,3 +290,75 @@ def test_the_scan_sees_the_error_contract_broken():
 )
 def test_one_exception_per_exit_code(path):
     assert error_contract_breaches(path.read_text(), defines_errors=path.name == "errors.py") == []
+
+
+def readme_tokens(text: str) -> list[str]:
+    """The distinct backticked tokens of a Markdown text that look like a
+    dotted identifier, such as `mckay.skew`, `cli.main` or `_replace`."""
+    found = re.findall(r"`([^`\n]+)`", text)
+    return sorted({t for t in found if re.fullmatch(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", t)})
+
+
+def _imports_and_resolves(path: str) -> bool:
+    """Whether the dotted path is a module, or attributes of one."""
+    parts = path.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:k]))
+        except ImportError:
+            continue
+        for attr in parts[k:]:
+            if not hasattr(value, attr):
+                return False
+            value = getattr(value, attr)
+        return True
+    return False
+
+
+def package_words(sources: dict[str, str]) -> set[str]:
+    """The names, attribute names, string literals and module names of the
+    package's modules (module name -> source)."""
+    words = {"mckay", *sources}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words.add(node.value)
+    return words
+
+
+def unresolved_tokens(text: str, words: set[str]) -> list[str]:
+    """The README tokens that name nothing: a `mckay` path that does not
+    import, or another token with a dotted part outside the words."""
+    return [
+        token
+        for token in readme_tokens(text)
+        if not (
+            _imports_and_resolves(token)
+            if token == "mckay" or token.startswith("mckay.")
+            else all(part in words for part in token.split("."))
+        )
+    ]
+
+
+def test_the_scan_sees_a_stale_readme_token():
+    text = (
+        "`mckay.skew` and `mckay.skew._demonet` run `_TwistCarrier`, "
+        "`skew_quiver(action)`, `cli.main` and `mckay.skew.dual_twist_action`.\n"
+    )
+    words = package_words({"cli": "def main():\n    return main\n"})
+    assert readme_tokens(text) == [
+        "_TwistCarrier", "cli.main", "mckay.skew", "mckay.skew._demonet",
+        "mckay.skew.dual_twist_action",
+    ]
+    assert unresolved_tokens(text, words) == ["_TwistCarrier", "mckay.skew.dual_twist_action"]
+
+
+def test_the_readme_names_only_what_exists():
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "mckay").glob("*.py"))}
+    text = (ROOT / "README.md").read_text()
+    assert len(readme_tokens(text)) >= 30
+    assert unresolved_tokens(text, package_words(sources)) == []

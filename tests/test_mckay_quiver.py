@@ -12,6 +12,7 @@ from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import (
     STEPS,
     GroupAction,
+    TypedQuiver,
     _assert_automorphisms,
     build_quiver,
     k_action,
@@ -48,6 +49,18 @@ def test_three_regular_in_and_out():
     into = Counter(q.head)
     assert set(out.values()) == {3}
     assert set(into.values()) == {3}
+
+
+def test_build_quiver_refuses_type_steps_that_do_not_close_up(monkeypatch):
+    # Swapping the heads of the type-1 arrows from vertices 0 and 1 keeps
+    # every in-degree at 3, but the type-1 step from 0 no longer returns.
+    quotient = AbelianQuotient(LatticeBasis(3, 0, 3))
+    head = list(TypedQuiver(quotient).head)
+    head[0], head[3] = head[3], head[0]
+    monkeypatch.setattr(TypedQuiver, "head", property(lambda self: tuple(head)))
+    assert set(Counter(head).values()) == {3}
+    with pytest.raises(InternalInvariantViolation, match="^type steps failed to close up$"):
+        build_quiver(quotient)
 
 
 def test_cycle_counts_frozen():
