@@ -45,6 +45,7 @@ from .monomial_group import (
     conjugacy_classes,
     diagonal_subgroup,
     group_from_basis,
+    involution_scalars,
     semidirect_check,
 )
 from .skew import _transport_cut, loop_witness, skew_quiver, unskew_round_trip
@@ -292,21 +293,24 @@ def _cmd_skew(args) -> dict:
     basis = _parse_basis(args.basis)
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
     _refuse_inadmissible(basis, args.kind)
-    q = build_quiver(AbelianQuotient(basis))
-    act = k_action(q, args.kind, scalars=scalars, root_order=args.root_order)
-    s = skew_quiver(act)
-    meta = {
-        "kind": act.kind,
-        "root_order": act.root_order,
-        "scalars": list(act.scalars) if act.scalars else None,
-    }
-    if act.kind == "D":
+    # No skew multiplicity depends on the kind-D scalars (see mckay.skew),
+    # so they are validated and printed here and never reach the action.
+    m = args.root_order if args.root_order is not None else {"C": 1, "D": 2}[args.kind]
+    if m < 1:
+        raise ValueError(f"root order must be positive, got {m}")
+    if args.kind == "C" and scalars is not None:
+        raise ValueError("kind C admits no involution scalars")
+    meta = {"kind": args.kind, "root_order": m}
+    if args.kind == "D":
+        ea, eb, ec = involution_scalars(m, scalars)
+        meta["scalars"] = [ea, eb, ec]
         # convention: rotation acts scalar-free, the involution acts on
         # arrow types 1, 2, 3 by alpha*gamma^2, alpha*beta^2 and -1, given
         # here as root-of-unity exponents
-        ea, eb, ec = act.scalars
-        m = act.root_order
         meta["involution_type_scalars"] = [(ea + 2 * ec) % m, (ea + 2 * eb) % m, m // 2]
+    q = build_quiver(AbelianQuotient(basis))
+    act = k_action(q, args.kind)
+    s = skew_quiver(act)
     doc = {"metadata": _metadata(basis, **meta)}
     if args.command == "classify" and basis.det % 3 == 0:
         cut = invariant_cut(act)
@@ -354,7 +358,7 @@ def _cmd_oracle_compare(args) -> dict:
     cases = []
     for basis in admissible_bases(args.max_det, kind):
         q = build_quiver(AbelianQuotient(basis))
-        realized = realized_types(q, limit=max(DEFAULT_ENUMERATION_LIMIT, 3 * basis.det))
+        realized = realized_types(q)
         n = basis.det
         predicted = {
             (g1, g2, n - g1 - g2)

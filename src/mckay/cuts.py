@@ -250,17 +250,8 @@ def invariant_cut(action: QuiverAction) -> Cut:
     return cut
 
 
-def _arrow_count(q: TypedQuiver, limit: int) -> int:
-    """The number of arrows of q; raise ValueError when it exceeds `limit`."""
-    na = 3 * q.quotient.order
-    if na > limit:
-        raise ValueError(f"{na} arrows exceeds the enumeration guard {limit}")
-    return na
-
-
 def _search(
     q: TypedQuiver,
-    limit: int,
     emit: Callable[[list[int]], None],
     fixed: Iterable[tuple[int, int]] = (),
     first: Sequence[int] = (),
@@ -281,7 +272,7 @@ def _search(
     false answer.  Leaves are checked again for balanced squares and
     degree-0 acyclicity.
     """
-    na = _arrow_count(q, limit)
+    na = 3 * q.quotient.order
     head, cycles, squares = q.constraint_tables
     in_cycles: list[list[int]] = [[] for _ in range(na)]
     for ci, cyc in enumerate(cycles):
@@ -393,10 +384,12 @@ def enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tu
     Cuts are emitted in lexicographic order of their sorted arrow-index
     lists.
     """
+    na = 3 * q.quotient.order
+    if na > limit:
+        raise ValueError(f"{na} arrows exceeds the enumeration guard {limit}")
     results: list[Cut] = []
     _search(
         q,
-        limit,
         lambda assign: results.append(
             Cut.of(i for i, d in enumerate(assign) if d == 1)
         ),
@@ -478,9 +471,7 @@ def _forced_type(
     return (g1, g2, n - g1 - g2)
 
 
-def realized_types(
-    q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> set[tuple[int, int, int]]:
+def realized_types(q: TypedQuiver) -> set[tuple[int, int, int]]:
     """Set of type vectors realized by some valid cut, found by search alone
     (the closed-form criterion is never consulted).
 
@@ -496,11 +487,10 @@ def realized_types(
     yet recorded.  Once both walks are decided the box is a single point,
     so a subtree whose forced type is recorded is skipped and one leaf is
     reached per type.  A leaf whose counted type differs from the forced
-    one is an internal error.  Raises ValueError when q has more than
-    `limit` arrows.
+    one is an internal error.  Unlike `enumerate_cuts` it takes no arrow
+    guard; q is bounded only by the vertex cap of `build_quiver`.
     """
-    na = _arrow_count(q, limit)
-    n = na // 3
+    n = q.quotient.order
     walks = _closed_walks(q)
     (w1, m1), (w2, m2) = walks
     first = list(dict.fromkeys(w1 + w2))
@@ -559,5 +549,5 @@ def realized_types(
         recorded.add((sum(assign[i] for i in w1), sum(assign[i] for i in w2)))
 
     # Arrow 0 is the origin's arrow of type 1.
-    _search(q, limit, record, [(0, 1)], first=first, keep=keep)
+    _search(q, record, [(0, 1)], first=first, keep=keep)
     return types

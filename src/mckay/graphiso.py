@@ -7,8 +7,9 @@ pairs.
 
 The search places vertices connectivity-first and tries candidates in
 ascending order, so the mapping it returns is the first one in that
-order.  Candidates share the vertex's signature (loop label and the sorted
-labels in and out); a candidate is checked against the placed vertices
+order.  Candidates share the vertex's signature (loop label and the
+multisets of labels in and out, compared by value as everywhere in the
+search); a candidate is checked against the placed vertices
 adjacent to either endpoint only, so each check costs their degrees.
 
 Candidates are anchored: once a vertex v has a neighbour w placed before
@@ -44,9 +45,9 @@ class _Side:
 
     def signature(self, v: int):
         return (
-            repr(self.loop[v]),
-            tuple(sorted(map(repr, self.out[v].values()))),
-            tuple(sorted(map(repr, self.into[v].values()))),
+            self.loop[v],
+            frozenset(Counter(self.out[v].values()).items()),
+            frozenset(Counter(self.into[v].values()).items()),
         )
 
 
@@ -56,7 +57,7 @@ def find_isomorphism(
     """A label-preserving vertex bijection between two n-vertex graphs, or None."""
     if n == 0:
         return []
-    if Counter(map(repr, labels_a.values())) != Counter(map(repr, labels_b.values())):
+    if Counter(labels_a.values()) != Counter(labels_b.values()):
         return None
     a, b = _Side(n, labels_a), _Side(n, labels_b)
     # Signature groups by index: group_b[u] for u, group_a[v] for v.

@@ -15,7 +15,8 @@ e3 -> e1) and, for kind D, the involution s fixing type 3 and swapping
 types 1 and 2.  An element is its type permutation sigma: it maps the
 arrow (x, i) to (g(x), sigma(i)), where g is the linear map sending each
 step e_i to e_sigma(i).  The kind-D arrow scalars are not carried; the
-skew side needs only which types an element fixes (see `mckay.skew`).
+skew side needs only which types an element fixes (see `mckay.skew`), and
+the command line validates and prints them.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Iterable
 
 from .errors import InternalInvariantViolation
 from .lattice import AbelianQuotient, check_admissible
-from .monomial_group import env_cap, involution_scalars
+from .monomial_group import env_cap
 
 __all__ = [
     "STEPS",
@@ -147,10 +148,10 @@ class GroupAction(namedtuple("GroupAction", "names table maps points")):
     """
 
     @classmethod
-    def from_keys(cls, names, keys, compose, maps, points) -> GroupAction:
-        """The action whose Cayley table is read off distinct element keys
-        under their composition; raises unless they close up into a group
-        with the first key as identity."""
+    def from_keys(cls, names, keys, compose, maps) -> GroupAction:
+        """The action, on the points the maps permute, whose Cayley table is
+        read off distinct element keys under their composition; raises
+        unless they close up into a group with the first key as identity."""
         index = {k: i for i, k in enumerate(keys)}
         if len(index) != len(keys):
             raise InternalInvariantViolation("group elements are not distinct")
@@ -160,7 +161,7 @@ class GroupAction(namedtuple("GroupAction", "names table maps points")):
             raise InternalInvariantViolation("group elements are not closed") from None
         if table[0] != tuple(range(len(keys))):
             raise InternalInvariantViolation("the first element is not the identity")
-        return cls(tuple(names), table, tuple(maps), tuple(points))
+        return cls(tuple(names), table, tuple(maps), tuple(range(len(maps[0]))))
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -221,7 +222,7 @@ class GroupAction(namedtuple("GroupAction", "names table maps points")):
         return self._orbit_data[3][v] or tuple(g for g, m in enumerate(self.maps) if m[v] == v)
 
 
-class QuiverAction(namedtuple("QuiverAction", "quiver kind root_order scalars type_maps group")):
+class QuiverAction(namedtuple("QuiverAction", "quiver kind type_maps group")):
     """The symmetry group (C3 for kind C, S3 for kind D) acting on a quiver;
     `type_maps[g]` is the type permutation of element g of `group`, whose
     vertex maps `group.maps` follow the same element order.
@@ -296,35 +297,19 @@ _TYPE_MAPS = {
 }
 
 
-def k_action(
-    q: TypedQuiver,
-    kind: str,
-    scalars: tuple[int, int, int] | None = None,
-    root_order: int | None = None,
-) -> QuiverAction:
+def k_action(q: TypedQuiver, kind: str) -> QuiverAction:
     """The C3 (kind C) or S3 (kind D) action on the quiver.
 
     t is the rotation (x1, x2) -> (-x2, x1 - x2) and s the swap
     (x1, x2) -> (x2, x1); each element's vertex permutation is the linear
     map of its type permutation, checked to be a quiver automorphism.
-    For kind D, scalars = (p, q, s) are the exponents of the involution
-    generator's matrix entries (alpha, beta, gamma with alpha*beta*gamma
-    = -1) at root order M; they are validated and recorded for the
-    documents, but no element carries them, because no skew multiplicity
-    depends on them.  Omitted scalars default to alpha = beta = gamma = -1
-    at root order 2.  Kind C carries no scalars.
+    The kind-D arrow scalars (p, q, s) at a root order M take no part: no
+    skew multiplicity depends on them, because every involution acts by -1
+    on the type it fixes whatever they are (see `mckay.skew`).
     """
     if kind not in ("C", "D"):
         raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
     check_admissible(q.quotient.basis, kind)
-
-    m = root_order if root_order is not None else {"C": 1, "D": 2}[kind]
-    if m < 1:
-        raise ValueError(f"root order must be positive, got {m}")
-    if kind == "C" and scalars is not None:
-        raise ValueError("kind C admits no involution scalars")
-    if kind == "D":
-        scalars = involution_scalars(m, scalars)
 
     points = tuple(range(len(q.vertices)))
     names, type_maps = zip(*_TYPE_MAPS[kind].items())
@@ -342,9 +327,5 @@ def k_action(
         type_maps,
         lambda a, b: tuple(a[b[i] - 1] for i in range(3)),
         maps,
-        points,
     )
-    return QuiverAction(
-        quiver=q, kind=kind, root_order=m, scalars=scalars,
-        type_maps=type_maps, group=group,
-    )
+    return QuiverAction(quiver=q, kind=kind, type_maps=type_maps, group=group)

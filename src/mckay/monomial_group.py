@@ -201,7 +201,7 @@ def conjugacy_classes(g: FiniteMatrixGroup) -> list[tuple[Key, ...]]:
 
 class ComplementReport(namedtuple(
     "ComplementReport",
-    "kind group_order diagonal_order complement i1 i2 t_factorization r_factorization",
+    "diagonal_order complement i1 i2 t_factorization r_factorization",
 )):
     """Witnesses for the semidirect splitting G = N x| K: the complement as a
     FiniteMatrixGroup and the involutions and factorization pairs as keys at
@@ -255,8 +255,6 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
                 f"|G| = {g.order} is not 3 * |N| = {3 * n.order}"
             )
         return ComplementReport(
-            kind="C",
-            group_order=g.order,
             diagonal_order=n.order,
             complement=complement,
             i1=None,
@@ -294,8 +292,6 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     if product(d_t, pair) != t or product(d_r, i1) != r:
         raise PreconditionFailed("factorization witnesses do not recompose")
     return ComplementReport(
-        kind="D",
-        group_order=g.order,
         diagonal_order=n.order,
         complement=complement,
         i1=i1,

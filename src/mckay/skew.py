@@ -21,10 +21,11 @@ each h fixing v and w; the engine never looks at what the points stand for.
 The first skew uses the C3 / S3 action on the vertex indices of Q_N (see
 `_quiver_blocks`: its traces are signs, and no arrow scalar enters them),
 the second the dual C3 acting on skew-vertex indices (see `_dual_twist`).
-One degree-transport routine gives the blocks of S, of the double skew and
-of Q_N itself, over one-point orbits, the degrees of a cut of Q_N's arrow
-indices; the round trip recovers the cut as arrow indices too.  Coset
-tuples return only in `loop_witness`, whose record a document prints.
+One degree-transport routine gives the blocks of S and of the double skew
+the degrees of a cut of Q_N's arrow indices, while Q_N's own labels are
+read off its head table; the round trip recovers the cut as arrow indices
+too.  Coset tuples return only in `loop_witness`, whose record a document
+prints.
 """
 from __future__ import annotations
 
@@ -467,7 +468,7 @@ def _dual_twist(s: SkewQuiver, action: QuiverAction) -> tuple[GroupAction, Block
     if tuple(p[i] for i in p2) != points:
         raise InternalInvariantViolation("dual twist does not have order 3")
     twist = GroupAction.from_keys(
-        ("1", "g", "g^2"), (0, 1, 2), lambda a, b: (a + b) % 3, (points, p, p2), points
+        ("1", "g", "g^2"), (0, 1, 2), lambda a, b: (a + b) % 3, (points, p, p2)
     )
     group, head = action.group, action.quiver.head
     successors: list[dict[int, int]] = [{} for _ in points]
@@ -499,7 +500,7 @@ def _dual_twist(s: SkewQuiver, action: QuiverAction) -> tuple[GroupAction, Block
 
 class RoundTripReport(namedtuple(
     "RoundTripReport",
-    "basis skew_vertex_count double_skew_vertex_count isomorphism cut_recovered"
+    "skew_vertex_count double_skew_vertex_count isomorphism cut_recovered"
     " original_cut recovered_cut",
 )):
     """Outcome of skewing by C3 and unskewing by its character group."""
@@ -536,20 +537,17 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
             f"double skew has {len(vertices2)} vertices, Q_N has {n}"
         )
 
-    # Q_N's blocks are its arrows from x to y, over one-point orbits, so the
-    # same transport gives each its degree, read off the head table.
-    head = quiver.head
-    degree = _degrees(quiver, cut)
-    arrows = Counter((a // 3, y) for a, y in enumerate(head))
-    points = range(n)
-    degrees = _transport(
-        points, arrows, points, ((a // 3, y, degree[a]) for a, y in enumerate(head))
-    )
     # Label maps for the isomorphism search: (multiplicity, degree) per pair.
+    # Q_N's are read straight off the head table.  Its parallel arrows lie
+    # in one pair of K-orbits, where S's transport found a single degree on
+    # this cut, and `invariant_cut` has checked its degree-0 part acyclic.
     labels_a = {
         (i, j): (m, degrees2[(i, j)]) for (i, j), m in mult2.items()
     }
-    labels_b = {(x, y): (m, degrees[(x, y)]) for (x, y), m in arrows.items()}
+    head = quiver.head
+    degree = _degrees(quiver, cut)
+    arrows = Counter((a // 3, y) for a, y in enumerate(head))
+    labels_b = {(a // 3, y): (arrows[(a // 3, y)], degree[a]) for a, y in enumerate(head)}
 
     mapping = find_isomorphism(n, labels_a, labels_b)
     if mapping is None:
@@ -564,7 +562,6 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
         a for a, y in enumerate(head) if degrees2.get((rev[a // 3], rev[y])) == 1
     )
     return RoundTripReport(
-        basis=quiver.quotient.basis,
         skew_vertex_count=len(s.vertices),
         double_skew_vertex_count=len(vertices2),
         isomorphism=tuple(mapping),

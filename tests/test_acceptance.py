@@ -54,7 +54,7 @@ def test_criterion_1_enumeration_matches_criterion(capsys):
     for basis in admissible_bases(9, "C"):
         q = _quiver(basis)
         n = basis.det
-        realized = realized_types(q, limit=3 * n)
+        realized = realized_types(q)
         predicted = {g for g in _types(n) if cut_exists(basis, g)}
         if realized != predicted:
             _verdict(capsys, 1, False, f"mismatch at {basis.rows}")

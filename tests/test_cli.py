@@ -365,6 +365,36 @@ def test_a_large_root_order_document_is_pinned(capsys):
     )
 
 
+def test_a_huge_root_order_builds_no_field_of_its_order(capsys):
+    # No scalar enters a trace, only the sign -1 of an involution on the
+    # type it fixes, so a root order of 2,000,000 gives the quiver of the
+    # golden 2I case at root order 4.
+    argv = ["skew", "--basis", "2,0;0,2", "--kind", "D", "--root-order"]
+    huge_code, huge = run_json(capsys, *argv, "2000000", "--scalars", "1,0,999999")
+    small_code, small = run_json(capsys, *argv, "4", "--scalars", "1,0,1")
+    assert huge_code == small_code == 0
+    assert huge["metadata"]["root_order"] == 2_000_000
+    for key in ("vertices", "arrows", "loops"):
+        assert huge[key] == small[key]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("skew --basis 2,0;0,2 --kind D --root-order 3", "kind D needs an even root order, got 3"),
+        ("skew --basis 2,0;0,2 --kind C --scalars 1,1,0", "kind C admits no involution scalars"),
+    ],
+)
+def test_scalars_are_refused_before_q_n_is_built(capsys, monkeypatch, argv, message):
+    # The command validates the scalars itself, before it builds Q_N.
+    def build_quiver(quotient):
+        raise AssertionError("Q_N was built")
+
+    monkeypatch.setattr(cli, "build_quiver", build_quiver)
+    assert cli.main(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv, n",
     [("classify --basis 21,0;0,21 --kind D", 441), ("unskew-roundtrip --basis 63,51;0,3", 189)],

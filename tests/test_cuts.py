@@ -239,7 +239,7 @@ def test_cuts_are_strictly_increasing_arrow_indices():
 def test_realized_types_closed_under_rotation():
     for a, b, c in [(7, 3, 1), (3, 2, 1), (3, 0, 3)]:
         q = _quiver(a, b, c)
-        types = realized_types(q, limit=27)
+        types = realized_types(q)
         for g1, g2, g3 in types:
             assert (g2, g3, g1) in types
 
@@ -248,10 +248,10 @@ def test_too_large_guard():
     q = _quiver(10, 0, 1)
     with pytest.raises(ValueError, match="^30 arrows exceeds the enumeration guard 27$"):
         enumerate_cuts(q)
-    with pytest.raises(ValueError, match="^30 arrows exceeds the enumeration guard 27$"):
-        realized_types(q)
-    # raising the limit lets the search run; this quotient has no cuts
+    # raising the limit lets the search run; this quotient has no cuts, and
+    # realized_types, which has no guard, finds no type
     assert enumerate_cuts(q, limit=30) == ()
+    assert realized_types(q) == set()
 
 
 def test_criterion_is_sharp_on_non_admissible_quotients():
@@ -266,7 +266,7 @@ def test_criterion_is_sharp_on_non_admissible_quotients():
             for g2 in range(1, n - g1)
             if n - g1 - g2 >= 1 and cut_exists(basis, (g1, g2, n - g1 - g2))
         }
-        assert realized_types(q, limit=3 * n) == predicted
+        assert realized_types(q) == predicted
 
 
 # The search as it was before degree-0 cycles were rejected during
@@ -382,7 +382,7 @@ def test_search_matches_the_reference():
         limit = 3 * basis.det
         reference = reference_enumerate_cuts(q, limit)
         assert enumerate_cuts(q, limit) == reference, basis
-        assert realized_types(q, limit) == {cut_type(cut) for cut in reference}, basis
+        assert realized_types(q) == {cut_type(cut) for cut in reference}, basis
         # A zero component would make every e_t-orbit a degree-0 cycle.  So
         # a translate of every cut holds the origin's type-1 arrow, which is
         # the one arrow realized_types fixes before it searches.
@@ -390,7 +390,7 @@ def test_search_matches_the_reference():
     for a, b, c in [(19, 8, 1), (4, 0, 4)]:
         q = _quiver(a, b, c)
         reference = reference_enumerate_cuts(q, 3 * a * c)
-        assert realized_types(q, 3 * a * c) == {cut_type(cut) for cut in reference}
+        assert realized_types(q) == {cut_type(cut) for cut in reference}
 
 
 @pytest.mark.parametrize("abc", [(13, 0, 1), (1, 0, 12)])
@@ -406,7 +406,7 @@ def test_degree_zero_cycles_fail_before_the_leaves(monkeypatch, abc):
     monkeypatch.setattr(cuts, "_has_cycle", counting)
     q = _quiver(*abc)
     assert enumerate_cuts(q, limit=40) == ()
-    assert realized_types(q, limit=40) == set()
+    assert realized_types(q) == set()
     assert len(calls) <= 1
 
 
@@ -415,7 +415,7 @@ def test_realized_types_are_the_types_of_the_enumerated_cuts():
         q = build_quiver(AbelianQuotient(basis))
         limit = 3 * basis.det
         expected = {cut_type(cut) for cut in enumerate_cuts(q, limit)}
-        assert realized_types(q, limit) == expected, basis
+        assert realized_types(q) == expected, basis
 
 
 @pytest.mark.parametrize("abc, leaves", [((9, 6, 3), 10), ((5, 0, 5), 6), ((7, 3, 1), 3)])
@@ -429,7 +429,7 @@ def test_type_directed_search_reaches_one_leaf_per_type(monkeypatch, abc, leaves
 
     monkeypatch.setattr(cuts, "_has_cycle", counting)
     q = _quiver(*abc)
-    assert len(realized_types(q, limit=3 * q.quotient.order)) == leaves
+    assert len(realized_types(q)) == leaves
     assert len(calls) == leaves
 
 
@@ -467,7 +467,7 @@ def test_walk_sum_boxes_prune_before_the_forced_type(monkeypatch, abc):
     monkeypatch.setattr(cuts, "_search", counting_search)
     monkeypatch.setattr(cuts, "_forced_type", counting_forced_type)
     q = _quiver(*abc)
-    types = realized_types(q, limit=3 * q.quotient.order)
+    types = realized_types(q)
     assert len(nodes) <= 240
     assert len(forced) == len(types)
 

@@ -180,3 +180,12 @@ def test_empty_graph():
     assert find_isomorphism(0, {}, {}) == []
     assert find_isomorphism(1, {}, {}) == [0]
     assert find_isomorphism(1, {(0, 0): 1}, {}) is None
+
+
+def test_labels_compare_by_value():
+    # 1 == True and (1, 0) == (True, 0): the label prefilter and the
+    # signatures compare labels by value, as the check does, so equal
+    # labels of different types match.
+    assert find_isomorphism(2, {(0, 1): 1}, {(0, 1): True}) == [0, 1]
+    labels_a = {(0, 0): 1, (0, 1): (1, 0)}
+    assert find_isomorphism(2, labels_a, {(1, 1): True, (1, 0): (True, 0)}) == [1, 0]

@@ -2,7 +2,8 @@
 class, method and module-level name the package defines, the package stays
 exact (no floating point, complex numbers or true division), it imports no
 module kept out of its start-up, it raises only the three errors of its
-exit-code contract, and the README names only what the package has."""
+exit-code contract, only the command line and the matrix group read the
+kind-D scalars, and the README names only what the package has."""
 from __future__ import annotations
 
 import ast
@@ -134,6 +135,41 @@ def test_every_definition_in_the_package_is_used():
         str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
     }
     assert unused_definitions(package, [p.read_text() for p in FILES]) == []
+
+
+# No skew multiplicity depends on the kind-D scalars, so only the command
+# line, which validates and prints them, and the matrix group read them.
+SCALAR_NAMES = {"scalars", "root_order", "involution_scalars"}
+SCALAR_READERS = {"cli.py", "monomial_group.py"}
+
+
+def scalar_reads(source: str) -> list[str]:
+    """The scalar names a module reads as a name or an attribute, takes as
+    a parameter or passes as a keyword."""
+    tree = ast.parse(source)
+    names = _reads(tree) | {
+        node.arg for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.keyword))
+    }
+    return sorted(names & SCALAR_NAMES)
+
+
+def test_the_scan_sees_a_scalar_read():
+    source = (
+        "def k_action(q, kind, scalars=None):\n    return involution_scalars(2, scalars)\n"
+        "m = group.root_order\ndoc = {'scalars': m}\n"
+    )
+    assert scalar_reads(source) == ["involution_scalars", "root_order", "scalars"]
+    assert scalar_reads("build(q, root_order=2, **kw)\n") == ["root_order"]
+    assert scalar_reads("Action = namedtuple('Action', 'quiver kind scalars')\n") == []
+
+
+def test_only_the_command_line_and_the_group_read_the_scalars():
+    found = {
+        p.name: scalar_reads(p.read_text())
+        for p in sorted((ROOT / "src" / "mckay").glob("*.py"))
+        if p.name not in SCALAR_READERS
+    }
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 INEXACT_CALLS = {"float", "complex", "round"}

@@ -255,7 +255,7 @@ def test_group_law_of_the_action():
 def test_group_action_rejects_non_groups(keys, modulus):
     with pytest.raises(InternalInvariantViolation):
         GroupAction.from_keys(
-            "abc", keys, lambda a, b: (a + b) % modulus, ((), (), ()), ()
+            "abc", keys, lambda a, b: (a + b) % modulus, ((), (), ())
         )
 
 
