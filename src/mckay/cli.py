@@ -296,13 +296,10 @@ def _cmd_skew(args) -> dict:
     # No skew multiplicity depends on the kind-D scalars (see mckay.skew),
     # so they are validated and printed here and never reach the action.
     m = args.root_order if args.root_order is not None else {"C": 1, "D": 2}[args.kind]
-    if m < 1:
-        raise ValueError(f"root order must be positive, got {m}")
-    if args.kind == "C" and scalars is not None:
-        raise ValueError("kind C admits no involution scalars")
+    exponents = involution_scalars(args.kind, m, scalars)
     meta = {"kind": args.kind, "root_order": m}
-    if args.kind == "D":
-        ea, eb, ec = involution_scalars(m, scalars)
+    if exponents is not None:
+        ea, eb, ec = exponents
         meta["scalars"] = [ea, eb, ec]
         # convention: rotation acts scalar-free, the involution acts on
         # arrow types 1, 2, 3 by alpha*gamma^2, alpha*beta^2 and -1, given

@@ -302,17 +302,23 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
 
 
 def involution_scalars(
-    root_order: int, scalars: Sequence[int] | None = None
-) -> tuple[int, int, int]:
+    kind: str, root_order: int, scalars: Sequence[int] | None = None
+) -> tuple[int, int, int] | None:
     """The kind-D involution exponents (p, q, s) of alpha, beta, gamma,
     reduced modulo the root order; alpha = beta = gamma = -1 when omitted.
+    None for the kinds without an involution.
 
-    alpha*beta*gamma = -1 needs an even root order and p + q + s congruent
-    to root_order/2.
+    The one home of the scalar contract, checked in this order: only kind D
+    admits scalars, the root order is positive, and for kind D it is even
+    (alpha*beta*gamma = -1) and p + q + s is congruent to root_order/2.
     """
+    if scalars is not None and kind != "D":
+        raise ValueError(f"kind {kind} admits no involution scalars")
     m = root_order
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
+    if kind != "D":
+        return None
     if m % 2:
         raise ValueError(f"kind D needs an even root order, got {m}")
     if scalars is None:
@@ -369,12 +375,9 @@ def group_from_basis(
     """
     if kind not in ("A", "C", "D"):
         raise ValueError(f"unknown kind {kind!r}; expected 'A', 'C' or 'D'")
-    if scalars is not None and kind != "D":
-        raise ValueError(f"kind {kind} admits no involution scalars")
     _, d2 = basis.smith_invariants()
     m = root_order if root_order is not None else default_root_order(d2, kind)
-    if m < 1:
-        raise ValueError(f"root order must be positive, got {m}")
+    exponents = involution_scalars(kind, m, scalars)
     if m % d2:
         raise ValueError(
             f"root order {m} cannot represent a quotient of exponent {d2}"
@@ -386,7 +389,7 @@ def group_from_basis(
     if kind == "D":
         # the involution with alpha = zeta^p at (1,2), beta = zeta^q at
         # (2,1) and gamma = zeta^s at (3,3) [1-based]
-        p, q, s = involution_scalars(m, scalars)
+        p, q, s = exponents
         gens.append(((1, 0, 2), (q, p, s)))
     g = closure(gens, m)
     expected = {"A": 1, "C": 3, "D": 6}[kind] * basis.det

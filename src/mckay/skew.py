@@ -7,10 +7,10 @@ carries arrows, each computed as an exact character inner product over the
 joint stabilizer.  All of this arithmetic lies in Z[omega], omega a
 primitive cube root of unity: every character value is c * omega^k and
 every trace a sum of (exponent mod 3, count) terms, so each block's inner
-product is summed exactly as a count vector over Z/3 and reduced modulo
-the third cyclotomic polynomial once; blocks with the same stabilizers and
-terms share one such sum.  A multiplicity that is not a non-negative
-integer can only mean a bookkeeping bug and is raised, never rounded.
+product is summed exactly as three counts over Z/3, read once in the basis
+(1, omega); blocks with the same stabilizers and terms share one such sum.
+A multiplicity that is not a non-negative integer can only mean a
+bookkeeping bug and is raised, never rounded.
 
 Both skews of the unskew round trip run through the same engine on plain
 data: a GroupAction on the points 0, ..., n - 1 (element names, integer
@@ -33,7 +33,6 @@ from collections import Counter, namedtuple
 from typing import Callable, Iterable, Sequence
 
 from .cuts import Cut, _check_arrows, _degrees, _has_cycle, invariant_cut, validate_cut
-from .cyclotomic import reduce_mod_cyclotomic
 from .errors import InternalInvariantViolation, PreconditionFailed
 from .graphiso import find_isomorphism
 from .mckay_quiver import GroupAction, QuiverAction, TypedQuiver, k_action
@@ -192,14 +191,15 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
     def block_values(u1: int, u2: int, rep2: int, joint: tuple) -> list[list[int]]:
         """Hom dimension per pair of skew vertices over the orbits of u1 and
         u2 (representative rep2), as rows by the former; each inner product
-        is summed as counts over Z/3, reduced once and checked."""
+        is summed as counts over Z/3, read in the basis (1, omega) once and
+        checked."""
         values = []
         for ai in over[u1]:
             row_a = rows[ai]
             line = []
             for bi in over[rep2]:
                 row_b = rows[bi]
-                counts: dict[int, int] = {}
+                counts = [0, 0, 0]
                 for h1, h2, trace in joint:
                     # conj(chi_a(h1)) * chi_b(h2); conjugation negates the exponent
                     ca, ka = row_a[h1]
@@ -207,9 +207,9 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
                     c = ca * cb
                     if c:
                         for e, n in trace:
-                            i = (kb - ka + e) % 3
-                            counts[i] = counts.get(i, 0) + c * n
-                coords = reduce_mod_cyclotomic(3, counts)
+                            counts[(kb - ka + e) % 3] += c * n
+                # coordinates in the basis (1, omega): omega^2 = -1 - omega
+                coords = (counts[0] - counts[2], counts[1] - counts[2])
                 if any(coords[1:]) or coords[0] < 0 or coords[0] % len(joint):
                     va, vb = skew_vertices[ai], skew_vertices[bi]
                     raise InternalInvariantViolation(

@@ -1,10 +1,14 @@
-"""Shared fixtures and independent numeric oracles.
+"""Shared fixtures, independent numeric oracles and an exact cyclotomic one.
 
-The oracles deliberately avoid the package's exact-arithmetic path:
-matrices become dense complex arrays and group bookkeeping hashes
-rounded entries, so agreement is meaningful.
+The numeric oracles deliberately avoid the package's exact-arithmetic
+path: matrices become dense complex arrays and group bookkeeping hashes
+rounded entries, so agreement is meaningful.  The exact oracle reduces
+modulo the cyclotomic polynomial of any order, a route the package, which
+sums in Z[omega] only, does not take.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -128,6 +132,63 @@ def np_loop_profile(elements: list[np.ndarray]) -> list[tuple[int, int]]:
             profile.append((dim, loops))
     assert sum(d * d for d in dims) == order, "characters not separated"
     return sorted(profile)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Coefficients (low degree first, monic) of the order-th cyclotomic polynomial.
+
+    Computed by repeatedly dividing x^order - 1 by the cyclotomic
+    polynomials of the proper divisors; all divisions are exact.
+    """
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    # num = x^order - 1
+    num = [-1] + [0] * (order - 1) + [1]
+    for div in range(1, order):
+        if order % div == 0:
+            num = _poly_divide_exact(num, list(cyclotomic_polynomial(div)))
+    return tuple(num)
+
+
+def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of num by monic den; raises if the division leaves a remainder."""
+    if den[-1] != 1:
+        raise ValueError("divisor polynomial must be monic")
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        coeff = num[k + len(den) - 1]
+        out[k] = coeff
+        if coeff:
+            for j, d in enumerate(den):
+                num[k + j] -= coeff * d
+    if any(num[: len(den) - 1]):
+        raise ValueError("polynomial division left a remainder")
+    return out
+
+
+def reduce_mod_cyclotomic(order: int, counts: dict[int, int]) -> tuple[int, ...]:
+    """Power-basis coordinates of sum c z^k over the items (k, c) of counts,
+    z a primitive order-th root of unity.
+
+    Exponents are taken mod order, then the polynomial is divided by the
+    order-th cyclotomic polynomial from the top down.  Two count dicts name
+    the same number exactly when their reductions agree, and the number is a
+    rational integer exactly when every coordinate past the first is 0.
+    """
+    phi = cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    raw = [0] * order
+    for k, c in counts.items():
+        raw[k % order] += c
+    # z^k = z^(k-d) * z^d = -z^(k-d) * (phi[0] + ... + phi[d-1] z^(d-1))
+    for k in range(order - 1, d - 1, -1):
+        c = raw[k]
+        if c:
+            for j, p in enumerate(phi[:d]):
+                raw[k - d + j] -= c * p
+    return tuple(raw[:d])
 
 
 @pytest.fixture

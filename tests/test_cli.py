@@ -591,6 +591,18 @@ def test_group_info_rejects_scalars_outside_kind_d(capsys, kind):
 
 
 @pytest.mark.parametrize("command", ["group-info", "skew", "classify"])
+def test_every_command_checks_the_scalars_in_one_order(capsys, command):
+    # Two faults, scalars on kind C and a root order of 0: every command
+    # names the first of them.
+    argv = [command, "--basis", "2,0;0,2", "--kind", "C", "--root-order", "0",
+            "--scalars", "1,1,0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kind C admits no involution scalars\n"
+
+
+@pytest.mark.parametrize("command", ["group-info", "skew", "classify"])
 def test_unparsable_scalars_exit_2_before_admissibility(capsys, command):
     # 5,1;0,1 fails the rotation condition (exit 3), but the scalars are
     # parsed first, so every command refuses them as an invalid spec.

@@ -1,4 +1,4 @@
-"""Exact reduction modulo cyclotomic polynomials against a floating-point oracle."""
+"""The exact cyclotomic oracle of the skew tests against a floating-point one."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay.cyclotomic import cyclotomic_polynomial, reduce_mod_cyclotomic
+from conftest import cyclotomic_polynomial, reduce_mod_cyclotomic
 
 ORDERS = (1, 2, 3, 4, 6, 12, 24)
 

@@ -1,15 +1,17 @@
 """Every import in the package and its tests is used, so is every function,
 class, method and module-level name the package defines, the package stays
 exact (no floating point, complex numbers or true division), it imports no
-module kept out of its start-up, it raises only the three errors of its
-exit-code contract, only the command line and the matrix group read the
-kind-D scalars, and the README names only what the package has."""
+module kept out of its start-up, nothing outside the standard library and
+no module-level cache, it raises only the three errors of its exit-code
+contract, only the command line and the matrix group read the kind-D
+scalars, and the README names only what the package has."""
 from __future__ import annotations
 
 import ast
 import builtins
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,8 @@ import pytest
 from mckay import errors
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -131,9 +134,7 @@ def test_the_scan_sees_an_unused_module_name():
 
 
 def test_every_definition_in_the_package_is_used():
-    package = {
-        str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
-    }
+    package = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert unused_definitions(package, [p.read_text() for p in FILES]) == []
 
 
@@ -225,11 +226,7 @@ def test_the_scan_sees_inexact_arithmetic():
     ]
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted((ROOT / "src").rglob("*.py")),
-    ids=lambda p: str(p.relative_to(ROOT)),
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_the_package_is_exact(path):
     assert inexact_constructs(path.read_text()) == []
 
@@ -260,13 +257,60 @@ def test_the_scan_sees_a_start_up_import():
     ]
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted((ROOT / "src").rglob("*.py")),
-    ids=lambda p: str(p.relative_to(ROOT)),
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_the_package_starts_without_dataclasses(path):
     assert start_up_imports(path.read_text()) == []
+
+
+# Every memo is per object or per call, so a one-shot CLI call runs as fast
+# as a warm one, and the runtime is standard library only.
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def import_breaches(source: str) -> list[str]:
+    """Imports of functools' module-level caches, by name or as an
+    attribute of functools, and absolute imports of modules outside the
+    standard library."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [
+                (node.lineno, f"cache functools.{alias.name}")
+                for alias in node.names
+                if alias.name in CACHE_DECORATORS
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in CACHE_DECORATORS
+        ):
+            found.append((node.lineno, f"cache functools.{node.attr}"))
+        for module in _imported_modules(node):
+            if module.split(".")[0] not in sys.stdlib_module_names:
+                found.append((node.lineno, f"non-stdlib import of {module}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_a_cache_and_a_non_stdlib_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from functools import cached_property, lru_cache, reduce\n"
+        "import functools\n@functools.cache\ndef f():\n    return 1\n"
+        "import numpy as np\nfrom hypothesis.strategies import integers\n"
+        "import collections.abc\nfrom .cyclotomic import reduce_mod_cyclotomic\n"
+    )
+    assert import_breaches(source) == [
+        "cache functools.lru_cache (line 2)",
+        "cache functools.cache (line 4)",
+        "non-stdlib import of numpy (line 7)",
+        "non-stdlib import of hypothesis.strategies (line 8)",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_cache_and_only_the_standard_library(path):
+    assert import_breaches(path.read_text()) == []
 
 
 ALLOWED_RAISES = {"ValueError", "PreconditionFailed", "InternalInvariantViolation"}
@@ -319,11 +363,7 @@ def test_the_scan_sees_the_error_contract_broken():
     assert error_contract_breaches("class E(Exception):\n    pass\n", defines_errors=True) == []
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted((ROOT / "src").rglob("*.py")),
-    ids=lambda p: str(p.relative_to(ROOT)),
-)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_one_exception_per_exit_code(path):
     assert error_contract_breaches(path.read_text(), defines_errors=path.name == "errors.py") == []
 

@@ -53,7 +53,7 @@ def _power(key, n: int, m: int):
 def _transposition(m: int, p: int, q: int, s: int):
     """The kind-D generator with alpha = zeta^p at (1,2), beta = zeta^q at
     (2,1) and gamma = zeta^s at (3,3) [1-based]."""
-    p, q, s = involution_scalars(m, (p, q, s))
+    p, q, s = involution_scalars("D", m, (p, q, s))
     return ((1, 0, 2), (q, p, s))
 
 
