@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .cuts import (
     Cut,
+    _degrees,
     build_cut,
     check_cut_exists,
     cut_exists,
@@ -311,7 +312,7 @@ def _cmd_skew(args) -> dict:
     doc = {"metadata": _metadata(basis, **meta)}
     if args.command == "classify" and basis.det % 3 == 0:
         cut = invariant_cut(act)
-        s = _transport_cut(s, act, cut)
+        s = _transport_cut(s, act, _degrees(q, cut))
         doc.update(divisible_by_3=True, verdict="cut-exists", witness={
             "invariant_cut_arrow_ids": list(cut.arrows),
             "invariant_cut_type": list(cut_type(cut)),
@@ -351,7 +352,7 @@ def _cmd_unskew_roundtrip(args) -> dict:
 
 
 def _cmd_oracle_compare(args) -> dict:
-    kind = args.kind or "C"
+    kind = args.kind
     cases = []
     for basis in admissible_bases(args.max_det, kind):
         q = build_quiver(AbelianQuotient(basis))

@@ -7,10 +7,11 @@ pairs.
 
 The search places vertices connectivity-first and tries candidates in
 ascending order, so the mapping it returns is the first one in that
-order.  Candidates share the vertex's signature (loop label and the
-multisets of labels in and out, compared by value as everywhere in the
-search); a candidate is checked against the placed vertices
-adjacent to either endpoint only, so each check costs their degrees.
+order.  Labels are read once into integer codes shared by both graphs,
+so labels equal by value share a code.  Candidates share the vertex's
+signature (the loop's code and the sorted tuples of the codes out and
+in); a candidate is checked against the placed vertices adjacent to
+either endpoint only, so each check costs their degrees.
 
 Candidates are anchored: once a vertex v has a neighbour w placed before
 it and joined to it by a non-None label, v's candidates are only those of
@@ -27,27 +28,31 @@ from typing import Hashable, Mapping
 
 __all__ = ["find_isomorphism"]
 
-Label = Hashable
-EdgeMap = Mapping[tuple[int, int], Label]
+EdgeMap = Mapping[tuple[int, int], Hashable]
 
 
 class _Side:
-    """Loop labels and out/in adjacency dicts (loops excluded) of one graph."""
+    """Loop codes and out/in adjacency dicts of codes (loops excluded) of
+    one graph, by the label codes both sides share; None's is 0, as is a
+    missing edge's."""
 
-    def __init__(self, n: int, labels: EdgeMap):
-        self.loop = [labels.get((v, v)) for v in range(n)]
-        self.out: list[dict[int, Label]] = [{} for _ in range(n)]
-        self.into: list[dict[int, Label]] = [{} for _ in range(n)]
+    def __init__(self, n: int, labels: EdgeMap, codes: dict):
+        self.loop = [0] * n
+        self.out: list[dict[int, int]] = [{} for _ in range(n)]
+        self.into: list[dict[int, int]] = [{} for _ in range(n)]
         for (i, j), label in labels.items():
-            if i != j:
-                self.out[i][j] = label
-                self.into[j][i] = label
+            code = codes.setdefault(label, len(codes))
+            if i == j:
+                self.loop[i] = code
+            else:
+                self.out[i][j] = code
+                self.into[j][i] = code
 
     def signature(self, v: int):
         return (
             self.loop[v],
-            frozenset(Counter(self.out[v].values()).items()),
-            frozenset(Counter(self.into[v].values()).items()),
+            tuple(sorted(self.out[v].values())),
+            tuple(sorted(self.into[v].values())),
         )
 
 
@@ -59,7 +64,8 @@ def find_isomorphism(
         return []
     if Counter(labels_a.values()) != Counter(labels_b.values()):
         return None
-    a, b = _Side(n, labels_a), _Side(n, labels_b)
+    codes: dict = {None: 0}
+    a, b = _Side(n, labels_a, codes), _Side(n, labels_b, codes)
     # Signature groups by index: group_b[u] for u, group_a[v] for v.
     group_ids: dict = {}
     group_b = [group_ids.setdefault(b.signature(u), len(group_ids)) for u in range(n)]
@@ -74,10 +80,15 @@ def find_isomorphism(
     # Order vertices connectivity-first so adjacency constraints bite early:
     # repeatedly the unplaced vertex with the least (-linked, |candidates|, v),
     # linked counting its placed neighbours.  Keys only fall, so a heap
-    # entry whose link count is stale is skipped when popped.
+    # entry whose link count is stale is skipped when popped.  The anchor
+    # of w is set when its first neighbour v joined to it by a non-None
+    # label is placed, with the adjacency of b that must hold f(w): an edge
+    # w -> v puts f(w) among the sources into f(v), else an edge v -> w
+    # among the targets out of f(v).  Other candidates fail `check` at v.
     neighbors = [set(a.out[v]) | set(a.into[v]) for v in range(n)]
     linked = [0] * n
     placed = [False] * n
+    anchor: list = [None] * n
     heap = [(0, len(candidates[v]), v) for v in range(n)]
     heapq.heapify(heap)
     order: list[int] = []
@@ -91,22 +102,11 @@ def find_isomorphism(
             if not placed[w]:
                 linked[w] += 1
                 heapq.heappush(heap, (-linked[w], len(candidates[w]), w))
-
-    # The anchor of v: its earliest neighbour in `order` before it joined by
-    # a non-None label, with the adjacency of b that must hold f(v): an
-    # edge v -> w puts f(v) among the sources into f(w), an edge w -> v
-    # among the targets out of f(w).  Every other candidate fails `check`
-    # against w.
-    position = [0] * n
-    for k, v in enumerate(order):
-        position[v] = k
-    anchor: list = [None] * n
-    for v in range(n):
-        near = [(position[w], w, b.into) for w, label in a.out[v].items() if label is not None]
-        near += [(position[w], w, b.out) for w, label in a.into[v].items() if label is not None]
-        near = [x for x in near if x[0] < position[v]]
-        if near:
-            anchor[v] = min(near, key=lambda x: x[0])[1:]
+                if anchor[w] is None:
+                    if a.out[w].get(v):
+                        anchor[w] = v, b.into
+                    elif a.into[w].get(v):
+                        anchor[w] = v, b.out
 
     mapping = [-1] * n
     preimage = [-1] * n
@@ -115,21 +115,21 @@ def find_isomorphism(
         if b.loop[u] != a.loop[v]:
             return False
         out_a, into_a, out_b, into_b = a.out[v], a.into[v], b.out[u], b.into[u]
-        for w, label in out_a.items():
+        for w, code in out_a.items():
             fw = mapping[w]
-            if fw >= 0 and out_b.get(fw) != label:
+            if fw >= 0 and out_b.get(fw, 0) != code:
                 return False
-        for w, label in into_a.items():
+        for w, code in into_a.items():
             fw = mapping[w]
-            if fw >= 0 and into_b.get(fw) != label:
+            if fw >= 0 and into_b.get(fw, 0) != code:
                 return False
-        for y, label in out_b.items():
+        for y, code in out_b.items():
             w = preimage[y]
-            if w >= 0 and label != out_a.get(w):
+            if w >= 0 and code != out_a.get(w, 0):
                 return False
-        for y, label in into_b.items():
+        for y, code in into_b.items():
             w = preimage[y]
-            if w >= 0 and label != into_a.get(w):
+            if w >= 0 and code != into_a.get(w, 0):
                 return False
         return True
 

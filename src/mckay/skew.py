@@ -29,7 +29,7 @@ prints.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
 from .cuts import Cut, _check_arrows, _degrees, _has_cycle, invariant_cut, validate_cut
@@ -141,14 +141,15 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
     the least point of its orbit under the stabilizer of r.  A diagonal
     orbit can carry arrows only when its u2 is a key of `blocks(r)`, so only
     those pairs are visited (`_orbit_pairs`), each once, block-major: a pair
-    adds its block's Hom dimension to every pair of skew vertices over O1
-    and O2.  Each skew vertex reads its character values from one row
+    adds its block's nonzero Hom dimensions to their pairs of skew vertices
+    over O1 and O2.  Each skew vertex reads its character values from one row
     indexed by group element.
 
     A block's table of Hom dimensions depends only on the stabilizers of r
     and of u2's representative and on its (h, h2, trace) terms, so the table
     is summed and checked once per distinct such key, in a memo local to the
-    call, and read back for every later block with the same key.
+    call that keeps only its nonzero entries; every later block with the
+    same key adds just those to its orbit's totals.
     """
     maps, table, inverse = group.maps, group.table, group.inverse
     transversal = group.transversal
@@ -188,16 +189,16 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
             if maps[h][u2] == u2
         )
 
-    def block_values(u1: int, u2: int, rep2: int, joint: tuple) -> list[list[int]]:
-        """Hom dimension per pair of skew vertices over the orbits of u1 and
-        u2 (representative rep2), as rows by the former; each inner product
-        is summed as counts over Z/3, read in the basis (1, omega) once and
-        checked."""
+    def block_values(u1: int, u2: int, rep2: int, joint: tuple) -> tuple:
+        """The nonzero Hom dimensions between the skew vertices over the
+        orbits of u1 and u2 (representative rep2), as (i, j, m): m between
+        the i-th over u1 and the j-th over rep2, in that order.  Each inner
+        product is summed as counts over Z/3, read in the basis (1, omega)
+        once and checked."""
         values = []
-        for ai in over[u1]:
+        for i, ai in enumerate(over[u1]):
             row_a = rows[ai]
-            line = []
-            for bi in over[rep2]:
+            for j, bi in enumerate(over[rep2]):
                 row_b = rows[bi]
                 counts = [0, 0, 0]
                 for h1, h2, trace in joint:
@@ -218,34 +219,31 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
                         f"product {coords} is not a non-negative integer "
                         f"multiple of {len(joint)}"
                     )
-                line.append(coords[0] // len(joint))
-            values.append(line)
-        return values
+                if coords[0]:
+                    values.append((i, j, coords[0] // len(joint)))
+        return tuple(values)
 
     # A memo local to this call, so a one-shot call gets the whole gain.
-    classes: dict[tuple, list[list[int]]] = {}
+    classes: dict[tuple, tuple] = {}
     mult: dict[tuple[int, int], int] = {}
     for orbit in group.orbits:
         u1 = orbit[0]
         block = blocks(u1)
-        pairs = _orbit_pairs(group, u1, stab[u1], block)
+        first = over[u1].start
         totals: dict[tuple[int, int], int] = {}
-        for rep2, points in pairs.items():
+        for rep2, points in _orbit_pairs(group, u1, stab[u1], block).items():
+            first2 = over[rep2].start
             for u2 in points:
                 joint = block_terms(u1, u2, block[u2])
                 key = (stab[u1], stab[rep2], joint)
                 values = classes.get(key)
                 if values is None:
                     values = classes[key] = block_values(u1, u2, rep2, joint)
-                for ai, line in zip(over[u1], values):
-                    for bi, m in zip(over[rep2], line):
-                        totals[(ai, bi)] = totals.get((ai, bi), 0) + m
-        targets = sorted(bi for rep2 in pairs for bi in over[rep2])
-        for ai in over[u1]:
-            for bi in targets:
-                total = totals.get((ai, bi))
-                if total:
-                    mult[(ai, bi)] = total
+                for i, j, m in values:
+                    pair = (first + i, first2 + j)
+                    totals[pair] = totals.get(pair, 0) + m
+        for pair in sorted(totals):
+            mult[pair] = totals[pair]
 
     expected = len(group.points) * len(group.names)
     square_sum = sum(v.dimension ** 2 for v in skew_vertices)
@@ -382,13 +380,12 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
     report = validate_cut(quiver, cut)
     if not report.passed:
         raise ValueError(f"cut fails validation: {report.witnesses}")
-    return _transport_cut(s, action, cut)
+    return _transport_cut(s, action, _degrees(quiver, cut))
 
 
-def _transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
-    """transport_cut for a cut already checked invariant and valid, as
-    `invariant_cut` returns it."""
-    degree = _degrees(action.quiver, cut)
+def _transport_cut(s: SkewQuiver, action: QuiverAction, degree: Sequence[int]) -> SkewQuiver:
+    """transport_cut for the arrow degrees of a cut already checked
+    invariant and valid, as `invariant_cut` returns it."""
     edges = ((a // 3, y, degree[a]) for a, y in enumerate(action.quiver.head))
     reps = [v.orbit_rep for v in s.vertices]
     orbit_reps = [orbit[0] for orbit in action.group.orbit_of]
@@ -519,7 +516,8 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     action = k_action(quiver, "C")
     cut = invariant_cut(action)  # raises PreconditionFailed unless 3 | n
     n = quiver.quotient.order
-    s = _transport_cut(skew_quiver(action), action, cut)
+    degree = _degrees(quiver, cut)
+    s = _transport_cut(skew_quiver(action), action, degree)
 
     twist, blocks = _dual_twist(s, action)
     vertices2, mult2 = _demonet(twist, blocks)
@@ -538,16 +536,17 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
         )
 
     # Label maps for the isomorphism search: (multiplicity, degree) per pair.
-    # Q_N's are read straight off the head table.  Its parallel arrows lie
-    # in one pair of K-orbits, where S's transport found a single degree on
-    # this cut, and `invariant_cut` has checked its degree-0 part acyclic.
+    # Q_N's are counted off the head table in one pass.  Its parallel arrows
+    # lie in one pair of K-orbits, where S's transport found a single degree
+    # on this cut, and `invariant_cut` has checked its degree-0 part acyclic.
     labels_a = {
         (i, j): (m, degrees2[(i, j)]) for (i, j), m in mult2.items()
     }
     head = quiver.head
-    degree = _degrees(quiver, cut)
-    arrows = Counter((a // 3, y) for a, y in enumerate(head))
-    labels_b = {(a // 3, y): (arrows[(a // 3, y)], degree[a]) for a, y in enumerate(head)}
+    labels_b: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, y in enumerate(head):
+        m, _ = labels_b.get((a // 3, y), (0, 0))
+        labels_b[(a // 3, y)] = (m + 1, degree[a])
 
     mapping = find_isomorphism(n, labels_a, labels_b)
     if mapping is None:

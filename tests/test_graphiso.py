@@ -189,3 +189,17 @@ def test_labels_compare_by_value():
     assert find_isomorphism(2, {(0, 1): 1}, {(0, 1): True}) == [0, 1]
     labels_a = {(0, 0): 1, (0, 1): (1, 0)}
     assert find_isomorphism(2, labels_a, {(1, 1): True, (1, 0): (True, 0)}) == [1, 0]
+
+
+def test_a_none_label_is_a_missing_edge_to_the_check_only():
+    # Vertices 0 and 1 each have a None edge out and a True edge in from 3:
+    # a None edge counts in their signatures, but `check` reads it as no
+    # edge, so the first mapping swaps them against the relabelling
+    # (0, 1, 2, 3) -> (1, 2, 3, 0) that made labels_b.  Searches that
+    # anchor on a None edge, drop None edges from the signatures, or tell a
+    # None edge from a missing one in `check` each return another mapping.
+    # 1 and True share a code, as labels equal by value do.
+    labels_a = {(0, 3): None, (1, 2): None, (3, 1): True, (2, 3): 1, (3, 0): True}
+    labels_b = {(1, 0): None, (2, 3): None, (0, 2): True, (3, 0): 1, (0, 1): True}
+    assert _reference(4, labels_a, labels_b) == [2, 1, 3, 0]
+    assert find_isomorphism(4, labels_a, labels_b) == [2, 1, 3, 0]

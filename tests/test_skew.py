@@ -17,7 +17,7 @@ from conftest import (
     to_complex,
 )
 from mckay import skew
-from mckay.cuts import Cut, build_cut, cut_type, invariant_cut
+from mckay.cuts import Cut, _degrees, build_cut, cut_type, invariant_cut
 from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.graphiso import find_isomorphism
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
@@ -442,7 +442,7 @@ def _block_sets(basis):
     q, act, s = _skew(basis, "C")
     cut = invariant_cut(act)
     arrow_edges = [(a // 3, y, cut.degree(a)) for a, y in enumerate(q.head)]
-    s = _transport_cut(s, act, cut)
+    s = _transport_cut(s, act, _degrees(q, cut))
     twist, blocks = _dual_twist(s, act)
     vertices2, mult2 = _demonet(twist, blocks)
     points = range(len(q.vertices))
