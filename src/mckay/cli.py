@@ -120,28 +120,23 @@ def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
 def _skew_doc(s, q: TypedQuiver) -> dict:
     """The skew quiver's document; orbit representatives are named by their
     cosets in q."""
+    cosets = q.vertices
     vertices = [
         {
             "id": i,
-            "label": f"{_coset_label(q.vertices[v.orbit_rep])}/{v.irrep}",
-            "irrep": v.irrep,
-            "orbit_rep": list(q.vertices[v.orbit_rep]),
-            "orbit_size": v.orbit_size,
-            "dimension": v.dimension,
+            "label": f"{_coset_label(cosets[rep])}/{irrep}",
+            "irrep": irrep,
+            "orbit_rep": list(cosets[rep]),
+            "orbit_size": size,
+            "dimension": dimension,
         }
-        for i, v in enumerate(s.vertices)
+        for i, (rep, irrep, size, dimension) in enumerate(s.vertices)
     ]
-    arrows = []
-    for k, ((i, j), m) in enumerate(sorted(s.mult.items())):
-        arrows.append(
-            {
-                "id": k,
-                "source": i,
-                "target": j,
-                "mult": m,
-                "degree": None if s.degrees is None else s.degrees.get((i, j)),
-            }
-        )
+    degrees = s.degrees or {}
+    arrows = [
+        {"id": k, "source": i, "target": j, "mult": m, "degree": degrees.get((i, j))}
+        for k, ((i, j), m) in enumerate(sorted(s.mult.items()))
+    ]
     loops = [{"vertex": i, "mult": m} for i, m in s.loops()]
     return {
         "vertices": vertices,

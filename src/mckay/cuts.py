@@ -94,7 +94,7 @@ def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     """
     check_cut_exists(q.quotient.basis, gamma)
     v = _value_function(q, gamma)
-    cut = Cut.of(i for i, w in enumerate(q.head) if v[i // 3] > v[w])
+    cut = Cut.of([i for i, w in enumerate(q.head) if v[i // 3] > v[w]])
     if cut_type(cut) != tuple(gamma):
         raise InternalInvariantViolation(
             f"constructed cut has type {cut_type(cut)}, wanted {tuple(gamma)}"
@@ -118,14 +118,15 @@ class ValidationReport(namedtuple(
         )
 
 
-def _has_cycle(vertices, edges) -> tuple[bool, list]:
-    """Iterative 3-color cycle detection; returns a witness cycle if found."""
-    out: dict = {v: [] for v in vertices}
+def _has_cycle(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[bool, list[int]]:
+    """Iterative 3-color cycle detection on the vertices 0, ..., nv - 1;
+    returns a witness cycle if found."""
+    out: list[list[int]] = [[] for _ in range(nv)]
     for s, t in edges:
         out[s].append(t)
-    color = {v: 0 for v in vertices}
-    parent: dict = {}
-    for root in vertices:
+    color = [0] * nv
+    parent = [0] * nv
+    for root in range(nv):
         if color[root]:
             continue
         stack = [(root, iter(out[root]))]
@@ -170,49 +171,63 @@ def _check_arrows(q: TypedQuiver, cut: Cut) -> None:
 
 
 def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
-    """Check the three weak-cut axioms, reporting witnesses for failures."""
+    """Check the three weak-cut axioms, reporting witnesses for failures.
+
+    Reads the head table by type, one pass per square type and cycle
+    orientation; every elementary cycle has one type-1 arrow, so each is
+    visited once.  A failure names the first failing entry of
+    `constraint_tables`: the least square in (vertex, types) order, the
+    least cycle under its least rotation.
+    """
     _check_arrows(q, cut)
-    head, cycles, squares = q.constraint_tables
+    head = q.head
     degree = _degrees(q, cut)
     vertices = q.vertices
+    nv = len(head) // 3
+    # by_type[t][v] and heads[t][v]: the degree and head of v's type-t arrow
+    by_type = [degree[t::3] for t in range(3)]
+    heads = [head[t::3] for t in range(3)]
     witnesses: list[str] = []
 
-    squares_ok = True
-    for a, b, c, d in squares:
-        d1 = degree[a] + degree[b]
-        d2 = degree[c] + degree[d]
+    failed = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        di, dj, hi, hj = by_type[i], by_type[j], heads[i], heads[j]
+        d1 = [di[v] + dj[hi[v]] for v in range(nv)]
+        d2 = [dj[v] + di[hj[v]] for v in range(nv)]
         if d1 != d2:
-            squares_ok = False
-            witnesses.append(
-                f"square at {vertices[a // 3]} types {(a % 3 + 1, c % 3 + 1)}: "
-                f"path degrees {d1} != {d2}"
-            )
-            break
+            v = next(v for v in range(nv) if d1[v] != d2[v])
+            failed.append((v, i, j, d1[v], d2[v]))
+    squares_ok = not failed
+    if failed:
+        v, i, j, d1, d2 = min(failed)
+        witnesses.append(
+            f"square at {vertices[v]} types {(i + 1, j + 1)}: path degrees {d1} != {d2}"
+        )
 
-    cycles_ok = True
-    for cyc in cycles:
-        a, b, c = cyc
-        d = degree[a] + degree[b] + degree[c]
-        if d != 1:
-            cycles_ok = False
-            witnesses.append(
-                f"elementary cycle at {vertices[a // 3]} order "
-                f"{tuple(i % 3 + 1 for i in cyc)}: degree {d} != 1"
-            )
-            break
+    failed = []
+    d0, h1 = by_type[0], heads[0]
+    for s, t in ((1, 2), (2, 1)):
+        # the type-1 arrow from v, then types s, t; build_quiver checked they close up
+        ds, dt, hs = by_type[s], by_type[t], heads[s]
+        sums = [d + ds[x] + dt[hs[x]] for d, x in zip(d0, h1)]
+        if sums.count(1) != nv:
+            for v, d in enumerate(sums):
+                if d != 1:
+                    a, b, c = 3 * v, 3 * h1[v] + s, 3 * hs[h1[v]] + t
+                    failed.append((min((a, b, c), (b, c, a), (c, a, b)), d))
+    cycles_ok = not failed
+    if failed:
+        cyc, d = min(failed)
+        witnesses.append(
+            f"elementary cycle at {vertices[cyc[0] // 3]} order "
+            f"{tuple(i % 3 + 1 for i in cyc)}: degree {d} != 1"
+        )
 
-    degree_zero = [(i // 3, w) for i, w in enumerate(head) if not degree[i]]
-    cyclic, walk = _has_cycle(range(len(vertices)), degree_zero)
-    acyclic_ok = not cyclic
+    degree_zero = [(i // 3, w) for i, w, d in zip(range(3 * nv), head, degree) if not d]
+    cyclic, walk = _has_cycle(nv, degree_zero)
     if cyclic:
         witnesses.append(f"degree-0 cycle through {[vertices[x] for x in walk]}")
-
-    return ValidationReport(
-        squares_balanced=squares_ok,
-        cycles_unit_degree=cycles_ok,
-        degree_zero_acyclic=acyclic_ok,
-        witnesses=tuple(witnesses),
-    )
+    return ValidationReport(squares_ok, cycles_ok, not cyclic, tuple(witnesses))
 
 
 def symmetric_type(basis: LatticeBasis) -> tuple[int, int, int]:
@@ -353,7 +368,7 @@ def _search(
             if assign[a] + assign[b] != assign[c] + assign[d]:
                 return False
         degree_zero = [(i // 3, head[i]) for i in range(na) if assign[i] == 0]
-        cyclic, _ = _has_cycle(range(nv), degree_zero)
+        cyclic, _ = _has_cycle(nv, degree_zero)
         return not cyclic
 
     def dfs(pos: int) -> None:

@@ -18,6 +18,7 @@ direct integrality of B^-1 T B; disagreement is a bug, not bad input.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -83,7 +84,7 @@ class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
 
     def cosets(self) -> tuple[tuple[int, int], ...]:
         """All coset representatives in lexicographic order."""
-        return tuple((i, j) for i in range(self.a) for j in range(self.c))
+        return tuple(product(range(self.a), range(self.c)))
 
     def smith_invariants(self) -> tuple[int, int]:
         """Invariant factors (d1, d2), d1 | d2, of Z^2 / B."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InternalInvariantViolation
@@ -58,24 +59,27 @@ class TypedQuiver(namedtuple("TypedQuiver", "quotient")):
     def head(self) -> tuple[int, ...]:
         """Each arrow's head vertex, by arrow index.
 
-        Coset (x1, x2) is vertex x1 c + x2, so a step that leaves the range
-        0 <= x1 < a, 0 <= x2 < c wraps by one column of B: x2 = c is
-        (x1 - b, 0) and x2 = -1 is (x1 + b, c - 1), with x1 taken mod a.
+        Coset (x1, x2) is vertex v = x1 c + x2, so a step inside the range
+        0 <= x1 < a, 0 <= x2 < c adds c (e1), 1 (e2) or -c - 1 (e3) to v mod
+        n.  A step that leaves it wraps by one column of B, set row by row:
+        x2 = c is (x1 - b, 0) and x2 = -1 is (x1 + b, c - 1), x1 mod a.
         """
         basis = self.quotient.basis
         a, b, c = basis.a, basis.b, basis.c
-        head: list[int] = []
-        for x1 in range(a):
-            right = (x1 + 1) % a * c
-            up = (x1 - b) % a * c  # (x1, c)
-            left = (x1 - 1) % a * c
-            down = (x1 - 1 + b) % a * c + c - 1  # (x1 - 1, -1)
-            for x2 in range(c):
-                head += (
-                    right + x2,
-                    x1 * c + x2 + 1 if x2 + 1 < c else up,
-                    left + x2 - 1 if x2 else down,
-                )
+        n = a * c
+
+        def shifted(k: int) -> list[int]:
+            k %= n
+            return [*range(k, n), *range(k)]
+
+        up = shifted(1)
+        up[c - 1::c] = [(x1 - b) % a * c for x1 in range(a)]  # (x1, c)
+        down = shifted(-c - 1)
+        down[::c] = [(x1 - 1 + b) % a * c + c - 1 for x1 in range(a)]  # (x1 - 1, -1)
+        head = [0] * (3 * n)
+        head[0::3] = shifted(c)
+        head[1::3] = up
+        head[2::3] = down
         return tuple(head)
 
     @cached_property
@@ -127,15 +131,17 @@ def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
         )
     q = TypedQuiver(quotient)
     head = q.head
-    indeg = [0] * quotient.order
+    n = quotient.order
+    indeg = [0] * n
     for w in head:
         indeg[w] += 1
-    if any(d != 3 for d in indeg):
+    if indeg.count(3) != n:
         raise InternalInvariantViolation("in-degrees are not all 3")
-    for v in range(quotient.order):
-        u = 3 * head[3 * v]
-        if head[3 * head[u + 1] + 2] != v or head[3 * head[u + 2] + 1] != v:
-            raise InternalInvariantViolation("type steps failed to close up")
+    # from every v, the steps of types 1, 2, 3 and of types 1, 3, 2 return to v
+    h1, h2, h3 = head[0::3], head[1::3], head[2::3]
+    identity = list(range(n))
+    if [h3[h2[x]] for x in h1] != identity or [h2[h3[x]] for x in h1] != identity:
+        raise InternalInvariantViolation("type steps failed to close up")
     return q
 
 
@@ -239,9 +245,8 @@ class QuiverAction(namedtuple("QuiverAction", "quiver kind type_maps group")):
         ids = list(arrows)
         s = set(ids)
         return all(
-            3 * perm[i // 3] + sigma[i % 3] - 1 in s
+            s.issuperset([3 * perm[i // 3] + sigma[i % 3] - 1 for i in ids])
             for perm, sigma in zip(self.group.maps, self.type_maps)
-            for i in ids
         )
 
 
@@ -249,16 +254,18 @@ def _assert_automorphisms(q: TypedQuiver, names, maps, type_maps) -> None:
     """Check that each element, given by its name, vertex map and type map,
     permutes the vertices and maps the type-i arrow from v onto the
     type-sigma(i) arrow from its image, target included:
-    perm[head[3v + i]] == head[3 perm[v] + sigma(i)]."""
+    perm[head[3v + i]] == head[3 perm[v] + sigma(i)].  Both sides are
+    gathered over all v by `itemgetter`, as tuples: an action has n >= 2."""
     head = q.head
     by_type = [head[i::3] for i in range(3)]
+    at_heads = [itemgetter(*heads) for heads in by_type]
     identity = list(range(len(q.vertices)))
     for name, perm, type_map in zip(names, maps, type_maps):
         if sorted(perm) != identity:
             raise InternalInvariantViolation(f"{name} is not a vertex bijection")
+        at_images = itemgetter(*perm)
         for i in range(3):
-            image = by_type[type_map[i] - 1]
-            if list(map(perm.__getitem__, by_type[i])) != list(map(image.__getitem__, perm)):
+            if at_heads[i](perm) != at_images(by_type[type_map[i] - 1]):
                 sigma = [j - 1 for j in type_map]
                 v, j = next(
                     (v, j) for v in identity for j in range(3)
@@ -279,10 +286,11 @@ def _linear_map(q: TypedQuiver, type_map: tuple[int, int, int]) -> tuple[int, ..
     g(2) on the head table.
     """
     head, c = q.head, q.quotient.basis.c
-    s1, s2 = type_map[0] - 1, type_map[1] - 1
+    # each vertex's head along the steps of types g(1) and g(2)
+    step1, step2 = head[type_map[0] - 1::3], head[type_map[1] - 1::3]
     perm = [0] * len(q.vertices)
     for v in range(1, len(perm)):
-        perm[v] = head[3 * perm[v - 1] + s2] if v % c else head[3 * perm[v - c] + s1]
+        perm[v] = step2[perm[v - 1]] if v % c else step1[perm[v - c]]
     return tuple(perm)
 
 
@@ -317,7 +325,7 @@ def k_action(q: TypedQuiver, kind: str) -> QuiverAction:
     _assert_automorphisms(q, names, maps, type_maps)
     for name, perm, sigma in zip(names, maps, type_maps):
         involution = sigma in ((2, 1, 3), (3, 2, 1), (1, 3, 2))
-        if involution and tuple(map(perm.__getitem__, perm)) != points:
+        if involution and itemgetter(*perm)(perm) != points:
             raise InternalInvariantViolation(
                 f"involution {name} does not square to the identity"
             )

@@ -111,24 +111,6 @@ class SkewQuiver(namedtuple("SkewQuiver", "vertices mult degrees group_size")):
         )
 
 
-def _orbit_pairs(
-    group: GroupAction, rep: int, stab: tuple[int, ...], neighbours: Iterable[int]
-) -> dict[int, list[int]]:
-    """The pairs (rep, u2) that stand for the diagonal orbits meeting
-    {rep} x neighbours, as the points u2 grouped by their orbit's
-    representative.
-
-    `stab` is the stabilizer of rep.  Each u2 is the least point of its
-    orbit under it, and each orbit's points are sorted.
-    """
-    maps, orbit_of = group.maps, group.orbit_of
-    least = {min([maps[h][u] for h in stab]) for u in neighbours}
-    out: dict[int, list[int]] = {}
-    for u in sorted(least):
-        out.setdefault(orbit_of[u][0], []).append(u)
-    return out
-
-
 # blocks(v): each out-neighbour w of the orbit representative v -> its trace row
 Blocks = Callable[[int], dict]
 
@@ -140,54 +122,42 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
     diagonal orbit on O1 x O2 holds a pair (r, u2), and exactly one with u2
     the least point of its orbit under the stabilizer of r.  A diagonal
     orbit can carry arrows only when its u2 is a key of `blocks(r)`, so only
-    those pairs are visited (`_orbit_pairs`), each once, block-major: a pair
-    adds its block's nonzero Hom dimensions to their pairs of skew vertices
-    over O1 and O2.  Each skew vertex reads its character values from one row
-    indexed by group element.
+    those pairs are visited, each once and in increasing u2, block-major: a
+    pair adds its block's nonzero Hom dimensions to their pairs of skew
+    vertices over O1 and O2.  Each skew vertex reads its character values
+    from one row indexed by group element, built once per stabilizer.
 
     A block's table of Hom dimensions depends only on the stabilizers of r
-    and of u2's representative and on its (h, h2, trace) terms, so the table
-    is summed and checked once per distinct such key, in a memo local to the
-    call that keeps only its nonzero entries; every later block with the
-    same key adds just those to its orbit's totals.
+    and of u2's representative and on its (h, h2, trace) terms, h2 being h
+    moved into the stabilizer of u2's representative, so the table is
+    summed and checked once per distinct such key, in a memo local to the
+    call that keeps only its nonzero entries.
     """
     maps, table, inverse = group.maps, group.table, group.inverse
-    transversal = group.transversal
+    transversal, orbit_of = group.transversal, group.orbit_of
 
     stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
 
+    # (label, degree, row of chi(h) by element h) per irreducible of each stabilizer
+    irreps: dict[tuple[int, ...], list] = {}
     skew_vertices: list[SkewVertex] = []
-    rows: list[list] = []  # chi(h) of each skew vertex, by element h of its stabilizer
+    rows: list[list] = []  # the character row of each skew vertex
     over: dict[int, range] = {}  # skew-vertex indices over each orbit representative
     for orbit in group.orbits:
-        rep = orbit[0]
+        rep, size = orbit[0], len(orbit)
+        st = stab[rep]
+        if st not in irreps:
+            irreps[st] = []
+            for label, deg in _LABELS_BY_ORDER[len(st)]:
+                row: list = [None] * len(table)
+                for h in st:
+                    row[h] = _char_value(group, st, label, h)
+                irreps[st].append((label, deg, row))
         first = len(skew_vertices)
-        for label, deg in _LABELS_BY_ORDER[len(stab[rep])]:
-            skew_vertices.append(
-                SkewVertex(
-                    orbit_rep=rep,
-                    irrep=label,
-                    orbit_size=len(orbit),
-                    dimension=len(orbit) * deg,
-                )
-            )
-            row: list = [None] * len(table)
-            for h in stab[rep]:
-                row[h] = _char_value(group, stab[rep], label, h)
+        for label, deg, row in irreps[st]:
+            skew_vertices.append(SkewVertex(rep, label, size, size * deg))
             rows.append(row)
         over[rep] = range(first, len(skew_vertices))
-
-    def block_terms(u1: int, u2: int, row: Sequence) -> tuple:
-        """(h, h2, row[h]) per element h of the joint stabilizer of the
-        representative u1 and u2, h2 being h moved into the stabilizer of
-        u2's representative."""
-        g2 = transversal[u2]
-        g2i = inverse[g2]
-        return tuple(
-            (h, table[g2i][table[h][g2]], row[h])
-            for h in stab[u1]
-            if maps[h][u2] == u2
-        )
 
     def block_values(u1: int, u2: int, rep2: int, joint: tuple) -> tuple:
         """The nonzero Hom dimensions between the skew vertices over the
@@ -229,19 +199,28 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
     for orbit in group.orbits:
         u1 = orbit[0]
         block = blocks(u1)
+        st = stab[u1]
+        st_maps = [maps[h] for h in st]
         first = over[u1].start
         totals: dict[tuple[int, int], int] = {}
-        for rep2, points in _orbit_pairs(group, u1, stab[u1], block).items():
+        for u2 in sorted({min([m[u] for m in st_maps]) for u in block}):
+            rep2 = orbit_of[u2][0]
+            row = block[u2]
+            g2 = transversal[u2]
+            back = table[inverse[g2]]
+            joint = tuple([
+                (h, back[table[h][g2]], row[h])
+                for h, m in zip(st, st_maps)
+                if m[u2] == u2
+            ])
+            key = (st, stab[rep2], joint)
+            values = classes.get(key)
+            if values is None:
+                values = classes[key] = block_values(u1, u2, rep2, joint)
             first2 = over[rep2].start
-            for u2 in points:
-                joint = block_terms(u1, u2, block[u2])
-                key = (stab[u1], stab[rep2], joint)
-                values = classes.get(key)
-                if values is None:
-                    values = classes[key] = block_values(u1, u2, rep2, joint)
-                for i, j, m in values:
-                    pair = (first + i, first2 + j)
-                    totals[pair] = totals.get(pair, 0) + m
+            for i, j, m in values:
+                pair = (first + i, first2 + j)
+                totals[pair] = totals.get(pair, 0) + m
         for pair in sorted(totals):
             mult[pair] = totals[pair]
 
@@ -286,9 +265,10 @@ def _quiver_blocks(action: QuiverAction) -> Blocks:
     ]
 
     def blocks(v: int) -> dict:
-        masks: dict[int, int] = {}
-        for i, w in enumerate(head[3 * v:3 * v + 3]):
-            masks[w] = masks.get(w, 0) | 1 << i
+        a, b, c = head[3 * v:3 * v + 3]
+        masks = {a: 1}
+        masks[b] = masks.get(b, 0) | 2
+        masks[c] = masks.get(c, 0) | 4
         return {w: rows[mask] for w, mask in masks.items()}
 
     return blocks
@@ -314,11 +294,12 @@ def skew_quiver(action: QuiverAction) -> SkewQuiver:
     for (a, j), m in mult.items():
         out_sum[a] += m * dims[j]
         in_sum[j] += m * dims[a]
-    for i, d in enumerate(dims):
-        if out_sum[i] != 3 * d or in_sum[i] != 3 * d:
-            raise InternalInvariantViolation(
-                f"vertex {i}: weighted degree ({out_sum[i]}, {in_sum[i]}) != 3*{d}"
-            )
+    expected = [3 * d for d in dims]
+    if out_sum != expected or in_sum != expected:
+        i = next(i for i, d in enumerate(expected) if out_sum[i] != d or in_sum[i] != d)
+        raise InternalInvariantViolation(
+            f"vertex {i}: weighted degree ({out_sum[i]}, {in_sum[i]}) != 3*{dims[i]}"
+        )
     return s
 
 
@@ -386,7 +367,8 @@ def transport_cut(s: SkewQuiver, action: QuiverAction, cut: Cut) -> SkewQuiver:
 def _transport_cut(s: SkewQuiver, action: QuiverAction, degree: Sequence[int]) -> SkewQuiver:
     """transport_cut for the arrow degrees of a cut already checked
     invariant and valid, as `invariant_cut` returns it."""
-    edges = ((a // 3, y, degree[a]) for a, y in enumerate(action.quiver.head))
+    head = action.quiver.head
+    edges = zip([a // 3 for a in range(len(head))], head, degree)
     reps = [v.orbit_rep for v in s.vertices]
     orbit_reps = [orbit[0] for orbit in action.group.orbit_of]
     return s._replace(degrees=_transport(reps, s.mult, orbit_reps, edges))
@@ -402,27 +384,35 @@ def _transport(
     representatives reps[i] and reps[j]: each block takes the common degree
     of the underlying edges (x, y, degree) from its source's orbit into its
     target's, the orbit of the point x being that of edge_reps[x].  The
-    edges are read once into one degree set per orbit pair, and the degree-0
-    part must stay acyclic."""
-    table: dict[tuple[int, int], set[int]] = {}
+    edges are read once into the first degree of each orbit pair, with a
+    degree set only for a pair that meets a second one, and the degree-0
+    part must stay acyclic.  A fault names the least block that has it."""
+    table: dict[tuple[int, int], int] = {}
+    mixed: dict[tuple[int, int], set[int]] = {}
     for x, y, d in edges:
-        table.setdefault((edge_reps[x], edge_reps[y]), set()).add(d)
+        key = (edge_reps[x], edge_reps[y])
+        first = table.setdefault(key, d)
+        if first != d:
+            mixed.setdefault(key, {first}).add(d)
     degrees: dict[tuple[int, int], int] = {}
-    for (ai, bi), m in sorted(mult.items()):
-        rep1, rep2 = reps[ai], reps[bi]
-        degs = table.get((rep1, rep2), ())
-        if not degs:
+    zero = []
+    for block, m in sorted(mult.items()):
+        ai, bi = block
+        key = (reps[ai], reps[bi])
+        d = table.get(key)
+        if d is None:
             raise InternalInvariantViolation(
                 f"block ({ai}, {bi}) has multiplicity {m} but no underlying arrows"
             )
-        if len(degs) > 1:
+        if key in mixed:
             raise InternalInvariantViolation(
-                f"arrows between orbits of {rep1} and {rep2} carry mixed "
-                f"degrees {sorted(degs)}"
+                f"arrows between orbits of {key[0]} and {key[1]} carry mixed "
+                f"degrees {sorted(mixed[key])}"
             )
-        (degrees[(ai, bi)],) = degs
-    zero = [(i, j) for (i, j) in mult if degrees[(i, j)] == 0]
-    cyclic, walk = _has_cycle(tuple(range(len(reps))), zero)
+        degrees[block] = d
+        if d == 0:
+            zero.append(block)
+    cyclic, walk = _has_cycle(len(reps), zero)
     if cyclic:
         raise InternalInvariantViolation(
             f"degree-0 part has a cycle through {walk}"
@@ -468,27 +458,30 @@ def _dual_twist(s: SkewQuiver, action: QuiverAction) -> tuple[GroupAction, Block
         ("1", "g", "g^2"), (0, 1, 2), lambda a, b: (a + b) % 3, (points, p, p2)
     )
     group, head = action.group, action.quiver.head
+    inverse, transversal, orbit_of = group.inverse, group.transversal, group.orbit_of
+    reps = [v.orbit_rep for v in s.vertices]
     successors: list[dict[int, int]] = [{} for _ in points]
     for (i, j), m in s.mult.items():
         successors[i][j] = m
 
     def blocks(v: int) -> dict:
         out = {}
+        fixed = p[v] == v
         for w, m in successors[v].items():
             row = [((0, m),)]
-            if p[v] == v and p[w] == w:
-                u1, rep2 = s.vertices[v].orbit_rep, s.vertices[w].orbit_rep
+            if fixed and p[w] == w:
+                u1, rep2 = reps[v], reps[w]
                 weights = [
-                    group.inverse[group.transversal[u2]]
+                    inverse[transversal[u2]]
                     for u2 in head[3 * u1:3 * u1 + 3]
-                    if group.orbit_of[u2][0] == rep2
+                    if orbit_of[u2][0] == rep2
                 ]
                 if len(weights) != m:
                     raise InternalInvariantViolation(
                         f"weight decomposition of block ({v}, {w}) sums to "
                         f"{len(weights)}, multiplicity is {m}"
                     )
-                row += [tuple(((g * k) % 3, 1) for k in weights) for g in (1, 2)]
+                row += [tuple([((g * k) % 3, 1) for k in weights]) for g in (1, 2)]
             out[w] = row
         return out
 
@@ -539,9 +532,7 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     # Q_N's are counted off the head table in one pass.  Its parallel arrows
     # lie in one pair of K-orbits, where S's transport found a single degree
     # on this cut, and `invariant_cut` has checked its degree-0 part acyclic.
-    labels_a = {
-        (i, j): (m, degrees2[(i, j)]) for (i, j), m in mult2.items()
-    }
+    labels_a = dict(zip(degrees2, zip(map(mult2.__getitem__, degrees2), degrees2.values())))
     head = quiver.head
     labels_b: dict[tuple[int, int], tuple[int, int]] = {}
     for a, y in enumerate(head):
@@ -556,7 +547,9 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
         )
 
     # Pull the double-skew degrees back to arrows and compare with the cut.
-    rev = {u: i for i, u in enumerate(mapping)}
+    rev = [0] * n
+    for i, u in enumerate(mapping):
+        rev[u] = i
     recovered_cut = Cut.of(
         a for a, y in enumerate(head) if degrees2.get((rev[a // 3], rev[y])) == 1
     )

@@ -1,7 +1,9 @@
 """Cut existence, construction, validation and exhaustive enumeration."""
 from __future__ import annotations
 
+import collections
 import itertools
+import random
 import re
 
 import pytest
@@ -136,6 +138,91 @@ def test_validate_rejects_unbalanced_square():
     report = validate_cut(q, broken)
     assert not report.passed
     assert not report.squares_balanced or not report.cycles_unit_degree
+
+
+def reference_validate_cut(q, cut):
+    """validate_cut on the constraint tables, as first written."""
+    cuts._check_arrows(q, cut)
+    head, cycles, squares = q.constraint_tables
+    degree = cuts._degrees(q, cut)
+    vertices = q.vertices
+    witnesses: list[str] = []
+
+    squares_ok = True
+    for a, b, c, d in squares:
+        d1 = degree[a] + degree[b]
+        d2 = degree[c] + degree[d]
+        if d1 != d2:
+            squares_ok = False
+            witnesses.append(
+                f"square at {vertices[a // 3]} types {(a % 3 + 1, c % 3 + 1)}: "
+                f"path degrees {d1} != {d2}"
+            )
+            break
+
+    cycles_ok = True
+    for cyc in cycles:
+        a, b, c = cyc
+        d = degree[a] + degree[b] + degree[c]
+        if d != 1:
+            cycles_ok = False
+            witnesses.append(
+                f"elementary cycle at {vertices[a // 3]} order "
+                f"{tuple(i % 3 + 1 for i in cyc)}: degree {d} != 1"
+            )
+            break
+
+    degree_zero = [(i // 3, w) for i, w in enumerate(head) if not degree[i]]
+    cyclic, walk = _has_cycle(len(vertices), degree_zero)
+    acyclic_ok = not cyclic
+    if cyclic:
+        witnesses.append(f"degree-0 cycle through {[vertices[x] for x in walk]}")
+
+    return cuts.ValidationReport(
+        squares_balanced=squares_ok,
+        cycles_unit_degree=cycles_ok,
+        degree_zero_acyclic=acyclic_ok,
+        witnesses=tuple(witnesses),
+    )
+
+
+def test_validation_matches_the_constraint_table_reference():
+    # Every arrow subset of two small quivers, then seeded random subsets
+    # (sparse, even and dense) and every one-arrow change of a valid cut on
+    # larger ones: failing squares and cycles that are not first in table
+    # order, and degree-0 cycles, must be named by the same witnesses.
+    witnesses = set()
+    passed = 0
+    for abc in [(3, 2, 1), (2, 0, 2)]:
+        q = _quiver(*abc)
+        na = len(q.head)
+        for bits in range(1 << na):
+            cut = Cut.of(i for i in range(na) if bits >> i & 1)
+            report = validate_cut(q, cut)
+            assert report == reference_validate_cut(q, cut), (abc, cut)
+            witnesses.update(report.witnesses)
+            passed += report.passed
+    rng = random.Random(29)
+    for abc, gamma in [((3, 0, 3), (3, 3, 3)), ((4, 0, 4), (4, 4, 8)), ((6, 4, 2), (4, 4, 4))]:
+        q = _quiver(*abc)
+        na = len(q.head)
+        subsets = [
+            [i for i in range(na) if rng.random() < p]
+            for p in (0.2, 1 / 3, 0.5, 0.8)
+            for _ in range(75)
+        ]
+        valid = build_cut(q, gamma).arrows
+        subsets += [valid] + [sorted(set(valid) ^ {i}) for i in range(na)]
+        for arrows in subsets:
+            cut = Cut.of(arrows)
+            report = validate_cut(q, cut)
+            assert report == reference_validate_cut(q, cut), (abc, cut)
+            witnesses.update(report.witnesses)
+            passed += report.passed
+    assert passed >= 6
+    # Distinct witnesses of each axiom, most of them not first in table order.
+    kinds = collections.Counter(w.split()[0] for w in witnesses)
+    assert min(kinds["square"], kinds["elementary"], kinds["degree-0"]) > 20, kinds
 
 
 def test_invariant_cut_types():
@@ -343,11 +430,11 @@ def reference_enumerate_cuts(q: TypedQuiver, limit: int = DEFAULT_ENUMERATION_LI
             if sum(assign[y] for y in p1) != sum(assign[y] for y in p2):
                 return False
         degree_zero = [
-            (q.vertices[i // 3], _step(q, q.vertices[i // 3], i % 3 + 1))
+            (i // 3, q.quotient.index_of(_step(q, q.vertices[i // 3], i % 3 + 1)))
             for i in range(na)
             if assign[i] == 0
         ]
-        cyclic, _ = _has_cycle(q.vertices, degree_zero)
+        cyclic, _ = _has_cycle(len(q.vertices), degree_zero)
         return not cyclic
 
     def dfs(pos: int) -> None:
@@ -399,9 +486,9 @@ def test_degree_zero_cycles_fail_before_the_leaves(monkeypatch, abc):
     # leaf check used to run on 8,193 (resp. 4,097) complete assignments.
     calls = []
 
-    def counting(vertices, edges):
+    def counting(nv, edges):
         calls.append(1)
-        return _has_cycle(vertices, edges)
+        return _has_cycle(nv, edges)
 
     monkeypatch.setattr(cuts, "_has_cycle", counting)
     q = _quiver(*abc)
@@ -423,9 +510,9 @@ def test_type_directed_search_reaches_one_leaf_per_type(monkeypatch, abc, leaves
     # The leaf check runs _has_cycle once per leaf whose squares balance.
     calls = []
 
-    def counting(vertices, edges):
+    def counting(nv, edges):
         calls.append(1)
-        return _has_cycle(vertices, edges)
+        return _has_cycle(nv, edges)
 
     monkeypatch.setattr(cuts, "_has_cycle", counting)
     q = _quiver(*abc)

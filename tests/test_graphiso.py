@@ -14,25 +14,31 @@ from hypothesis import strategies as st
 from mckay.graphiso import find_isomorphism
 
 
-def _signature(v: int, n: int, labels: dict):
+def _signature(v: int, n: int, labels: dict, codes: dict):
     loop = labels.get((v, v))
     outs = sorted(
-        (repr(labels[(v, w)]) for w in range(n) if w != v and (v, w) in labels),
+        (codes[labels[(v, w)]] for w in range(n) if w != v and (v, w) in labels),
     )
     ins = sorted(
-        (repr(labels[(w, v)]) for w in range(n) if w != v and (w, v) in labels),
+        (codes[labels[(w, v)]] for w in range(n) if w != v and (w, v) in labels),
     )
-    return (repr(loop), tuple(outs), tuple(ins))
+    return (codes[loop], tuple(outs), tuple(ins))
 
 
 def _reference(n: int, labels_a: dict, labels_b: dict) -> list[int] | None:
-    """The search as first written, verbatim but for its name and type hints."""
+    """The search as first written, verbatim but for its name, its type
+    hints and its label comparison: the prefilter and the signatures read
+    labels through codes shared by both graphs, so labels equal by value
+    (1 and True) compare equal there, as they do in `check`."""
     if n == 0:
         return []
-    if Counter(map(repr, labels_a.values())) != Counter(map(repr, labels_b.values())):
+    codes: dict = {None: 0}
+    for label in [*labels_a.values(), *labels_b.values()]:
+        codes.setdefault(label, len(codes))
+    if Counter(map(codes.get, labels_a.values())) != Counter(map(codes.get, labels_b.values())):
         return None
-    sig_a = [_signature(v, n, labels_a) for v in range(n)]
-    sig_b = [_signature(v, n, labels_b) for v in range(n)]
+    sig_a = [_signature(v, n, labels_a, codes) for v in range(n)]
+    sig_b = [_signature(v, n, labels_b, codes) for v in range(n)]
     candidates = [
         [u for u in range(n) if sig_b[u] == sig_a[v]] for v in range(n)
     ]
@@ -97,7 +103,8 @@ def _reference(n: int, labels_a: dict, labels_b: dict) -> list[int] | None:
 
 # None is a label too: the search compares labels with .get, so a None label
 # and a missing edge must be treated exactly as the reference treats them.
-LABELS = st.sampled_from([1, 2, (1, 0), (1, 1), None])
+# True equals 1, and both are drawn, so labels are compared by value.
+LABELS = st.sampled_from([1, True, 2, (1, 0), (1, 1), None])
 
 
 @st.composite
@@ -203,3 +210,20 @@ def test_a_none_label_is_a_missing_edge_to_the_check_only():
     labels_b = {(1, 0): None, (2, 3): None, (0, 2): True, (3, 0): 1, (0, 1): True}
     assert _reference(4, labels_a, labels_b) == [2, 1, 3, 0]
     assert find_isomorphism(4, labels_a, labels_b) == [2, 1, 3, 0]
+
+
+def test_labels_equal_by_value_give_the_reference_mapping():
+    # The reference once compared labels by repr in its prefilter and
+    # signatures, so on this relabelling, mixing 1 and True, it returned
+    # [2, 0, 5, 3, 4, 1], another label-preserving bijection.
+    labels_a = {
+        (1, 5): None, (5, 0): True, (4, 3): 1, (1, 0): None, (3, 2): True,
+        (0, 5): True, (5, 5): 1, (0, 0): True, (1, 4): True, (3, 3): None,
+    }
+    labels_b = {
+        (0, 1): None, (1, 2): True, (4, 3): 1, (0, 2): None, (3, 5): True,
+        (2, 1): True, (1, 1): 1, (2, 2): True, (0, 4): True, (3, 3): None,
+    }
+    assert _reference(6, labels_a, labels_b) == [1, 0, 5, 3, 4, 2]
+    assert find_isomorphism(6, labels_a, labels_b) == [1, 0, 5, 3, 4, 2]
+    assert _preserves_labels(6, labels_a, labels_b, [1, 0, 5, 3, 4, 2])

@@ -29,7 +29,6 @@ from mckay.skew import (
     _char_value,
     _demonet,
     _dual_twist,
-    _orbit_pairs,
     _quiver_blocks,
     _transport,
     _transport_cut,
@@ -736,6 +735,22 @@ def test_twist_weights_are_checked_on_every_block():
     assert str(raised.value) == (
         f"weight decomposition of block ({v}, {w2}) sums to {m}, multiplicity is {m + 1}"
     )
+
+
+def _orbit_pairs(group, rep, stab, neighbours) -> dict[int, list[int]]:
+    """The pairs (rep, u2) that stand for the diagonal orbits meeting
+    {rep} x neighbours, as the points u2 grouped by their orbit's
+    representative.
+
+    `stab` is the stabilizer of rep.  Each u2 is the least point of its
+    orbit under it, and each orbit's points are sorted.
+    """
+    maps, orbit_of = group.maps, group.orbit_of
+    least = {min([maps[h][u] for h in stab]) for u in neighbours}
+    out: dict[int, list[int]] = {}
+    for u in sorted(least):
+        out.setdefault(orbit_of[u][0], []).append(u)
+    return out
 
 
 def reference_demonet(group, blocks) -> tuple[tuple[SkewVertex, ...], dict]:
