@@ -532,7 +532,7 @@ def unskew_round_trip(quiver: TypedQuiver) -> RoundTripReport:
     # Q_N's are counted off the head table in one pass.  Its parallel arrows
     # lie in one pair of K-orbits, where S's transport found a single degree
     # on this cut, and `invariant_cut` has checked its degree-0 part acyclic.
-    labels_a = dict(zip(degrees2, zip(map(mult2.__getitem__, degrees2), degrees2.values())))
+    labels_a = {block: (mult2[block], d) for block, d in degrees2.items()}
     head = quiver.head
     labels_b: dict[tuple[int, int], tuple[int, int]] = {}
     for a, y in enumerate(head):
