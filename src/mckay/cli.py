@@ -104,15 +104,16 @@ def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
         {"id": i, "label": _coset_label(v), "dimension": 1}
         for i, v in enumerate(q.vertices)
     ]
+    degree = _degrees(q, cut) if cut is not None else [None] * len(q.head)
     arrows = [
         {
             "id": i,
             "source": i // 3,
             "target": w,
             "type": i % 3 + 1,
-            "degree": cut.degree(i) if cut is not None else None,
+            "degree": d,
         }
-        for i, w in enumerate(q.head)
+        for i, (w, d) in enumerate(zip(q.head, degree))
     ]
     return {"vertices": vertices, "arrows": arrows}
 
@@ -195,7 +196,7 @@ def _cmd_group_info(args) -> dict:
 def _cmd_quiver(args) -> dict:
     basis = _parse_basis(args.basis)
     q = build_quiver(AbelianQuotient(basis))
-    # q.constraint_tables holds 2n elementary cycles and 3n squares; the counts need no tables.
+    # Q_N has 2n elementary cycles, two per type-1 arrow, and 3n squares, three per vertex.
     doc = {
         "metadata": _metadata(basis),
         "cycle_count": 2 * basis.det,

@@ -9,7 +9,6 @@ exactly 1, and the arrows of degree 0 form an acyclic subquiver.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -40,16 +39,11 @@ class Cut(namedtuple("Cut", "arrows")):
     leaves vertex v with type t + 1 and vertices are numbered in coset
     order, so index order is the canonical (source coset, type) order."""
 
+    __slots__ = ()
+
     @staticmethod
     def of(arrows: Iterable[int]) -> Cut:
         return Cut(tuple(sorted(set(arrows))))
-
-    @cached_property
-    def arrow_set(self) -> frozenset[int]:
-        return frozenset(self.arrows)
-
-    def degree(self, arrow: int) -> int:
-        return 1 if arrow in self.arrow_set else 0
 
 
 def cut_type(cut: Cut) -> tuple[int, int, int]:
@@ -175,9 +169,8 @@ def validate_cut(q: TypedQuiver, cut: Cut) -> ValidationReport:
 
     Reads the head table by type, one pass per square type and cycle
     orientation; every elementary cycle has one type-1 arrow, so each is
-    visited once.  A failure names the first failing entry of
-    `constraint_tables`: the least square in (vertex, types) order, the
-    least cycle under its least rotation.
+    visited once.  A failure names the least failing square in (vertex,
+    types) order and the least failing cycle under its least rotation.
     """
     _check_arrows(q, cut)
     head = q.head
@@ -265,6 +258,31 @@ def invariant_cut(action: QuiverAction) -> Cut:
     return cut
 
 
+def _constraint_tables(
+    head: Sequence[int],
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int, int]]]:
+    """The cut constraints on the head table, as arrow indices: the
+    elementary cycles and the commutativity squares.
+
+    Every elementary cycle uses each type once, so it holds one type-1
+    arrow a and is listed from a, by vertex and then types 2, 3 before
+    types 3, 2; build_quiver checked that both close up.  A square
+    (a, b, c, d) is the pair of 2-paths a.b and c.d from a vertex v, a of
+    type i and c of type j > i, in order of v and (i, j).
+    """
+    cycles = []
+    for a in range(0, len(head), 3):
+        for s, t in ((1, 2), (2, 1)):
+            b = 3 * head[a] + s
+            cycles.append((a, b, 3 * head[b] + t))
+    squares = [
+        (3 * v + i, 3 * head[3 * v + i] + j, 3 * v + j, 3 * head[3 * v + j] + i)
+        for v in range(len(head) // 3)
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    return cycles, squares
+
+
 def _search(
     q: TypedQuiver,
     emit: Callable[[list[int]], None],
@@ -288,7 +306,8 @@ def _search(
     degree-0 acyclicity.
     """
     na = 3 * q.quotient.order
-    head, cycles, squares = q.constraint_tables
+    head = q.head
+    cycles, squares = _constraint_tables(head)
     in_cycles: list[list[int]] = [[] for _ in range(na)]
     for ci, cyc in enumerate(cycles):
         for ai in cyc:

@@ -21,12 +21,11 @@ the command line validates and prints them.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
 from .errors import InternalInvariantViolation
-from .lattice import AbelianQuotient, check_admissible
+from .lattice import AbelianQuotient, LatticeBasis, check_admissible
 from .monomial_group import env_cap
 
 __all__ = [
@@ -43,77 +42,42 @@ STEPS = {1: (1, 0), 2: (0, 1), 3: (-1, -1)}
 DEFAULT_VERTEX_CAP = 100_000
 
 
-class TypedQuiver(namedtuple("TypedQuiver", "quotient")):
+class TypedQuiver(namedtuple("TypedQuiver", "quotient vertices head")):
     """The McKay quiver of Z^2/B on vertex indices.
 
     Vertex v is the coset `vertices[v]`, numbered in coset order, and arrow
     3v + t leaves v with type t + 1; `head[3v + t]` is its head.  Coset
-    tuples are only the boundary that documents read.
+    tuples are only the boundary that documents read.  Only `build_quiver`
+    builds one, after checking the head table.
     """
 
-    @cached_property
-    def vertices(self) -> tuple[tuple[int, int], ...]:
-        return self.quotient.cosets
+    __slots__ = ()
 
-    @cached_property
-    def head(self) -> tuple[int, ...]:
-        """Each arrow's head vertex, by arrow index.
 
-        Coset (x1, x2) is vertex v = x1 c + x2, so a step inside the range
-        0 <= x1 < a, 0 <= x2 < c adds c (e1), 1 (e2) or -c - 1 (e3) to v mod
-        n.  A step that leaves it wraps by one column of B, set row by row:
-        x2 = c is (x1 - b, 0) and x2 = -1 is (x1 + b, c - 1), x1 mod a.
-        """
-        basis = self.quotient.basis
-        a, b, c = basis.a, basis.b, basis.c
-        n = a * c
+def _head_table(basis: LatticeBasis) -> tuple[int, ...]:
+    """Each arrow's head vertex, by arrow index.
 
-        def shifted(k: int) -> list[int]:
-            k %= n
-            return [*range(k, n), *range(k)]
+    Coset (x1, x2) is vertex v = x1 c + x2, so a step inside the range
+    0 <= x1 < a, 0 <= x2 < c adds c (e1), 1 (e2) or -c - 1 (e3) to v mod
+    n.  A step that leaves it wraps by one column of B, set row by row:
+    x2 = c is (x1 - b, 0) and x2 = -1 is (x1 + b, c - 1), x1 mod a.
+    """
+    a, b, c = basis.a, basis.b, basis.c
+    n = a * c
 
-        up = shifted(1)
-        up[c - 1::c] = [(x1 - b) % a * c for x1 in range(a)]  # (x1, c)
-        down = shifted(-c - 1)
-        down[::c] = [(x1 - 1 + b) % a * c + c - 1 for x1 in range(a)]  # (x1 - 1, -1)
-        head = [0] * (3 * n)
-        head[0::3] = shifted(c)
-        head[1::3] = up
-        head[2::3] = down
-        return tuple(head)
+    def shifted(k: int) -> list[int]:
+        k %= n
+        return [*range(k, n), *range(k)]
 
-    @cached_property
-    def constraint_tables(
-        self,
-    ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, int, int, int], ...]]:
-        """The cut constraints as arrow indices: each arrow's head vertex, the
-        elementary cycles and the commutativity squares.
-
-        The elementary cycles are the 3-cycles that use each type once, each
-        starting at its least arrow, in sorted order; a square (a, b, c, d)
-        is the pair of 2-paths a.b and c.d from a vertex v, a of type i and
-        c of type j > i, in order of v and (i, j).
-        """
-        head = self.head
-        nv = len(head) // 3
-        seen: set[tuple[int, int, int]] = set()
-        for a in range(0, 3 * nv, 3):
-            # the type-1 arrow a, then types 2, 3 or types 3, 2; build_quiver checked they close up
-            for s, t in ((1, 2), (2, 1)):
-                b = 3 * head[a] + s
-                c = 3 * head[b] + t
-                seen.add(min((a, b, c), (b, c, a), (c, a, b)))
-        cycles = tuple(sorted(seen))
-        if len(cycles) != 2 * nv:
-            raise InternalInvariantViolation(
-                f"{len(cycles)} elementary cycles, expected {2 * nv}"
-            )
-        squares = tuple(
-            (3 * v + i, 3 * head[3 * v + i] + j, 3 * v + j, 3 * head[3 * v + j] + i)
-            for v in range(nv)
-            for i, j in ((0, 1), (0, 2), (1, 2))
-        )
-        return head, cycles, squares
+    up = shifted(1)
+    up[c - 1::c] = [(x1 - b) % a * c for x1 in range(a)]  # (x1, c)
+    down = shifted(-c - 1)
+    down[::c] = [(x1 - 1 + b) % a * c + c - 1 for x1 in range(a)]  # (x1 - 1, -1)
+    head = [0] * (3 * n)
+    head[0::3] = shifted(c)
+    head[1::3] = up
+    head[2::3] = down
+    return tuple(head)
 
 
 def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
@@ -129,8 +93,7 @@ def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
             f"det(B) = {quotient.order} exceeds the vertex cap of {cap}; "
             f"raise MCKAY_MAX_VERTICES if the quiver really is this large"
         )
-    q = TypedQuiver(quotient)
-    head = q.head
+    head = _head_table(quotient.basis)
     n = quotient.order
     indeg = [0] * n
     for w in head:
@@ -142,22 +105,32 @@ def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
     identity = list(range(n))
     if [h3[h2[x]] for x in h1] != identity or [h2[h3[x]] for x in h1] != identity:
         raise InternalInvariantViolation("type steps failed to close up")
-    return q
+    return TypedQuiver(quotient, quotient.cosets, head)
 
 
-class GroupAction(namedtuple("GroupAction", "names table maps points")):
+class GroupAction(namedtuple(
+    "GroupAction",
+    "names table maps points inverse orders orbits orbit_of transversal stabilizers",
+)):
     """A finite group acting on the points 0, ..., n - 1.
 
     Elements are indices into `names`, in element order with the identity
     first; `table[a][b]` is the index of a after b, and `maps[g][v]` is the
-    image of the point v under element g.
+    image of the point v under element g.  `inverse` and `orders` are by
+    element.  `orbits` are sorted tuples listed by their least member, the
+    orbit representative; `orbit_of[v]` is v's orbit, `transversal[v]` the
+    first element mapping v's representative to v, and `stabilizers[v]` the
+    elements fixing v when v is a representative, None otherwise.
     """
+
+    __slots__ = ()
 
     @classmethod
     def from_keys(cls, names, keys, compose, maps) -> GroupAction:
         """The action, on the points the maps permute, whose Cayley table is
         read off distinct element keys under their composition; raises
-        unless they close up into a group with the first key as identity."""
+        unless they close up into a group with the first key as identity.
+        The orbit fields come from one pass over the representatives."""
         index = {k: i for i, k in enumerate(keys)}
         if len(index) != len(keys):
             raise InternalInvariantViolation("group elements are not distinct")
@@ -167,35 +140,22 @@ class GroupAction(namedtuple("GroupAction", "names table maps points")):
             raise InternalInvariantViolation("group elements are not closed") from None
         if table[0] != tuple(range(len(keys))):
             raise InternalInvariantViolation("the first element is not the identity")
-        return cls(tuple(names), table, tuple(maps), tuple(range(len(maps[0]))))
-
-    @cached_property
-    def inverse(self) -> tuple[int, ...]:
-        return tuple(row.index(0) for row in self.table)
-
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        out = []
-        for g in range(len(self.names)):
+        inverse = tuple(row.index(0) for row in table)
+        orders = []
+        for g in range(len(keys)):
             k, x = 1, g
             while x != 0:
-                x, k = self.table[x][g], k + 1
-            out.append(k)
-        return tuple(out)
-
-    @cached_property
-    def _orbit_data(self) -> tuple[tuple[tuple[int, ...], ...], list, list[int], list]:
-        """The orbits, each point's orbit and transversal element, and the
-        stabilizer of each orbit representative (None at other points), from
-        one pass over the representatives."""
-        orbit_of: list = [None] * len(self.points)
-        transversal = [0] * len(self.points)
-        stabilizers: list = [None] * len(self.points)
+                x, k = table[x][g], k + 1
+            orders.append(k)
+        points = tuple(range(len(maps[0])))
+        orbit_of: list = [None] * len(points)
+        transversal = [0] * len(points)
+        stabilizers: list = [None] * len(points)
         orbits = []
-        for v in self.points:
+        for v in points:
             if orbit_of[v] is not None:
                 continue
-            images = [m[v] for m in self.maps]
+            images = [m[v] for m in maps]
             orbit = tuple(sorted(set(images)))
             for u in orbit:
                 orbit_of[u] = orbit
@@ -203,29 +163,15 @@ class GroupAction(namedtuple("GroupAction", "names table maps points")):
                 transversal[images[g]] = g
             stabilizers[v] = tuple(g for g, u in enumerate(images) if u == v)
             orbits.append(orbit)
-        return tuple(orbits), orbit_of, transversal, stabilizers
-
-    @property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits as sorted tuples, listed by their least member, which is
-        the orbit representative."""
-        return self._orbit_data[0]
-
-    @property
-    def orbit_of(self) -> list[tuple[int, ...]]:
-        """Each point's orbit, by point."""
-        return self._orbit_data[1]
-
-    @property
-    def transversal(self) -> list[int]:
-        """For each point v, the first element, in element order, mapping
-        v's representative to v."""
-        return self._orbit_data[2]
+        return cls(
+            tuple(names), table, tuple(maps), points, inverse, tuple(orders),
+            tuple(orbits), tuple(orbit_of), tuple(transversal), tuple(stabilizers),
+        )
 
     def stabilizer(self, v: int) -> tuple[int, ...]:
         """The elements fixing v, in element order; a representative's is
-        read from the orbit pass, another point's by scanning the maps."""
-        return self._orbit_data[3][v] or tuple(g for g, m in enumerate(self.maps) if m[v] == v)
+        read from `stabilizers`, another point's by scanning the maps."""
+        return self.stabilizers[v] or tuple(g for g, m in enumerate(self.maps) if m[v] == v)
 
 
 class QuiverAction(namedtuple("QuiverAction", "quiver kind type_maps group")):

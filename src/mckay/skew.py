@@ -135,8 +135,7 @@ def _demonet(group: GroupAction, blocks: Blocks) -> tuple[tuple[SkewVertex, ...]
     """
     maps, table, inverse = group.maps, group.table, group.inverse
     transversal, orbit_of = group.transversal, group.orbit_of
-
-    stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
+    stab = group.stabilizers
 
     # (label, degree, row of chi(h) by element h) per irreducible of each stabilizer
     irreps: dict[tuple[int, ...], list] = {}

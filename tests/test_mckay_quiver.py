@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckay import mckay_quiver
+from mckay.cuts import _constraint_tables
 from mckay.errors import InternalInvariantViolation, PreconditionFailed
 from mckay.lattice import AbelianQuotient, LatticeBasis, admissible_bases
 from mckay.mckay_quiver import (
     STEPS,
     GroupAction,
-    TypedQuiver,
     _assert_automorphisms,
     build_quiver,
     k_action,
@@ -55,23 +56,27 @@ def test_build_quiver_refuses_type_steps_that_do_not_close_up(monkeypatch):
     # Swapping the heads of the type-1 arrows from vertices 0 and 1 keeps
     # every in-degree at 3, but the type-1 step from 0 no longer returns.
     quotient = AbelianQuotient(LatticeBasis(3, 0, 3))
-    head = list(TypedQuiver(quotient).head)
+    head = list(mckay_quiver._head_table(quotient.basis))
     head[0], head[3] = head[3], head[0]
-    monkeypatch.setattr(TypedQuiver, "head", property(lambda self: tuple(head)))
+    monkeypatch.setattr(mckay_quiver, "_head_table", lambda basis: tuple(head))
     assert set(Counter(head).values()) == {3}
     with pytest.raises(InternalInvariantViolation, match="^type steps failed to close up$"):
         build_quiver(quotient)
 
 
+def _tables(a, b, c):
+    return _constraint_tables(_quiver(a, b, c).head)
+
+
 def test_cycle_counts_frozen():
-    assert len(_quiver(3, 0, 3).constraint_tables[1]) == 18
-    assert len(_quiver(2, 0, 2).constraint_tables[1]) == 8
-    assert len(_quiver(3, 2, 1).constraint_tables[1]) == 6
+    assert len(_tables(3, 0, 3)[0]) == 18
+    assert len(_tables(2, 0, 2)[0]) == 8
+    assert len(_tables(3, 2, 1)[0]) == 6
 
 
 def test_cycles_have_three_distinct_types():
-    q = _quiver(3, 0, 3)
-    head, cycles, _ = q.constraint_tables
+    head = _quiver(3, 0, 3).head
+    cycles, _ = _constraint_tables(head)
     for cyc in cycles:
         assert sorted(i % 3 for i in cyc) == [0, 1, 2]
         # closing the walk returns to the start
@@ -84,7 +89,7 @@ def test_cycles_have_three_distinct_types():
 
 def test_each_arrow_in_two_cycles_and_four_squares():
     q = _quiver(2, 0, 2)
-    _, cycles, squares = q.constraint_tables
+    cycles, squares = _constraint_tables(q.head)
     in_cycles = Counter(i for cyc in cycles for i in cyc)
     assert set(in_cycles.values()) == {2}
     assert sum(in_cycles.values()) == 2 * len(q.head)
@@ -94,14 +99,14 @@ def test_each_arrow_in_two_cycles_and_four_squares():
 
 
 def test_square_counts_frozen():
-    assert len(_quiver(3, 0, 3).constraint_tables[2]) == 27
-    assert len(_quiver(2, 0, 2).constraint_tables[2]) == 12
-    assert len(_quiver(3, 2, 1).constraint_tables[2]) == 9
+    assert len(_tables(3, 0, 3)[1]) == 27
+    assert len(_tables(2, 0, 2)[1]) == 12
+    assert len(_tables(3, 2, 1)[1]) == 9
 
 
 def test_squares_commute():
-    q = _quiver(3, 2, 1)
-    head, _, squares = q.constraint_tables
+    head = _quiver(3, 2, 1).head
+    _, squares = _constraint_tables(head)
     for a1, a2, b1, b2 in squares:
         assert a1 // 3 == b1 // 3
         assert head[a1] == a2 // 3 and head[b1] == b2 // 3
@@ -115,7 +120,7 @@ def test_counts_scale_with_determinant(a, b, c):
     basis = LatticeBasis(a, b % a, c)
     q = build_quiver(AbelianQuotient(basis))
     n = basis.det
-    _, cycles, squares = q.constraint_tables
+    cycles, squares = _constraint_tables(q.head)
     assert len(cycles) == 2 * n
     assert len(squares) == 3 * n
 

@@ -9,9 +9,6 @@ from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import group_from_basis, semidirect_check
 from mckay.skew import loop_witness, skew_quiver, unskew_round_trip
 
-# The records that cache a derived value keep an instance __dict__ for it.
-CACHING = {"Cut", "TypedQuiver", "GroupAction"}
-
 
 @pytest.fixture(scope="module")
 def records() -> dict:
@@ -43,7 +40,7 @@ def test_records_are_immutable_tuples(records, name):
     assert isinstance(record, tuple)
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
-    assert hasattr(record, "__dict__") == (name in CACHING)
+    assert not hasattr(record, "__dict__")
 
 
 def test_cuts_compare_and_hash_by_their_arrows():

@@ -420,11 +420,12 @@ def test_transport_matches_brute_force_degrees():
             st = transport_cut(s, act, cut)
             assert set(st.degrees) == set(st.mult)
             orbit_of = act.group.orbit_of
+            degree = _degrees(q, cut)
             for ai, bi in st.mult:
                 o1 = {q.vertices[u] for u in orbit_of[st.vertices[ai].orbit_rep]}
                 o2 = {q.vertices[u] for u in orbit_of[st.vertices[bi].orbit_rep]}
                 brute = {
-                    cut.degree(a)
+                    degree[a]
                     for a, w in enumerate(q.head)
                     if q.vertices[a // 3] in o1 and q.vertices[w] in o2
                 }
@@ -440,8 +441,9 @@ def _block_sets(basis):
     invariant cut's degrees on the edges."""
     q, act, s = _skew(basis, "C")
     cut = invariant_cut(act)
-    arrow_edges = [(a // 3, y, cut.degree(a)) for a, y in enumerate(q.head)]
-    s = _transport_cut(s, act, _degrees(q, cut))
+    degree = _degrees(q, cut)
+    arrow_edges = [(a // 3, y, degree[a]) for a, y in enumerate(q.head)]
+    s = _transport_cut(s, act, degree)
     twist, blocks = _dual_twist(s, act)
     vertices2, mult2 = _demonet(twist, blocks)
     points = range(len(q.vertices))
@@ -500,7 +502,8 @@ def test_a_cut_splitting_a_block_of_q_n_mixes_its_degrees():
     cut = Cut.of([0])
     points = range(len(q.vertices))
     arrows = Counter((a // 3, y) for a, y in enumerate(q.head))
-    edges = [(a // 3, y, cut.degree(a)) for a, y in enumerate(q.head)]
+    degree = _degrees(q, cut)
+    edges = [(a // 3, y, degree[a]) for a, y in enumerate(q.head)]
     with pytest.raises(InternalInvariantViolation) as raised:
         _transport(points, arrows, points, edges)
     assert str(raised.value) == "arrows between orbits of 0 and 1 carry mixed degrees [0, 1]"
