@@ -475,13 +475,12 @@ def _to_dot(doc: dict) -> str:
 def _to_text(doc: dict) -> str:
     lines = [f"command: {doc['command']}"]
     meta = doc.get("metadata", {})
-    if meta:
-        basis = meta.get("basis")
-        if basis:
-            lines.append(f"basis: {basis[0]} / {basis[1]}  det={meta.get('det')}")
-        for key in ("kind", "root_order", "scalars"):
-            if key in meta:
-                lines.append(f"{key}: {meta[key]}")
+    basis = meta.get("basis")
+    if basis:
+        lines.append(f"basis: {basis[0]} / {basis[1]}  det={meta.get('det')}")
+    for key in ("kind", "root_order", "scalars"):
+        if key in meta:
+            lines.append(f"{key}: {meta[key]}")
     skip = {"schema", "command", "metadata", "vertices", "arrows", "cuts", "cases"}
     for key in sorted(doc):
         if key in skip:

@@ -72,13 +72,6 @@ def check_cut_exists(basis: LatticeBasis, gamma: Sequence[int]) -> None:
         )
 
 
-def _value_function(q: TypedQuiver, gamma: Sequence[int]) -> list[int]:
-    g1, g2, _ = gamma
-    n = q.quotient.order
-    g = gcd(gcd(gamma[0], gamma[1]), gamma[2])
-    return [((g1 * x1 + g2 * x2) % n) // g for (x1, x2) in q.vertices]
-
-
 def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     """Construct the cut of type gamma on q: arrows whose source value exceeds
     the target value under v(x) = ((gamma1 x1 + gamma2 x2) mod n) / gcd(gamma).
@@ -87,7 +80,10 @@ def build_cut(q: TypedQuiver, gamma: Sequence[int]) -> Cut:
     representatives give the comparison.
     """
     check_cut_exists(q.quotient.basis, gamma)
-    v = _value_function(q, gamma)
+    g1, g2, g3 = gamma
+    n = q.quotient.order
+    g = gcd(gcd(g1, g2), g3)
+    v = [((g1 * x1 + g2 * x2) % n) // g for (x1, x2) in q.vertices]
     cut = Cut.of([i for i, w in enumerate(q.head) if v[i // 3] > v[w]])
     if cut_type(cut) != tuple(gamma):
         raise InternalInvariantViolation(
@@ -127,13 +123,11 @@ def _has_cycle(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[bool, list[in
         color[root] = 1
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
                 if color[w] == 0:
                     color[w] = 1
                     parent[w] = v
                     stack.append((w, iter(out[w])))
-                    advanced = True
                     break
                 if color[w] == 1:
                     cycle = [w, v]
@@ -142,7 +136,7 @@ def _has_cycle(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[bool, list[in
                         x = parent[x]
                         cycle.append(x)
                     return True, cycle[::-1]
-            if not advanced:
+            else:  # no neighbour left to enter: v is finished
                 color[v] = 2
                 stack.pop()
     return False, []

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantViolation, PreconditionFailed
@@ -45,14 +46,18 @@ SWAP_MATRIX: tuple[tuple[int, int], tuple[int, int]] = ((0, 1), (1, 0))
 class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
     """Hermite-normal generator matrix [[a, b], [0, c]] of a rank-2 sublattice.
 
-    A validated (a, b, c) tuple, so equality, ordering and hashing are the
-    triple's, also against a plain tuple.  `_make` and `_replace` go
-    through the same checks as the constructor.
+    A validated (a, b, c) tuple of ints, read by `operator.index`, so
+    equality, ordering and hashing are the triple's, also against a plain
+    tuple.  `_make`, and `_replace` through it, check as the constructor does.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int) -> LatticeBasis:
+        try:
+            a, b, c = index(a), index(b), index(c)
+        except TypeError:
+            raise ValueError(f"basis entries {(a, b, c)} must be integers") from None
         if a <= 0 or c <= 0:
             raise ValueError(f"degenerate basis a={a}, c={c}")
         if not 0 <= b < a:
@@ -62,9 +67,6 @@ class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> LatticeBasis:
         return cls(*iterable)
-
-    def _replace(self, **changes: int) -> LatticeBasis:
-        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def det(self) -> int:
@@ -93,20 +95,15 @@ class LatticeBasis(namedtuple("LatticeBasis", "a b c")):
 
 
 class AbelianQuotient(namedtuple("AbelianQuotient", "basis")):
-    """The finite group Z^2 / B with canonical coset representatives."""
+    """The finite group Z^2 / B: its order and the vertex numbering of its
+    cosets.  Its name and `order` stay because `perfbench/tracing.py` reads
+    them from `build_quiver`'s argument."""
 
     __slots__ = ()
 
     @property
     def order(self) -> int:
         return self.basis.det
-
-    @property
-    def cosets(self) -> tuple[tuple[int, int], ...]:
-        return self.basis.cosets()
-
-    def reduce(self, x: Sequence[int]) -> tuple[int, int]:
-        return self.basis.reduce(x)
 
     def index_of(self, x: Sequence[int]) -> int:
         """Dense id of the coset of x in the lexicographic representative order."""
@@ -115,8 +112,12 @@ class AbelianQuotient(namedtuple("AbelianQuotient", "basis")):
 
 
 def hermite_normal_form(columns: Iterable[Sequence[int]]) -> LatticeBasis:
-    """Hermite normal form of the lattice generated by the given columns."""
-    gens = [(int(v[0]), int(v[1])) for v in columns]
+    """Hermite normal form of the lattice generated by the given columns,
+    whose entries are read by `operator.index`."""
+    try:
+        gens = [(index(v[0]), index(v[1])) for v in columns]
+    except TypeError:
+        raise ValueError("generator entries must be integers") from None
     if not gens:
         raise ValueError("no generators")
     # c = gcd of the second coordinates, realized by one combined vector w.

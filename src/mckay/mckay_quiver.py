@@ -105,7 +105,7 @@ def build_quiver(quotient: AbelianQuotient) -> TypedQuiver:
     identity = list(range(n))
     if [h3[h2[x]] for x in h1] != identity or [h2[h3[x]] for x in h1] != identity:
         raise InternalInvariantViolation("type steps failed to close up")
-    return TypedQuiver(quotient, quotient.cosets, head)
+    return TypedQuiver(quotient, quotient.basis.cosets(), head)
 
 
 class GroupAction(namedtuple(
@@ -167,11 +167,6 @@ class GroupAction(namedtuple(
             tuple(names), table, tuple(maps), points, inverse, tuple(orders),
             tuple(orbits), tuple(orbit_of), tuple(transversal), tuple(stabilizers),
         )
-
-    def stabilizer(self, v: int) -> tuple[int, ...]:
-        """The elements fixing v, in element order; a representative's is
-        read from `stabilizers`, another point's by scanning the maps."""
-        return self.stabilizers[v] or tuple(g for g, m in enumerate(self.maps) if m[v] == v)
 
 
 class QuiverAction(namedtuple("QuiverAction", "quiver kind type_maps group")):

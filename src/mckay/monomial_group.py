@@ -22,6 +22,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import PreconditionFailed
+from .lattice import _check_kind
 
 __all__ = [
     "FiniteMatrixGroup",
@@ -32,7 +33,6 @@ __all__ = [
     "semidirect_check",
     "diagonal_generators_from_basis",
     "group_from_basis",
-    "default_root_order",
     "involution_scalars",
     "DEFAULT_CLOSURE_CAP",
     "env_cap",
@@ -332,11 +332,6 @@ def involution_scalars(
     return (p, q, s)
 
 
-def default_root_order(d2: int, kind: str) -> int:
-    """Smallest root order carrying the diagonal group (and -1 for kind D)."""
-    return lcm(d2, 2) if kind == "D" else d2
-
-
 def diagonal_generators_from_basis(basis, root_order: int) -> list[Key]:
     """Keys of the diagonal generators of the group dual to Z^2/B at the
     given root order.
@@ -373,10 +368,11 @@ def group_from_basis(
     exponents (alpha = beta = gamma = -1 when omitted).  The closure is
     verified to split off the expected diagonal subgroup.
     """
-    if kind not in ("A", "C", "D"):
-        raise ValueError(f"unknown kind {kind!r}; expected 'A', 'C' or 'D'")
+    _check_kind(kind)
     _, d2 = basis.smith_invariants()
-    m = root_order if root_order is not None else default_root_order(d2, kind)
+    m = root_order
+    if m is None:  # the smallest root order carrying the diagonal group (and -1 for kind D)
+        m = lcm(d2, 2) if kind == "D" else d2
     exponents = involution_scalars(kind, m, scalars)
     if m % d2:
         raise ValueError(

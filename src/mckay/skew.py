@@ -63,30 +63,22 @@ _LABELS_BY_ORDER = {
 def _char_value(
     group: GroupAction, subgroup: tuple[int, ...], label: str, h: int
 ) -> tuple[int, int]:
-    """chi_label(h) for the stabilizer subgroup as a term (c, k): c * omega^k."""
-    order = len(subgroup)
+    """chi_label(h) for the stabilizer subgroup as a term (c, k): c * omega^k.
+    In every subgroup of S3, sgn and std depend only on the order of h."""
     if label == "triv":
         return 1, 0
-    if order == 2:
-        if label != "sgn":
-            raise ValueError(f"unknown order-2 label {label}")
-        return (1 if h == 0 else -1), 0
-    if order == 3:
-        gen = subgroup[1]
-        k = {0: 0, gen: 1, group.table[gen][gen]: 2}.get(h)
-        if k is None:
-            raise InternalInvariantViolation(
-                f"{group.names[h]} is not a power of {group.names[gen]}"
-            )
-        j = {"omega": 1, "omega2": 2}[label]
-        return 1, (j * k) % 3
-    if order == 6:
-        o = group.orders[h]
-        if label == "sgn":
-            return (-1 if o == 2 else 1), 0
-        if label == "std":
-            return {1: 2, 3: -1}.get(o, 0), 0
-    raise ValueError(f"unknown label {label} for a stabilizer of order {order}")
+    if label == "sgn":
+        return (-1 if group.orders[h] == 2 else 1), 0
+    if label == "std":
+        return {1: 2, 3: -1}.get(group.orders[h], 0), 0
+    gen = subgroup[1]
+    k = {0: 0, gen: 1, group.table[gen][gen]: 2}.get(h)
+    if k is None:
+        raise InternalInvariantViolation(
+            f"{group.names[h]} is not a power of {group.names[gen]}"
+        )
+    j = {"omega": 1, "omega2": 2}[label]
+    return 1, (j * k) % 3
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_criterion_6_loop_witness(capsys):
             n = basis.det
             w = loop_witness(k_action(_quiver(basis), kind))
             q = AbelianQuotient(basis)
-            target = q.reduce((w.vertex[0] + 1, w.vertex[1]))
+            target = q.basis.reduce((w.vertex[0] + 1, w.vertex[1]))
             if target not in w.orbit:
                 failures.append(f"{basis.rows} kind {kind}: target escapes orbit")
             if kind == "C" and w.orbit_size != 3:

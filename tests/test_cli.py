@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckay import cli, errors
+from mckay.lattice import admissible_bases
 
 
 def run(capsys, *args) -> tuple[int, str]:
@@ -725,3 +728,97 @@ def test_a_refused_basis_never_builds_the_quiver(monkeypatch, capsys, argv, mess
     assert cli.main(list(argv)) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
+
+
+# Bases of det <= 64: admissible ones, upper triangular ones with b in any
+# residue, small full matrices (singular ones too) and unparsable text.
+_ADMISSIBLE = sorted({f"{b.a},{b.b};0,{b.c}" for kind in "CD" for b in admissible_bases(64, kind)})
+
+
+@st.composite
+def _triangular(draw):
+    a = draw(st.integers(1, 64))
+    return f"{a},{draw(st.integers(-a, 2 * a))};0,{draw(st.integers(1, 64 // a))}"
+
+
+_BASIS = (
+    st.sampled_from(_ADMISSIBLE)
+    | _triangular()
+    | st.lists(st.integers(-5, 5), min_size=4, max_size=4).map(lambda e: "{},{};{},{}".format(*e))
+    | st.sampled_from(["", "1,2", "1,2;3", "a,b;c,d", "1.5,0;0,2", "3,0;0,3;1,1"])
+)
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _small(lo: int, hi: int):
+    return st.integers(lo, hi).map(str) | st.sampled_from(["", "x", "1.5"])
+
+
+_TRIPLE = st.lists(st.integers(-3, 24), min_size=3, max_size=3).map(_csv) | st.sampled_from(
+    ["", "1,2", "x,1,1", "1,,2", "1,2,3,4"]
+)
+_OPTIONS = {
+    "--basis": _BASIS,
+    "--format": st.sampled_from(["json", "dot", "text"]),
+    "--kind": st.sampled_from(["A", "C", "D"]),
+    "--root-order": _small(-1, 12),
+    "--scalars": _TRIPLE,
+    "--gamma": _TRIPLE,
+    "--arrow-ids": st.lists(st.integers(-2, 40), max_size=6).map(_csv) | st.just("1,,2"),
+    "--limit": _small(-1, 30),
+    "--max-det": _small(-1, 12),
+}
+_FLAGS = {
+    "group-info": ["--basis", "--format", "--kind", "--root-order", "--scalars"],
+    "quiver": ["--basis", "--format"],
+    "cut-exists": ["--basis", "--format", "--gamma"],
+    "cut-build": ["--basis", "--format", "--gamma"],
+    "cut-validate": ["--basis", "--format", "--gamma", "--arrow-ids"],
+    "cut-enumerate": ["--basis", "--format", "--limit"],
+    "skew": ["--basis", "--format", "--kind", "--root-order", "--scalars"],
+    "classify": ["--basis", "--format", "--kind", "--root-order", "--scalars"],
+    "unskew-roundtrip": ["--basis", "--format"],
+    "oracle-compare": ["--format", "--max-det", "--kind"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A command with each of its options, mostly present, and now and then
+    an option it does not take."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = [f for f in _FLAGS[command] if draw(st.integers(0, 5))]
+    if not draw(st.integers(0, 9)):
+        flags.append(draw(st.sampled_from(sorted(_OPTIONS))))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(_OPTIONS[flag])]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert "Traceback" not in err
+    if err.startswith("usage: "):  # argparse refused the argv
+        assert code == 2 and out == "", argv
+    elif code in (2, 3, 4):
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:  # the document, with exit 5 for an oracle discrepancy
+        assert err == ""
+        formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+        fmt = formats[-1] if formats else "json"
+        if fmt == "json":
+            assert json.loads(out)["command"] == argv[0]
+        elif fmt == "dot":
+            assert out.startswith("digraph")
+        else:
+            assert out.startswith(f"command: {argv[0]}\n")

@@ -33,7 +33,7 @@ def _quiver(a, b, c):
 def _step(q, x, t):
     """The coset x + e_t."""
     dx, dy = STEPS[t]
-    return q.quotient.reduce((x[0] + dx, x[1] + dy))
+    return q.quotient.basis.reduce((x[0] + dx, x[1] + dy))
 
 
 def _arrow(q, x, t):

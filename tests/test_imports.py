@@ -4,7 +4,8 @@ exact (no floating point, complex numbers or true division), it imports no
 module kept out of its start-up, nothing outside the standard library and
 no module-level cache, it raises only the three errors of its exit-code
 contract, only the command line and the matrix group read the kind-D
-scalars, and the README names only what the package has."""
+scalars, and the README names only what the package has and its library
+example runs."""
 from __future__ import annotations
 
 import ast
@@ -438,3 +439,18 @@ def test_the_readme_names_only_what_exists():
     text = (ROOT / "README.md").read_text()
     assert len(readme_tokens(text)) >= 30
     assert unresolved_tokens(text, package_words(sources)) == []
+
+
+def test_the_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    (example,) = [
+        block for block in re.findall(r"```python\n(.*?)```", text, re.S)
+        if "transport_cut(skew_quiver(action)" in block
+    ]
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    s = namespace["s"]
+    # 3I of kind C: the invariant cut's degrees on every block of Q_N * C3
+    assert len(s.vertices) == 11 and s.group_size == 27
+    assert s.degrees is not None and s.degrees.keys() == s.mult.keys()
+    assert set(s.degrees.values()) == {0, 1}

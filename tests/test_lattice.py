@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,9 +97,9 @@ def test_smith_divisibility(a, b, c):
 
 def test_reduce_frozen(basis_2i):
     q = AbelianQuotient(basis_2i)
-    assert q.reduce((3, 5)) == (1, 1)
-    assert q.reduce((0, 0)) == (0, 0)
-    assert q.reduce((-1, -1)) == (1, 1)
+    assert q.basis.reduce((3, 5)) == (1, 1)
+    assert q.basis.reduce((0, 0)) == (0, 0)
+    assert q.basis.reduce((-1, -1)) == (1, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,9 +110,9 @@ def test_reduce_frozen(basis_2i):
 def test_reduce_is_a_retraction(a, b, c, x):
     basis = LatticeBasis(a, b % a, c)
     q = AbelianQuotient(basis)
-    r = q.reduce(x)
-    assert r in q.cosets
-    assert q.reduce(r) == r
+    r = q.basis.reduce(x)
+    assert r in q.basis.cosets()
+    assert q.basis.reduce(r) == r
     # x - r is in the lattice
     assert basis.reduce((x[0] - r[0], x[1] - r[1])) == (0, 0)
 
@@ -119,17 +120,17 @@ def test_reduce_is_a_retraction(a, b, c, x):
 def test_cosets_and_indexing(basis_3i):
     q = AbelianQuotient(basis_3i)
     assert q.order == 9
-    assert len(q.cosets) == 9
-    assert q.cosets == tuple(sorted(q.cosets))
-    assert sorted(q.index_of(v) for v in q.cosets) == list(range(9))
+    assert len(q.basis.cosets()) == 9
+    assert q.basis.cosets() == tuple(sorted(q.basis.cosets()))
+    assert sorted(q.index_of(v) for v in q.basis.cosets()) == list(range(9))
 
 
 def test_translation_compatibility(basis_321):
     q = AbelianQuotient(basis_321)
-    for v in q.cosets:
-        for w in q.cosets:
-            direct = q.reduce((v[0] + w[0], v[1] + w[1]))
-            assert direct in q.cosets
+    for v in q.basis.cosets():
+        for w in q.basis.cosets():
+            direct = q.basis.reduce((v[0] + w[0], v[1] + w[1]))
+            assert direct in q.basis.cosets()
 
 
 def test_admissibility_frozen():
@@ -268,3 +269,25 @@ def test_basis_constructor_guards():
     with pytest.raises(ValueError, match="^off-diagonal 3 not reduced modulo 3$"):
         LatticeBasis._make((3, 3, 1))
     assert LatticeBasis(3, 0, 3)._replace(b=2) == LatticeBasis(3, 2, 3)
+
+
+def test_basis_entries_are_read_as_exact_integers():
+    # ints, bools and numpy ints pass, and are stored as plain ints
+    basis = LatticeBasis(np.int64(3), True, np.int32(3))
+    assert basis == (3, 1, 3) and {type(x) for x in basis} == {int}
+    assert type(basis.det) is int
+    for entries in [(3.0, 0, 3), (3, 0.0, 3), (3, 0, "3"), (3, 0, np.float64(3))]:
+        with pytest.raises(ValueError) as raised:
+            LatticeBasis(*entries)
+        assert str(raised.value) == f"basis entries {entries} must be integers"
+    with pytest.raises(ValueError, match=r"^basis entries \(3, 0, 2\.0\) must be integers$"):
+        LatticeBasis(3, 0, 3)._replace(c=2.0)
+    with pytest.raises(ValueError, match=r"^basis entries \(3, '1', 3\) must be integers$"):
+        LatticeBasis._make((3, "1", 3))
+
+
+def test_hnf_reads_columns_as_exact_integers():
+    assert hermite_normal_form([(np.int64(3), False), (0, np.int16(3))]) == LatticeBasis(3, 0, 3)
+    for cols in [[(1.5, 0), (0, 2)], [(3.0, 0), (0, 3)], [("3", "0"), ("0", "3")]]:
+        with pytest.raises(ValueError, match="^generator entries must be integers$"):
+            hermite_normal_form(cols)

@@ -304,6 +304,40 @@ def test_every_trace_is_reduced_in_the_field_of_cube_roots():
     ]
 
 
+def _stabilizer_carriers():
+    """The groups whose stabilizers the skew engine meets: kinds C and D on
+    3I, [[6,4],[0,2]], 2I and 4I, and the dual twist of 3I."""
+    for basis in (LatticeBasis(3, 0, 3), LatticeBasis(6, 4, 2), LatticeBasis(2, 0, 2),
+                  LatticeBasis(4, 0, 4)):
+        for kind in ("C", "D"):
+            yield _action(basis, kind).group
+    _, act, s = _skew(LatticeBasis(3, 0, 3), "C")
+    yield _dual_twist(s, act)[0]
+
+
+def test_stabilizer_characters_satisfy_the_orthogonality_relations():
+    # The rows of _char_value on each distinct stabilizer H, with no help
+    # from the engine: sum_h chi_a(h) conj(chi_b(h)) = |H| delta_ab, summed
+    # exactly in Z[omega] as counts over the exponents mod 3, and chi(1) is
+    # the degree listed for the label.
+    orders = set()
+    for group in _stabilizer_carriers():
+        for st in {group.stabilizers[orbit[0]] for orbit in group.orbits}:
+            assert st[0] == 0  # the identity
+            labels = _LABELS_BY_ORDER[len(st)]
+            rows = [[_char_value(group, st, label, h) for h in st] for label, _ in labels]
+            assert [row[0] for row in rows] == [(deg, 0) for _, deg in labels]
+            for a, row_a in enumerate(rows):
+                for b, row_b in enumerate(rows):
+                    counts = [0, 0, 0]
+                    for (ca, ka), (cb, kb) in zip(row_a, row_b):
+                        counts[(ka - kb) % 3] += ca * cb
+                    coords = (counts[0] - counts[2], counts[1] - counts[2])
+                    assert coords == (len(st) if a == b else 0, 0), (group.names, st, a, b)
+            orders.add(len(st))
+    assert orders == {1, 2, 3, 6}
+
+
 def test_weighted_three_regularity():
     for basis, kind in [
         (LatticeBasis(2, 0, 2), "D"),
@@ -347,7 +381,7 @@ def test_loop_witness_target_stays_in_orbit():
         w = loop_witness(_action(basis, kind))
         q = AbelianQuotient(basis)
         x = w.vertex
-        target = q.reduce((x[0] + 1, x[1]))  # type-1 arrow endpoint
+        target = q.basis.reduce((x[0] + 1, x[1]))  # type-1 arrow endpoint
         assert target in w.orbit
         expected = 3 if kind == "C" else (3 if w.special_c2xc2 else 6)
         assert w.orbit_size == expected
@@ -645,7 +679,7 @@ def _counting(blocks):
 def test_a_tampered_trace_is_a_non_integral_multiplicity(g, terms, coords):
     group, blocks = _quiver_carrier(LatticeBasis(2, 0, 2), "D")
     block = (0, 1)  # the cosets (0, 0) and (0, 1)
-    assert group.stabilizer(1) == (0, 4)
+    assert group.stabilizers[1] == (0, 4)
     assert blocks(0)[1][4] == ((0, -1),)
     with pytest.raises(InternalInvariantViolation) as raised:
         _demonet(group, _tampered(blocks, g, block, terms))
@@ -768,7 +802,7 @@ def reference_demonet(group, blocks) -> tuple[tuple[SkewVertex, ...], dict]:
     maps, table, inverse = group.maps, group.table, group.inverse
     transversal = group.transversal
 
-    stab = {orbit[0]: group.stabilizer(orbit[0]) for orbit in group.orbits}
+    stab = {orbit[0]: group.stabilizers[orbit[0]] for orbit in group.orbits}
 
     skew_vertices: list[SkewVertex] = []
     rows: list[list] = []  # chi(h) of each skew vertex, by element h of its stabilizer
@@ -879,8 +913,8 @@ def test_block_classes_are_keyed_by_their_terms():
     # clean class, with the stabilizers and terms of the block 0 -> 1, was
     # memoised on the first.  A tampered trace on it must be summed afresh.
     group, blocks = _quiver_carrier(LatticeBasis(3, 0, 3), "C")
-    assert group.stabilizer(7) == group.stabilizer(0) == (0, 1, 2)
-    assert group.stabilizer(1) == (0,)
+    assert group.stabilizers[7] == group.stabilizers[0] == (0, 1, 2)
+    assert group.stabilizers[1] == (0,)
     assert blocks(7)[1][0] == blocks(0)[1][0] == ((0, 1),)
     with pytest.raises(InternalInvariantViolation) as raised:
         _demonet(group, _tampered(blocks, 0, (7, 1), ((1, 1),)))
