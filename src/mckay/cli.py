@@ -154,7 +154,7 @@ def _skew_doc(s, q: TypedQuiver) -> dict:
 def _cmd_group_info(args) -> dict:
     basis = _parse_basis(args.basis)
     kind = args.kind
-    scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
+    scalars = _parse_triple(args.scalars, "scalars") if args.scalars is not None else None
     if kind in ("C", "D"):
         check_admissible(basis, kind)
     group = group_from_basis(basis, kind, root_order=args.root_order, scalars=scalars)
@@ -288,7 +288,7 @@ def _cmd_skew(args) -> dict:
     """skew, and classify: the skew quiver, for classify with the cut
     verdict, its witness and the invariant cut's degrees when 3 | n."""
     basis = _parse_basis(args.basis)
-    scalars = _parse_triple(args.scalars, "scalars") if args.scalars else None
+    scalars = _parse_triple(args.scalars, "scalars") if args.scalars is not None else None
     _refuse_inadmissible(basis, args.kind)
     # No skew multiplicity depends on the kind-D scalars (see mckay.skew),
     # so they are validated and printed here and never reach the action.
@@ -528,7 +528,15 @@ _SPECS = {
 _COMMANDS = {name: spec[0] for name, spec in _SPECS.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help text, and -h and the options on the
+    named command only.  The top-level parser's one option, -h, takes no
+    value, so argparse runs the subparser of the first token it classes as
+    positional.  The only such tokens that start with '-' are '-',
+    negative-number-like tokens, tokens containing a space and tokens
+    after '--'; none is a command name, so each ends in the top-level
+    invalid-choice error whatever the subparsers hold.  A subparser
+    without options is therefore never run."""
     parser = argparse.ArgumentParser(
         prog="mckay",
         description="Exact McKay quivers, cuts and skew-group quivers for "
@@ -536,7 +544,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, kinds, options) in _SPECS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
+        if name != command:
+            continue
         if name != "oracle-compare":  # the one command that sweeps bases
             p.add_argument(
                 "--basis",
@@ -567,7 +577,9 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -170,9 +170,9 @@ def conjugate_is_integral(
     return all(e % det == 0 for e in (e11, e12, e21, e22))
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ("A", "C", "D"):
-        raise ValueError(f"unknown kind {kind!r}; expected 'A', 'C' or 'D'")
+def _check_kind(kind: str, kinds: tuple[str, ...] = ("A", "C", "D")) -> None:
+    if kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(map(repr, kinds))}")
 
 
 def _refusal(basis: LatticeBasis, kind: str) -> str | None:
@@ -229,12 +229,12 @@ def check_admissible(basis: LatticeBasis, kind: str) -> None:
 def admissible_bases(max_det: int, kind: str) -> list[LatticeBasis]:
     """All admissible bases with 2 <= det <= max_det, sorted by (det, a, b, c).
 
-    Kind A admits every basis, so every triple is emitted, already in order:
-    for each det n, each divisor a of n, each b < a.  For kinds C and D the
-    bases come from the closed form: (k1*c, k2*c, c) with k1*c^2 <= max_det,
-    0 <= k2 < k1, k1 | k2^2 - k2 + 1 and, for D, the swap condition
-    k1 | gcd(k2 - 2, 3).  Each emitted basis still runs both admissibility
-    routes; a basis either route rejects is an internal error.
+    Kind A admits every basis, so every triple is emitted, already in order and
+    valid, so unchecked: for each det n, each divisor a of n, each b < a.  For
+    kinds C and D the bases come from the closed form: (k1*c, k2*c, c) with
+    k1*c^2 <= max_det, 0 <= k2 < k1, k1 | k2^2 - k2 + 1 and, for D, the swap
+    condition k1 | gcd(k2 - 2, 3).  Each emitted basis still runs both
+    admissibility routes; a basis either route rejects is an internal error.
     """
     _check_kind(kind)
     if kind == "A":
@@ -243,7 +243,7 @@ def admissible_bases(max_det: int, kind: str) -> list[LatticeBasis]:
             for n in range(a, max_det + 1, a):
                 divisors[n].append(a)
         return [
-            LatticeBasis(a, b, n // a)
+            tuple.__new__(LatticeBasis, (a, b, n // a))
             for n in range(2, max_det + 1)
             for a in divisors[n]
             for b in range(a)

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import InternalInvariantViolation
-from .lattice import AbelianQuotient, LatticeBasis, check_admissible
+from .lattice import AbelianQuotient, LatticeBasis, _check_kind, check_admissible
 from .monomial_group import env_cap
 
 __all__ = [
@@ -256,8 +256,7 @@ def k_action(q: TypedQuiver, kind: str) -> QuiverAction:
     skew multiplicity depends on them, because every involution acts by -1
     on the type it fixes whatever they are (see `mckay.skew`).
     """
-    if kind not in ("C", "D"):
-        raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
+    _check_kind(kind, ("C", "D"))
     check_admissible(q.quotient.basis, kind)
 
     points = tuple(range(len(q.vertices)))

@@ -222,9 +222,19 @@ def _find_generator(g: FiniteMatrixGroup, even: bool) -> Key:
     )
 
 
-def _meets_diagonal(k: FiniteMatrixGroup) -> bool:
-    """Whether k has a diagonal element besides the identity."""
-    return any(p == _IDENTITY_PERM and any(e) for p, e in k.keys)
+def _complement(
+    g: FiniteMatrixGroup, n: FiniteMatrixGroup, gens: list[Key], name: str, order: int
+) -> FiniteMatrixGroup:
+    """The closure of gens, named `name` in errors, checked to have the given
+    order, no diagonal element besides the identity, and order |G| / |N|."""
+    complement = closure(gens, g.root_order, max_elements=order + 1)
+    if complement.order != order:
+        raise PreconditionFailed(f"{name} has order {complement.order}, expected {order}")
+    if any(p == _IDENTITY_PERM and any(e) for p, e in complement.keys):
+        raise PreconditionFailed(f"{name} meets the diagonal subgroup nontrivially")
+    if n.order * order != g.order:
+        raise PreconditionFailed(f"|G| = {g.order} is not {order} * |N| = {order * n.order}")
+    return complement
 
 
 def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
@@ -239,24 +249,14 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
     t = (t i2^-1 i1^-1) (i1 i2) and r = (t r^-2 t^-1) i1 with diagonal left
     factors, exhibiting the original generators inside N * K.
     """
-    if kind not in ("C", "D"):
-        raise ValueError(f"kind must be 'C' or 'D', got {kind!r}")
+    _check_kind(kind, ("C", "D"))
     m = g.root_order
     n = diagonal_subgroup(g)
     t = _find_generator(g, even=True)
     if kind == "C":
-        complement = closure([t], m, max_elements=4)
-        if complement.order != 3:
-            raise PreconditionFailed(f"<t> has order {complement.order}, expected 3")
-        if _meets_diagonal(complement):
-            raise PreconditionFailed("<t> meets the diagonal subgroup nontrivially")
-        if n.order * 3 != g.order:
-            raise PreconditionFailed(
-                f"|G| = {g.order} is not 3 * |N| = {3 * n.order}"
-            )
         return ComplementReport(
             diagonal_order=n.order,
-            complement=complement,
+            complement=_complement(g, n, [t], "<t>", 3),
             i1=None,
             i2=None,
             t_factorization=(_IDENTITY, t),
@@ -275,15 +275,7 @@ def semidirect_check(g: FiniteMatrixGroup, kind: str) -> ComplementReport:
         raise PreconditionFailed("i1 or i2 is not an involution; bad scalar input")
     if product(pair, pair, pair) != _IDENTITY:
         raise PreconditionFailed("(i1 i2)^3 != 1; bad scalar input")
-    complement = closure([i1, i2], m, max_elements=7)
-    if complement.order != 6:
-        raise PreconditionFailed(
-            f"<i1, i2> has order {complement.order}, expected 6"
-        )
-    if _meets_diagonal(complement):
-        raise PreconditionFailed("<i1, i2> meets the diagonal subgroup nontrivially")
-    if n.order * 6 != g.order:
-        raise PreconditionFailed(f"|G| = {g.order} is not 6 * |N| = {6 * n.order}")
+    complement = _complement(g, n, [i1, i2], "<i1, i2>", 6)
     # t = d_t * (i1 i2) and r = d_r * i1 with diagonal d_t, d_r.
     d_t = product(t, _inv(i2, m), _inv(i1, m))
     d_r = product(t, rinv, rinv, tinv)

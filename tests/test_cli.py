@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: documents, formats, determinism, exit codes."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -614,12 +617,14 @@ def test_every_command_checks_the_scalars_in_one_order(capsys, command):
 @pytest.mark.parametrize("command", ["group-info", "skew", "classify"])
 def test_unparsable_scalars_exit_2_before_admissibility(capsys, command):
     # 5,1;0,1 fails the rotation condition (exit 3), but the scalars are
-    # parsed first, so every command refuses them as an invalid spec.
-    argv = [command, "--basis", "5,1;0,1", "--kind", "D", "--scalars", "x"]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: cannot parse scalars 'x'\n"
+    # parsed first, so every command refuses them as an invalid spec; an
+    # empty value is a value too, not the absence of one.
+    for scalars in ("x", ""):
+        argv = [command, "--basis", "5,1;0,1", "--kind", "D", "--scalars", scalars]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse scalars {scalars!r}\n"
 
 
 def test_help_exits_zero(capsys):
@@ -822,3 +827,136 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
             assert out.startswith("digraph")
         else:
             assert out.startswith(f"command: {argv[0]}\n")
+
+
+def _reference_parser():
+    """The parser as it was built before `_build_parser` took the command:
+    every subparser with -h and all its options, from the same specs."""
+    parser = argparse.ArgumentParser(
+        prog="mckay",
+        description="Exact McKay quivers, cuts and skew-group quivers for "
+        "monomial subgroups of SL(3).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, kinds, options) in cli._SPECS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "oracle-compare":
+            p.add_argument(
+                "--basis",
+                "-B",
+                required=True,
+                help="2x2 integer matrix, row-major, e.g. '3,2;0,1'",
+            )
+        p.add_argument(
+            "--format",
+            choices=("json", "dot", "text"),
+            default="json",
+            help="output format (default json)",
+        )
+        if kinds:
+            p.add_argument("--kind", choices=kinds, required=True)
+            p.add_argument("--root-order", type=int, default=None)
+            p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
+        for flag, settings_ in options.items():
+            p.add_argument(flag, **settings_)
+    return parser
+
+
+class _Parsed(Exception):
+    """Raised in place of running a job, with the Namespace main parsed."""
+
+
+def _parse_outcome(parse, argv):
+    """What parse(argv) returns or raises as _Parsed, or its SystemExit
+    code as main returns it, with what it printed; COLUMNS is fixed so help
+    and usage wrap alike."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as e:
+            result = ("exit", 0 if not e.code else 2)
+        except _Parsed as parsed:
+            result = parsed.args[0]
+    return result, out.getvalue(), err.getvalue()
+
+
+def _stop(args):
+    raise _Parsed(args)
+
+
+def _assert_parsed_as_the_reference(argv):
+    """Both the parser of the argv's first token not starting with '-' and
+    main, stopped before the job runs, parse as the full parser does."""
+    expected = _parse_outcome(_reference_parser().parse_args, argv)
+    command = next((a for a in argv if not a.startswith("-")), None)
+    assert _parse_outcome(cli._build_parser(command).parse_args, argv) == expected, argv
+    with mock.patch.object(cli, "run", _stop):
+        assert _parse_outcome(lambda a: ("exit", cli.main(a)), argv) == expected, argv
+
+
+_EDGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["frobnicate"],
+    ["frobnicate", "--basis", "3,0;0,3"],
+    ["-"],
+    ["-5"],
+    ["-5", "quiver", "--basis", "3,0;0,3"],
+    ["-x y", "quiver", "--basis", "3,0;0,3"],
+    ["--", "quiver", "--basis", "3,0;0,3"],
+    ["--", "--basis", "3,0;0,3", "quiver"],
+    ["--basis", "3,0;0,3", "quiver"],
+    ["-B", "3,0;0,3", "quiver"],
+    ["--bogus", "quiver", "--basis", "3,0;0,3"],
+    ["-h", "quiver"],
+    ["quiver", "--basis", "3,0;0,3", "extra"],
+    ["quiver", "skew", "--basis", "3,0;0,3"],
+    ["quiver", "--bas", "3,0;0,3"],
+    ["quiver", "--basis=3,0;0,3", "--format=dot"],
+    ["quiver", "-B3,0;0,3"],
+    ["quiver", "--basis", "3,0;0,3", "--", "x"],
+    ["skew", "--basis", "3,0;0,3", "--kind", "A"],
+    ["skew", "--basis", "-1,0;0,3", "--kind", "C"],
+    ["cut-enumerate", "--basis", "1,0;0,1", "--limit", "x"],
+    ["oracle-compare", "--basis", "3,0;0,3"],
+    ["oracle-compare", "--max-det", "-3", "--kind", "D"],
+    ["cut-build", "--arrow-ids", "1", "--basis", "3,0;0,3", "--gamma", "1,1,1"],
+]
+_EDGE_ARGVS += [
+    [name, *tail]
+    for name in cli._SPECS
+    for tail in ([], ["-h"], ["--help"], ["--bogus"], ["--format", "svg"], ["--basis", "3,0;0,3"])
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGVS, ids=" ".join)
+def test_the_parser_decides_edge_argvs_as_the_full_parser(argv):
+    _assert_parsed_as_the_reference(argv)
+
+
+_TOKENS = st.sampled_from(
+    [*_FLAGS, *_OPTIONS, "-h", "--help", "-B", "--bas", "-", "--", "-5", "-x y",
+     "--kind=C", "--basis=3,0;0,3", "3,0;0,3", "3,2;0,1", "C", "D", "dot", "1,1,1", "x", ""]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs() | st.lists(_TOKENS, max_size=7))
+def test_the_parser_decides_random_argvs_as_the_full_parser(argv):
+    _assert_parsed_as_the_reference(argv)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # Without argv, main parses sys.argv[1:] as a fresh mckay process does.
+    monkeypatch.setattr(sys, "argv", ["mckay", "quiver", "--basis", "3,2;0,1"])
+    assert cli.main() == 0
+    out = capsys.readouterr().out
+    digest = "a07ad7bfb1b39ad59bf0ab5fd05e00167441ace114a87e4a95f0c2ad25ae07f4"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    monkeypatch.setattr(sys, "argv", ["mckay", "frobnicate"])
+    assert cli.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'frobnicate'" in captured.err

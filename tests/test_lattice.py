@@ -255,6 +255,9 @@ def test_admissible_bases_match_a_triple_scan(monkeypatch):
                 # one direct check per symmetry, on every emitted basis
                 assert len(calls) == len(got) * (1 if kind == "C" else 2)
                 assert {(b.det, b.a, b.b, b.c) for b in calls} == set(got)
+    # Kind A's bases are built past the constructor, so they are checked against it.
+    kind_a = admissible_bases(150, "A")
+    assert all(type(b) is LatticeBasis and b == LatticeBasis(*b) for b in kind_a)
 
 
 def test_basis_constructor_guards():

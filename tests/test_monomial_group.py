@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _mat_key, _np_classes, np_class_count, np_closure, to_complex
-from mckay.lattice import LatticeBasis
+from mckay.errors import PreconditionFailed
+from mckay.lattice import AbelianQuotient, LatticeBasis, is_admissible
+from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import (
     DEFAULT_CLOSURE_CAP,
     _conj,
@@ -305,6 +307,32 @@ def test_complement_meets_diagonal_trivially():
     for x in report.complement.keys:
         assert not (x[0] == (0, 1, 2) and x != IDENTITY)
     assert report.complement.order * report.diagonal_order == g.order
+
+
+@pytest.mark.parametrize("kind, order", [("C", 27), ("D", 54)])
+def test_a_group_short_of_its_complement_is_refused(kind, order):
+    # One non-diagonal element dropped: N and the complement still check,
+    # the group no longer has |K| * |N| elements.
+    g = group_from_basis(LatticeBasis(3, 0, 3), kind)
+    assert g.order == order and g.keys[-1][0] != (0, 1, 2)
+    with pytest.raises(PreconditionFailed) as refused:
+        semidirect_check(g._replace(keys=g.keys[:-1]), kind)
+    index = order // 9
+    assert str(refused.value) == f"|G| = {order - 1} is not {index} * |N| = {order}"
+
+
+def test_the_kind_guards_share_one_message():
+    basis = LatticeBasis(3, 0, 3)
+    for refuse in (
+        lambda: semidirect_check(group_from_basis(basis, "A"), "A"),
+        lambda: k_action(build_quiver(AbelianQuotient(basis)), "A"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        assert str(refused.value) == "unknown kind 'A'; expected one of 'C', 'D'"
+    with pytest.raises(ValueError) as refused:
+        is_admissible(basis, "B")
+    assert str(refused.value) == "unknown kind 'B'; expected one of 'A', 'C', 'D'"
 
 
 def test_explosion_guard_and_env_override(monkeypatch):
