@@ -90,13 +90,12 @@ def _element_doc(key: Key) -> dict:
 
 
 def _metadata(basis: LatticeBasis, **extra) -> dict:
-    meta = {
+    return {
         "basis": [list(r) for r in basis.rows],
         "det": basis.det,
         "invariant_factors": list(basis.smith_invariants()),
+        **{k: v for k, v in extra.items() if v is not None},
     }
-    meta.update({k: v for k, v in extra.items() if v is not None})
-    return meta
 
 
 def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
@@ -116,6 +115,10 @@ def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
         for i, (w, d) in enumerate(zip(q.head, degree))
     ]
     return {"vertices": vertices, "arrows": arrows}
+
+
+def _cut_doc(cut: Cut) -> dict:
+    return {"arrow_ids": list(cut.arrows), "type": list(cut_type(cut))}
 
 
 def _skew_doc(s, q: TypedQuiver) -> dict:
@@ -197,13 +200,12 @@ def _cmd_quiver(args) -> dict:
     basis = _parse_basis(args.basis)
     q = build_quiver(AbelianQuotient(basis))
     # Q_N has 2n elementary cycles, two per type-1 arrow, and 3n squares, three per vertex.
-    doc = {
+    return {
         "metadata": _metadata(basis),
         "cycle_count": 2 * basis.det,
         "square_count": 3 * basis.det,
+        **_quiver_doc(q),
     }
-    doc.update(_quiver_doc(q))
-    return doc
 
 
 def _cmd_cut_exists(args) -> dict:
@@ -249,7 +251,7 @@ def _cmd_cut_validate(args) -> dict:
     }
     doc = {
         "metadata": _metadata(basis),
-        "cut": {"arrow_ids": list(cut.arrows), "type": list(cut_type(cut))},
+        "cut": _cut_doc(cut),
         **_quiver_doc(q, cut),
     }
     if args.command == "cut-build":
@@ -266,13 +268,7 @@ def _cmd_cut_enumerate(args) -> dict:
     return {
         "metadata": _metadata(basis),
         "count": len(cuts),
-        "cuts": [
-            {
-                "arrow_ids": list(c.arrows),
-                "type": list(cut_type(c)),
-            }
-            for c in cuts
-        ],
+        "cuts": [_cut_doc(c) for c in cuts],
         "realized_types": sorted(list(t) for t in {cut_type(c) for c in cuts}),
     }
 
@@ -453,21 +449,13 @@ def _to_dot(doc: dict) -> str:
         raise ValueError(f"command {doc.get('command')} has no DOT rendering")
     lines = ["digraph mckay {", "  rankdir=LR;"]
     for v in doc["vertices"]:
-        label = v.get("label", str(v["id"]))
-        if v.get("dimension", 1) != 1:
-            label += f" [{v['dimension']}]"
-        lines.append(f'  v{v["id"]} [label="{label}"];')
+        size = f" [{v['dimension']}]" if v["dimension"] != 1 else ""
+        lines.append(f'  v{v["id"]} [label="{v["label"]}{size}"];')
     for a in doc["arrows"]:
-        attrs = []
-        if "type" in a and a.get("type") is not None:
-            attrs.append(f'label="{a["type"]}"')
-        elif "mult" in a:
-            attrs.append(f'label="x{a["mult"]}"')
-        degree = a.get("degree")
-        attrs.append("style=dashed" if degree == 1 else "style=solid")
-        lines.append(
-            f'  v{a["source"]} -> v{a["target"]} [{", ".join(attrs)}];'
-        )
+        # a McKay quiver's arrows carry their type, a skew quiver's their multiplicity
+        label = a["type"] if "type" in a else f"x{a['mult']}"
+        style = "dashed" if a["degree"] == 1 else "solid"
+        lines.append(f'  v{a["source"]} -> v{a["target"]} [label="{label}", style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -482,22 +470,15 @@ def _to_text(doc: dict) -> str:
         if key in meta:
             lines.append(f"{key}: {meta[key]}")
     skip = {"schema", "command", "metadata", "vertices", "arrows", "cuts", "cases"}
-    for key in sorted(doc):
-        if key in skip:
-            continue
+    for key in sorted(doc.keys() - skip):
         lines.append(f"{key}: {doc[key]}")
-    if "vertices" in doc:
-        lines.append(f"vertices: {len(doc['vertices'])}")
-    if "arrows" in doc:
-        lines.append(f"arrows: {len(doc['arrows'])}")
-    if "cuts" in doc:
-        for c in doc["cuts"]:
-            lines.append(f"cut type={c['type']} arrows={c['arrow_ids']}")
-    if "cases" in doc:
-        for c in doc["cases"]:
-            lines.append(
-                f"basis {c['basis']} det={c['det']} match={c['match']}"
-            )
+    for key in ("vertices", "arrows"):
+        if key in doc:
+            lines.append(f"{key}: {len(doc[key])}")
+    for c in doc.get("cuts", ()):
+        lines.append(f"cut type={c['type']} arrows={c['arrow_ids']}")
+    for c in doc.get("cases", ()):
+        lines.append(f"basis {c['basis']} det={c['det']} match={c['match']}")
     return "\n".join(lines) + "\n"
 
 
@@ -528,6 +509,31 @@ _SPECS = {
 _COMMANDS = {name: spec[0] for name, spec in _SPECS.items()}
 
 
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add command name's options to p; returns p."""
+    _, _, kinds, options = _SPECS[name]
+    if name != "oracle-compare":  # the one command that sweeps bases
+        p.add_argument(
+            "--basis",
+            "-B",
+            required=True,
+            help="2x2 integer matrix, row-major, e.g. '3,2;0,1'",
+        )
+    p.add_argument(
+        "--format",
+        choices=("json", "dot", "text"),
+        default="json",
+        help="output format (default json)",
+    )
+    if kinds:
+        p.add_argument("--kind", choices=kinds, required=True)
+        p.add_argument("--root-order", type=int, default=None)
+        p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
+    for flag, settings in options.items():
+        p.add_argument(flag, **settings)
+    return p
+
+
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """Every subcommand with its help text, and -h and the options on the
     named command only.  The top-level parser's one option, -h, takes no
@@ -543,29 +549,10 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         "monomial subgroups of SL(3).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, kinds, options) in _SPECS.items():
+    for name, (_, help_text, _, _) in _SPECS.items():
         p = sub.add_parser(name, help=help_text, add_help=name == command)
-        if name != command:
-            continue
-        if name != "oracle-compare":  # the one command that sweeps bases
-            p.add_argument(
-                "--basis",
-                "-B",
-                required=True,
-                help="2x2 integer matrix, row-major, e.g. '3,2;0,1'",
-            )
-        p.add_argument(
-            "--format",
-            choices=("json", "dot", "text"),
-            default="json",
-            help="output format (default json)",
-        )
-        if kinds:
-            p.add_argument("--kind", choices=kinds, required=True)
-            p.add_argument("--root-order", type=int, default=None)
-            p.add_argument("--scalars", default=None, help="p,q,s exponents for kind D")
-        for flag, settings in options.items():
-            p.add_argument(flag, **settings)
+        if name == command:
+            _add_options(p, name)
     return parser
 
 
@@ -577,11 +564,24 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Parse argv as the full parser does, run its job, print the document.
+    When argv[0] is a command, the full parser only hands argv[1:] to its
+    subparser, whose prog is 'mckay <name>' on both paths: -h acts only
+    before argv[0], the subparsers action (nargs PARSER) takes every later
+    token, '--' and option-like ones too, and the subparser's fresh
+    namespace is copied.  The full parser adds only 'unrecognized
+    arguments', under its own usage; parse_known_args prints nothing for
+    extras, so they, and an argv[0] that is no command, go to the full parser."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
-        args = parser.parse_args(argv)
+        args = extras = None
+        if argv and argv[0] in _SPECS:
+            parser = _add_options(argparse.ArgumentParser(prog=f"mckay {argv[0]}"), argv[0])
+            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if args is None or extras:
+            command = next((a for a in argv if not a.startswith("-")), None)
+            args = _build_parser(command).parse_args(argv)
     except SystemExit as e:
         return 0 if not e.code else EXIT_INVALID
     try:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -912,7 +913,6 @@ _EDGE_ARGVS = [
     ["-B", "3,0;0,3", "quiver"],
     ["--bogus", "quiver", "--basis", "3,0;0,3"],
     ["-h", "quiver"],
-    ["quiver", "--basis", "3,0;0,3", "extra"],
     ["quiver", "skew", "--basis", "3,0;0,3"],
     ["quiver", "--bas", "3,0;0,3"],
     ["quiver", "--basis=3,0;0,3", "--format=dot"],
@@ -928,7 +928,13 @@ _EDGE_ARGVS = [
 _EDGE_ARGVS += [
     [name, *tail]
     for name in cli._SPECS
-    for tail in ([], ["-h"], ["--help"], ["--bogus"], ["--format", "svg"], ["--basis", "3,0;0,3"])
+    for tail in (
+        [], ["-h"], ["--help"], ["--bogus"], ["--format", "svg"], ["--basis", "3,0;0,3"],
+        # an extra token, which the full parser reports, and argvs on which
+        # the command's own parser stops first
+        ["--basis", "3,0;0,3", "extra"], ["--", "--basis", "3,0;0,3"],
+        ["-h", "--bogus"], ["--bogus", "-h"],
+    )
 ]
 
 
@@ -947,6 +953,60 @@ _TOKENS = st.sampled_from(
 @given(_argvs() | st.lists(_TOKENS, max_size=7))
 def test_the_parser_decides_random_argvs_as_the_full_parser(argv):
     _assert_parsed_as_the_reference(argv)
+
+
+class _CountingParser(argparse.ArgumentParser):
+    """An ArgumentParser that counts the instances made, subparsers included."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        _CountingParser.built += 1
+        super().__init__(*args, **kwargs)
+
+
+def _count_parsers(monkeypatch, argv):
+    """main(argv) stopped before the job runs, as _parse_outcome gives it,
+    and the number of parsers it built."""
+    stand_in = types.SimpleNamespace(ArgumentParser=_CountingParser, Namespace=argparse.Namespace)
+    monkeypatch.setattr(cli, "argparse", stand_in)
+    monkeypatch.setattr(_CountingParser, "built", 0)
+    with mock.patch.object(cli, "run", _stop):
+        outcome = _parse_outcome(lambda a: ("exit", cli.main(a)), argv)
+    return outcome, _CountingParser.built
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-info", "--basis", "3,0;0,3", "--kind", "A", "--format", "text"],
+    ["quiver", "-B", "3,2;0,1"],
+    ["cut-exists", "--basis", "3,0;0,3", "--gamma", "1,1,1"],
+    ["cut-build", "--gamma", "1,1,1", "--basis", "3,2;0,1", "--format", "dot"],
+    ["cut-validate", "--basis", "3,2;0,1", "--arrow-ids", "6,7,8"],
+    ["cut-enumerate", "--basis", "3,0;0,3", "--limit", "5"],
+    ["skew", "--basis", "3,0;0,3", "--kind", "D", "--root-order", "4", "--scalars", "1,0,1"],
+    ["classify", "--basis=2,0;0,2", "--kind=C"],
+    ["unskew-roundtrip", "--basis", "3,0;0,3", "--basis", "6,0;0,6"],
+    ["oracle-compare", "--max-det", "6", "--kind", "D"],
+], ids=" ".join)
+def test_a_command_argv_builds_one_parser(monkeypatch, argv):
+    expected = _reference_parser().parse_args(argv)
+    (args, out, err), built = _count_parsers(monkeypatch, argv)
+    assert built == 1 and (out, err) == ("", "")
+    assert isinstance(args, argparse.Namespace) and args == expected
+
+
+@pytest.mark.parametrize("argv, code, text, built", [
+    (["-h"], 0, "Exact McKay quivers", 11),
+    (["frobnicate"], 2, "invalid choice: 'frobnicate'", 11),
+    (["quiver", "--basis", "3,0;0,3", "extra"], 2, "unrecognized arguments: extra", 12),
+], ids=["help", "invalid choice", "extras"])
+def test_the_full_parser_still_prints_the_top_level_text(monkeypatch, argv, code, text, built):
+    # Only these build the full parser, the last after its command's own
+    # parser left an extra token; help goes to stdout, errors to stderr.
+    (result, out, err), count = _count_parsers(monkeypatch, argv)
+    printed, silent = (out, err) if code == 0 else (err, out)
+    assert result == ("exit", code) and count == built and silent == ""
+    assert printed.startswith("usage: mckay [-h]\n") and text in printed
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
