@@ -4,6 +4,9 @@ Exit codes: 0 success; 2 invalid input, any ValueError (bad arguments,
 singular basis, scalar constraints violated, size guards); 3
 PreconditionFailed (inadmissible basis, missing cut, wrong divisibility);
 4 InternalInvariantViolation; 5 oracle discrepancy.
+
+Each command imports the layers it runs when it runs, so `--help` and a
+usage error load none of them; `sys.modules` is the only cache.
 """
 from __future__ import annotations
 
@@ -11,45 +14,15 @@ import argparse
 import json
 import sys
 from operator import itemgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cuts import (
-    Cut,
-    _degrees,
-    build_cut,
-    check_cut_exists,
-    cut_exists,
-    cut_type,
-    enumerate_cuts,
-    invariant_cut,
-    realized_types,
-    symmetric_type,
-    validate_cut,
-    DEFAULT_ENUMERATION_LIMIT,
-)
 from .errors import InternalInvariantViolation, McKayError
-from .lattice import (
-    AbelianQuotient,
-    LatticeBasis,
-    admissible_bases,
-    check_admissible,
-    hermite_normal_form,
-    is_admissible,
-)
-from .mckay_quiver import (
-    TypedQuiver,
-    build_quiver,
-    k_action,
-)
-from .monomial_group import (
-    Key,
-    conjugacy_classes,
-    diagonal_subgroup,
-    group_from_basis,
-    involution_scalars,
-    semidirect_check,
-)
-from .skew import _transport_cut, loop_witness, skew_quiver, unskew_round_trip
+
+if TYPE_CHECKING:
+    from .cuts import Cut
+    from .lattice import LatticeBasis
+    from .mckay_quiver import TypedQuiver
+    from .monomial_group import Key
 
 __all__ = ["main", "run"]
 
@@ -59,15 +32,15 @@ EXIT_DISCREPANCY = 5
 
 
 def _parse_basis(text: str) -> LatticeBasis:
+    from . import lattice
+
     try:
-        rows = [
-            [int(x) for x in row.split(",")] for row in text.strip().split(";")
-        ]
+        rows = [[int(x) for x in row.split(",")] for row in text.strip().split(";")]
     except ValueError:
         raise ValueError(f"cannot parse basis {text!r}; expected 'a,b;c,d'") from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError(f"basis {text!r} is not a 2x2 integer matrix")
-    return hermite_normal_form([(rows[0][0], rows[1][0]), (rows[0][1], rows[1][1])])
+    return lattice.hermite_normal_form([(rows[0][0], rows[1][0]), (rows[0][1], rows[1][1])])
 
 
 def _parse_triple(text: str, what: str) -> tuple[int, int, int]:
@@ -98,12 +71,12 @@ def _metadata(basis: LatticeBasis, **extra) -> dict:
     }
 
 
-def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
+def _quiver_doc(q: TypedQuiver, degrees: list[int] | None = None) -> dict:
     vertices = [
         {"id": i, "label": _coset_label(v), "dimension": 1}
         for i, v in enumerate(q.vertices)
     ]
-    degree = _degrees(q, cut) if cut is not None else [None] * len(q.head)
+    degree = [None] * len(q.head) if degrees is None else degrees
     arrows = [
         {
             "id": i,
@@ -118,7 +91,9 @@ def _quiver_doc(q: TypedQuiver, cut: Cut | None = None) -> dict:
 
 
 def _cut_doc(cut: Cut) -> dict:
-    return {"arrow_ids": list(cut.arrows), "type": list(cut_type(cut))}
+    from . import cuts
+
+    return {"arrow_ids": list(cut.arrows), "type": list(cuts.cut_type(cut))}
 
 
 def _skew_doc(s, q: TypedQuiver) -> dict:
@@ -155,18 +130,20 @@ def _skew_doc(s, q: TypedQuiver) -> dict:
 
 
 def _cmd_group_info(args) -> dict:
+    from . import lattice, monomial_group
+
     basis = _parse_basis(args.basis)
     kind = args.kind
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars is not None else None
     if kind in ("C", "D"):
-        check_admissible(basis, kind)
-    group = group_from_basis(basis, kind, root_order=args.root_order, scalars=scalars)
+        lattice.check_admissible(basis, kind)
+    group = monomial_group.group_from_basis(basis, kind, root_order=args.root_order, scalars=scalars)
     # semidirect_check runs the normality check of N itself.
-    report = semidirect_check(group, kind) if kind in ("C", "D") else None
+    report = monomial_group.semidirect_check(group, kind) if kind in ("C", "D") else None
     diag_order = (
-        report.diagonal_order if report is not None else diagonal_subgroup(group).order
+        report.diagonal_order if report is not None else monomial_group.diagonal_subgroup(group).order
     )
-    classes = conjugacy_classes(group)
+    classes = monomial_group.conjugacy_classes(group)
     doc = {
         "metadata": _metadata(
             basis,
@@ -197,8 +174,10 @@ def _cmd_group_info(args) -> dict:
 
 
 def _cmd_quiver(args) -> dict:
+    from . import lattice, mckay_quiver
+
     basis = _parse_basis(args.basis)
-    q = build_quiver(AbelianQuotient(basis))
+    q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
     # Q_N has 2n elementary cycles, two per type-1 arrow, and 3n squares, three per vertex.
     return {
         "metadata": _metadata(basis),
@@ -209,12 +188,14 @@ def _cmd_quiver(args) -> dict:
 
 
 def _cmd_cut_exists(args) -> dict:
+    from . import cuts
+
     basis = _parse_basis(args.basis)
     gamma = _parse_triple(args.gamma, "gamma")
     return {
         "metadata": _metadata(basis),
         "gamma": list(gamma),
-        "verdict": cut_exists(basis, gamma),
+        "verdict": cuts.cut_exists(basis, gamma),
     }
 
 
@@ -222,26 +203,28 @@ def _cmd_cut_validate(args) -> dict:
     """cut-validate, and cut-build: cut-validate --gamma with the validation
     nested under the cut.  For a gamma the criterion is decided before Q_N
     is built."""
+    from . import cuts, lattice, mckay_quiver
+
     basis = _parse_basis(args.basis)
     if args.command == "cut-build" or args.arrow_ids is None:
         if args.gamma is None:
             raise ValueError("cut-validate needs --gamma or --arrow-ids")
         gamma = _parse_triple(args.gamma, "gamma")
-        check_cut_exists(basis, gamma)
-        q = build_quiver(AbelianQuotient(basis))
-        cut = build_cut(q, gamma)
+        cuts.check_cut_exists(basis, gamma)
+        q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
+        cut = cuts.build_cut(q, gamma)
     else:
         if args.gamma is not None:
             raise ValueError("cut-validate takes --gamma or --arrow-ids, not both")
-        q = build_quiver(AbelianQuotient(basis))
+        q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
         try:
-            cut = Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)
+            cut = cuts.Cut.of(int(x) for x in args.arrow_ids.split(",") if args.arrow_ids)
         except ValueError:
             raise ValueError(f"cannot parse arrow ids {args.arrow_ids!r}") from None
         missing = [i for i in cut.arrows if not 0 <= i < len(q.head)]
         if missing:
             raise ValueError(f"arrow ids {missing} do not exist")
-    report = validate_cut(q, cut)
+    report = cuts.validate_cut(q, cut)
     validation = {
         "squares_balanced": report.squares_balanced,
         "cycles_unit_degree": report.cycles_unit_degree,
@@ -252,7 +235,7 @@ def _cmd_cut_validate(args) -> dict:
     doc = {
         "metadata": _metadata(basis),
         "cut": _cut_doc(cut),
-        **_quiver_doc(q, cut),
+        **_quiver_doc(q, cuts._degrees(q, cut)),
     }
     if args.command == "cut-build":
         doc["cut"]["validation"] = validation
@@ -262,34 +245,41 @@ def _cmd_cut_validate(args) -> dict:
 
 
 def _cmd_cut_enumerate(args) -> dict:
+    from . import cuts, lattice, mckay_quiver
+
     basis = _parse_basis(args.basis)
-    q = build_quiver(AbelianQuotient(basis))
-    cuts = enumerate_cuts(q, limit=args.limit)
+    q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
+    limit = cuts.DEFAULT_ENUMERATION_LIMIT if args.limit is None else args.limit
+    found = cuts.enumerate_cuts(q, limit=limit)
     return {
         "metadata": _metadata(basis),
-        "count": len(cuts),
-        "cuts": [_cut_doc(c) for c in cuts],
-        "realized_types": sorted(list(t) for t in {cut_type(c) for c in cuts}),
+        "count": len(found),
+        "cuts": [_cut_doc(c) for c in found],
+        "realized_types": sorted(list(t) for t in {cuts.cut_type(c) for c in found}),
     }
 
 
 def _refuse_inadmissible(basis: LatticeBasis, kind: str) -> None:
     """Decide admissibility from the basis alone, before Q_N is built;
     when it holds, k_action checks it again on the quiver's basis."""
-    if basis.det < 2 or not is_admissible(basis, kind):
-        check_admissible(basis, kind)
+    from . import lattice
+
+    if basis.det < 2 or not lattice.is_admissible(basis, kind):
+        lattice.check_admissible(basis, kind)
 
 
 def _cmd_skew(args) -> dict:
     """skew, and classify: the skew quiver, for classify with the cut
     verdict, its witness and the invariant cut's degrees when 3 | n."""
+    from . import cuts, lattice, mckay_quiver, monomial_group, skew
+
     basis = _parse_basis(args.basis)
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars is not None else None
     _refuse_inadmissible(basis, args.kind)
     # No skew multiplicity depends on the kind-D scalars (see mckay.skew),
     # so they are validated and printed here and never reach the action.
     m = args.root_order if args.root_order is not None else {"C": 1, "D": 2}[args.kind]
-    exponents = involution_scalars(args.kind, m, scalars)
+    exponents = monomial_group.involution_scalars(args.kind, m, scalars)
     meta = {"kind": args.kind, "root_order": m}
     if exponents is not None:
         ea, eb, ec = exponents
@@ -298,19 +288,19 @@ def _cmd_skew(args) -> dict:
         # arrow types 1, 2, 3 by alpha*gamma^2, alpha*beta^2 and -1, given
         # here as root-of-unity exponents
         meta["involution_type_scalars"] = [(ea + 2 * ec) % m, (ea + 2 * eb) % m, m // 2]
-    q = build_quiver(AbelianQuotient(basis))
-    act = k_action(q, args.kind)
-    s = skew_quiver(act)
+    q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
+    act = mckay_quiver.k_action(q, args.kind)
+    s = skew.skew_quiver(act)
     doc = {"metadata": _metadata(basis, **meta)}
     if args.command == "classify" and basis.det % 3 == 0:
-        cut = invariant_cut(act)
-        s = _transport_cut(s, act, _degrees(q, cut))
+        cut = cuts.invariant_cut(act)
+        s = skew._transport_cut(s, act, cuts._degrees(q, cut))
         doc.update(divisible_by_3=True, verdict="cut-exists", witness={
             "invariant_cut_arrow_ids": list(cut.arrows),
-            "invariant_cut_type": list(cut_type(cut)),
+            "invariant_cut_type": list(cuts.cut_type(cut)),
         })
     elif args.command == "classify":
-        witness = loop_witness(act)
+        witness = skew.loop_witness(act)
         if not s.loops():
             raise InternalInvariantViolation(
                 "no loops on the skew quiver although 3 does not divide |N|"
@@ -327,11 +317,13 @@ def _cmd_skew(args) -> dict:
 
 
 def _cmd_unskew_roundtrip(args) -> dict:
+    from . import cuts, lattice, mckay_quiver, skew
+
     basis = _parse_basis(args.basis)
     _refuse_inadmissible(basis, "C")
-    symmetric_type(basis)  # 3 | det(B), also decided before Q_N is built
-    q = build_quiver(AbelianQuotient(basis))
-    report = unskew_round_trip(q)
+    cuts.symmetric_type(basis)  # 3 | det(B), also decided before Q_N is built
+    q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
+    report = skew.unskew_round_trip(q)
     return {
         "metadata": _metadata(basis, kind="C"),
         "skew_vertex_count": report.skew_vertex_count,
@@ -344,17 +336,24 @@ def _cmd_unskew_roundtrip(args) -> dict:
 
 
 def _cmd_oracle_compare(args) -> dict:
-    kind = args.kind
+    from . import cuts, lattice, mckay_quiver
+
+    cap = lattice.env_cap("MCKAY_MAX_SWEEP_DET", 100)
+    if args.max_det > cap:
+        raise ValueError(
+            f"--max-det {args.max_det} exceeds the sweep cap of {cap}; "
+            f"raise MCKAY_MAX_SWEEP_DET if the sweep really is this large"
+        )
     cases = []
-    for basis in admissible_bases(args.max_det, kind):
-        q = build_quiver(AbelianQuotient(basis))
-        realized = realized_types(q)
+    for basis in lattice.admissible_bases(args.max_det, args.kind):
+        q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
+        realized = cuts.realized_types(q)
         n = basis.det
         predicted = {
             (g1, g2, n - g1 - g2)
             for g1 in range(1, n)
             for g2 in range(1, n - g1)
-            if cut_exists(basis, (g1, g2, n - g1 - g2))
+            if cuts.cut_exists(basis, (g1, g2, n - g1 - g2))
         }
         cases.append({
             "basis": [list(r) for r in basis.rows],
@@ -365,7 +364,7 @@ def _cmd_oracle_compare(args) -> dict:
         })
     return {
         "max_det": args.max_det,
-        "kind": kind,
+        "kind": args.kind,
         "cases": cases,
         "discrepancies": [case for case in cases if not case["match"]],
     }
@@ -496,7 +495,7 @@ _SPECS = {
         "--arrow-ids": {"default": None, "help": "validate these arrow ids"},
     }),
     "cut-enumerate": (_cmd_cut_enumerate, "exhaustively enumerate cuts", None, {
-        "--limit": {"type": int, "default": DEFAULT_ENUMERATION_LIMIT},
+        "--limit": {"type": int, "default": None},
     }),
     "skew": (_cmd_skew, "the skew-group quiver Q_N * K", ("C", "D"), {}),
     "classify": (_cmd_skew, "cut existence verdict with witness", ("C", "D"), {}),

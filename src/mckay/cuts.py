@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InternalInvariantViolation, PreconditionFailed
-from .lattice import LatticeBasis
-from .mckay_quiver import QuiverAction, TypedQuiver
+
+if TYPE_CHECKING:
+    from .lattice import LatticeBasis
+    from .mckay_quiver import QuiverAction, TypedQuiver
 
 __all__ = [
     "Cut",

@@ -17,6 +17,7 @@ direct integrality of B^-1 T B; disagreement is a bug, not bad input.
 """
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from itertools import product
 from math import gcd
@@ -35,6 +36,7 @@ __all__ = [
     "check_admissible",
     "is_admissible",
     "admissible_bases",
+    "env_cap",
 ]
 
 # Induced action on exponent vectors of the cyclic coordinate rotation
@@ -168,6 +170,21 @@ def conjugate_is_integral(
     e21 = m21 * a
     e22 = m21 * b + m22 * c
     return all(e % det == 0 for e in (e11, e12, e21, e22))
+
+
+def env_cap(variable: str, default: int) -> int:
+    """A size bound: the environment variable's value if it is set, which
+    must be a positive integer, else the default."""
+    raw = os.environ.get(variable)
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{variable} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{variable} must be positive, got {cap}")
+    return cap
 
 
 def _check_kind(kind: str, kinds: tuple[str, ...] = ("A", "C", "D")) -> None:

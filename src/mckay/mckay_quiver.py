@@ -25,8 +25,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import InternalInvariantViolation
-from .lattice import AbelianQuotient, LatticeBasis, _check_kind, check_admissible
-from .monomial_group import env_cap
+from .lattice import AbelianQuotient, LatticeBasis, _check_kind, check_admissible, env_cap
 
 __all__ = [
     "STEPS",

@@ -15,14 +15,13 @@ one root order; a document prints a key as its perm and exps lists.
 """
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from functools import reduce
 from math import lcm
 from typing import Sequence
 
 from .errors import PreconditionFailed
-from .lattice import _check_kind
+from .lattice import _check_kind, env_cap
 
 __all__ = [
     "FiniteMatrixGroup",
@@ -35,7 +34,6 @@ __all__ = [
     "group_from_basis",
     "involution_scalars",
     "DEFAULT_CLOSURE_CAP",
-    "env_cap",
 ]
 
 DEFAULT_CLOSURE_CAP = 10000
@@ -85,21 +83,6 @@ def _conj(h: Key, y: Key, m: int) -> Key:
             (eh[c] + ey[k2] - eh[k2]) % m,
         ),
     )
-
-
-def env_cap(variable: str, default: int) -> int:
-    """A size bound: the environment variable's value if it is set, which
-    must be a positive integer, else the default."""
-    raw = os.environ.get(variable)
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{variable} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{variable} must be positive, got {cap}")
-    return cap
 
 
 def _is_special(key: Key, m: int) -> bool:

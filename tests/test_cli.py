@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay import cli, errors
+from mckay import cli, cuts, errors, lattice, mckay_quiver
 from mckay.lattice import admissible_bases
 
 
@@ -399,11 +399,12 @@ def test_a_huge_root_order_builds_no_field_of_its_order(capsys):
     ],
 )
 def test_scalars_are_refused_before_q_n_is_built(capsys, monkeypatch, argv, message):
-    # The command validates the scalars itself, before it builds Q_N.
+    # The command validates the scalars itself, before it builds Q_N; it
+    # reads build_quiver from its module when it runs.
     def build_quiver(quotient):
         raise AssertionError("Q_N was built")
 
-    monkeypatch.setattr(cli, "build_quiver", build_quiver)
+    monkeypatch.setattr(mckay_quiver, "build_quiver", build_quiver)
     assert cli.main(argv.split()) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -444,8 +445,9 @@ def test_cut_validate_canonicalises_arrow_ids(capsys):
 
 
 def test_oracle_compare_flags_discrepancy(capsys, monkeypatch):
-    # force a wrong prediction to confirm the discrepancy exit path
-    monkeypatch.setattr(cli, "cut_exists", lambda basis, gamma: False)
+    # force a wrong prediction to confirm the discrepancy exit path; the
+    # command reads cut_exists from its module when it runs
+    monkeypatch.setattr(cuts, "cut_exists", lambda basis, gamma: False)
     code, doc = run_json(capsys, "oracle-compare", "--max-det", "3")
     assert code == 5
     assert doc["discrepancies"]
@@ -525,6 +527,13 @@ def _over_vertex_cap(det: int, cap: int) -> str:
     )
 
 
+def _over_sweep_cap(max_det: int, cap: int) -> str:
+    return (
+        f"--max-det {max_det} exceeds the sweep cap of {cap}; "
+        f"raise MCKAY_MAX_SWEEP_DET if the sweep really is this large"
+    )
+
+
 # Every error argv of the golden corpus but the argparse rejection, then
 # the vertex guard's refusals, each with its exit code and its exact
 # one-line stderr.
@@ -563,6 +572,7 @@ STDERR_PINS = [
     ("quiver --basis 99999999999,0;0,1", 2, _over_vertex_cap(99999999999, 100000)),
     ("skew --basis 159601,400;0,1 --kind C", 2, _over_vertex_cap(159601, 100000)),
     ("classify --basis 159601,400;0,1 --kind C", 2, _over_vertex_cap(159601, 100000)),
+    ("oracle-compare --max-det 100000", 2, _over_sweep_cap(100000, 100)),
 ]
 
 
@@ -582,6 +592,23 @@ def test_vertex_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("MCKAY_MAX_VERTICES", "9")
     assert cli.main(["quiver", "--basis", "3,0;0,3"]) == 0
     capsys.readouterr()
+
+
+def test_sweep_cap_refuses_before_any_basis(capsys, monkeypatch):
+    # The cap admits --max-det up to its value; above it the command exits
+    # 2 before admissible_bases runs.
+    def refuse(max_det, kind):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setenv("MCKAY_MAX_SWEEP_DET", "5")
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "admissible_bases", refuse)
+        assert cli.main(["oracle-compare", "--max-det", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_over_sweep_cap(6, 5)}\n"
+    code, doc = run_json(capsys, "oracle-compare", "--max-det", "5")
+    assert code == 0 and doc["max_det"] == 5
 
 
 @pytest.mark.parametrize("command", ["group-info", "skew", "classify"])
@@ -653,8 +680,6 @@ _COUNTED = ("build_quiver", "k_action", "check_admissible", "validate_cut")
 def test_each_command_builds_the_quiver_and_action_once(monkeypatch, capsys, argv, expected):
     # Count calls wherever callers look the functions up: every mckay
     # module namespace that holds one of them.
-    from mckay import cuts, lattice, mckay_quiver
-
     originals = {
         "build_quiver": mckay_quiver.build_quiver,
         "k_action": mckay_quiver.k_action,
@@ -684,8 +709,6 @@ def test_each_command_builds_the_quiver_and_action_once(monkeypatch, capsys, arg
 def _count_quiver_builds(monkeypatch) -> list:
     """Wrap build_quiver wherever a mckay module looks it up; the returned
     list collects the quotient of every call."""
-    from mckay import mckay_quiver
-
     original = mckay_quiver.build_quiver
     calls = []
 
@@ -921,7 +944,6 @@ _EDGE_ARGVS = [
     ["skew", "--basis", "3,0;0,3", "--kind", "A"],
     ["skew", "--basis", "-1,0;0,3", "--kind", "C"],
     ["cut-enumerate", "--basis", "1,0;0,1", "--limit", "x"],
-    ["oracle-compare", "--basis", "3,0;0,3"],
     ["oracle-compare", "--max-det", "-3", "--kind", "D"],
     ["cut-build", "--arrow-ids", "1", "--basis", "3,0;0,3", "--gamma", "1,1,1"],
 ]

@@ -2,7 +2,7 @@
 class, method and module-level name the package defines, the package stays
 exact (no floating point, complex numbers or true division), it imports no
 module kept out of its start-up, nothing outside the standard library and
-no module-level cache, it raises only the three errors of its exit-code
+no module-level cache, each command loads only the layers it runs, it raises only the three errors of its exit-code
 contract, only the command line and the matrix group read the kind-D
 scalars, and the README names only what the package has and its library
 example runs."""
@@ -11,7 +11,10 @@ from __future__ import annotations
 import ast
 import builtins
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -312,6 +315,46 @@ def test_the_scan_sees_a_cache_and_a_non_stdlib_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_cache_and_only_the_standard_library(path):
     assert import_breaches(path.read_text()) == []
+
+
+# The command line imports each layer inside the commands that run it, so
+# --help and a usage error load none, and a command loads its own layers.
+_CUT_LAYERS = {"lattice", "mckay_quiver", "cuts"}
+_SKEW_LAYERS = _CUT_LAYERS | {"skew", "graphiso"}
+LAYERS_LOADED = [
+    (["--help"], 0, set()),
+    (["frobnicate"], 2, set()),
+    (["quiver"], 2, set()),
+    (["quiver", "--basis", "3,0;0,3"], 0, {"lattice", "mckay_quiver"}),
+    (["cut-exists", "--basis", "3,0;0,3", "--gamma", "3,3,3"], 0, {"lattice", "cuts"}),
+    (["group-info", "--basis", "3,0;0,3", "--kind", "D"], 0, {"lattice", "monomial_group"}),
+    (["cut-build", "--basis", "3,2;0,1", "--gamma", "1,1,1"], 0, _CUT_LAYERS),
+    (["cut-validate", "--basis", "3,2;0,1", "--arrow-ids", "6,7,8"], 0, _CUT_LAYERS),
+    (["cut-enumerate", "--basis", "3,2;0,1"], 0, _CUT_LAYERS),
+    (["oracle-compare", "--max-det", "4"], 0, _CUT_LAYERS),
+    (["unskew-roundtrip", "--basis", "3,0;0,3"], 0, _SKEW_LAYERS),
+    (["skew", "--basis", "3,0;0,3", "--kind", "C"], 0, _SKEW_LAYERS | {"monomial_group"}),
+    (["classify", "--basis", "2,0;0,2", "--kind", "D"], 0, _SKEW_LAYERS | {"monomial_group"}),
+]
+_MAIN_IN_A_FRESH_PROCESS = (
+    "import io, json, sys\n"
+    "from mckay import cli\n"
+    "sys.stdout = sys.stderr = io.StringIO()\n"
+    "code = cli.main(json.loads(sys.argv[1]))\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'mckay')\n"
+    "print(json.dumps([code, loaded]), file=sys.__stdout__)\n"
+)
+
+
+@pytest.mark.parametrize("argv, code, layers", LAYERS_LOADED, ids=[" ".join(a) for a, _, _ in LAYERS_LOADED])
+def test_a_command_loads_only_its_layers(argv, code, layers):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN_IN_A_FRESH_PROCESS, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    expected = sorted({"mckay", "mckay.cli", "mckay.errors"} | {f"mckay.{m}" for m in layers})
+    assert json.loads(done.stdout) == [code, expected]
 
 
 ALLOWED_RAISES = {"ValueError", "PreconditionFailed", "InternalInvariantViolation"}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import _mat_key, _np_classes, np_class_count, np_closure, to_complex
 from mckay.errors import PreconditionFailed
-from mckay.lattice import AbelianQuotient, LatticeBasis, is_admissible
+from mckay.lattice import AbelianQuotient, LatticeBasis, env_cap, is_admissible
 from mckay.mckay_quiver import build_quiver, k_action
 from mckay.monomial_group import (
     DEFAULT_CLOSURE_CAP,
@@ -23,7 +23,6 @@ from mckay.monomial_group import (
     conjugacy_classes,
     diagonal_generators_from_basis,
     diagonal_subgroup,
-    env_cap,
     group_from_basis,
     involution_scalars,
     semidirect_check,
