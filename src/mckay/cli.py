@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import InternalInvariantViolation, McKayError
 
 if TYPE_CHECKING:
-    from .cuts import Cut
     from .lattice import LatticeBasis
     from .mckay_quiver import TypedQuiver
     from .monomial_group import Key
@@ -31,16 +30,18 @@ EXIT_INVALID = 2
 EXIT_DISCREPANCY = 5
 
 
-def _parse_basis(text: str) -> LatticeBasis:
-    from . import lattice
-
+def _basis_columns(text: str) -> list[tuple[int, int]]:
+    """The columns of the row-major 2x2 matrix 'a,b;c,d', which
+    lattice.hermite_normal_form takes."""
     try:
-        rows = [[int(x) for x in row.split(",")] for row in text.strip().split(";")]
+        rows = [
+            [int(x) for x in row.split(",")] for row in text.strip().split(";")
+        ]
     except ValueError:
         raise ValueError(f"cannot parse basis {text!r}; expected 'a,b;c,d'") from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError(f"basis {text!r} is not a 2x2 integer matrix")
-    return lattice.hermite_normal_form([(rows[0][0], rows[1][0]), (rows[0][1], rows[1][1])])
+    return [(rows[0][0], rows[1][0]), (rows[0][1], rows[1][1])]
 
 
 def _parse_triple(text: str, what: str) -> tuple[int, int, int]:
@@ -90,12 +91,6 @@ def _quiver_doc(q: TypedQuiver, degrees: list[int] | None = None) -> dict:
     return {"vertices": vertices, "arrows": arrows}
 
 
-def _cut_doc(cut: Cut) -> dict:
-    from . import cuts
-
-    return {"arrow_ids": list(cut.arrows), "type": list(cuts.cut_type(cut))}
-
-
 def _skew_doc(s, q: TypedQuiver) -> dict:
     """The skew quiver's document; orbit representatives are named by their
     cosets in q."""
@@ -132,7 +127,7 @@ def _skew_doc(s, q: TypedQuiver) -> dict:
 def _cmd_group_info(args) -> dict:
     from . import lattice, monomial_group
 
-    basis = _parse_basis(args.basis)
+    basis = lattice.hermite_normal_form(_basis_columns(args.basis))
     kind = args.kind
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars is not None else None
     if kind in ("C", "D"):
@@ -176,7 +171,7 @@ def _cmd_group_info(args) -> dict:
 def _cmd_quiver(args) -> dict:
     from . import lattice, mckay_quiver
 
-    basis = _parse_basis(args.basis)
+    basis = lattice.hermite_normal_form(_basis_columns(args.basis))
     q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
     # Q_N has 2n elementary cycles, two per type-1 arrow, and 3n squares, three per vertex.
     return {
@@ -188,9 +183,9 @@ def _cmd_quiver(args) -> dict:
 
 
 def _cmd_cut_exists(args) -> dict:
-    from . import cuts
+    from . import cuts, lattice
 
-    basis = _parse_basis(args.basis)
+    basis = lattice.hermite_normal_form(_basis_columns(args.basis))
     gamma = _parse_triple(args.gamma, "gamma")
     return {
         "metadata": _metadata(basis),
@@ -205,7 +200,7 @@ def _cmd_cut_validate(args) -> dict:
     is built."""
     from . import cuts, lattice, mckay_quiver
 
-    basis = _parse_basis(args.basis)
+    basis = lattice.hermite_normal_form(_basis_columns(args.basis))
     if args.command == "cut-build" or args.arrow_ids is None:
         if args.gamma is None:
             raise ValueError("cut-validate needs --gamma or --arrow-ids")
@@ -234,7 +229,7 @@ def _cmd_cut_validate(args) -> dict:
     }
     doc = {
         "metadata": _metadata(basis),
-        "cut": _cut_doc(cut),
+        "cut": {"arrow_ids": list(cut.arrows), "type": list(cuts.cut_type(cut))},
         **_quiver_doc(q, cuts._degrees(q, cut)),
     }
     if args.command == "cut-build":
@@ -247,25 +242,16 @@ def _cmd_cut_validate(args) -> dict:
 def _cmd_cut_enumerate(args) -> dict:
     from . import cuts, lattice, mckay_quiver
 
-    basis = _parse_basis(args.basis)
+    basis = lattice.hermite_normal_form(_basis_columns(args.basis))
     q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
     limit = cuts.DEFAULT_ENUMERATION_LIMIT if args.limit is None else args.limit
     found = cuts.enumerate_cuts(q, limit=limit)
     return {
         "metadata": _metadata(basis),
         "count": len(found),
-        "cuts": [_cut_doc(c) for c in found],
+        "cuts": [{"arrow_ids": list(c.arrows), "type": list(cuts.cut_type(c))} for c in found],
         "realized_types": sorted(list(t) for t in {cuts.cut_type(c) for c in found}),
     }
-
-
-def _refuse_inadmissible(basis: LatticeBasis, kind: str) -> None:
-    """Decide admissibility from the basis alone, before Q_N is built;
-    when it holds, k_action checks it again on the quiver's basis."""
-    from . import lattice
-
-    if basis.det < 2 or not lattice.is_admissible(basis, kind):
-        lattice.check_admissible(basis, kind)
 
 
 def _cmd_skew(args) -> dict:
@@ -273,9 +259,12 @@ def _cmd_skew(args) -> dict:
     verdict, its witness and the invariant cut's degrees when 3 | n."""
     from . import cuts, lattice, mckay_quiver, monomial_group, skew
 
-    basis = _parse_basis(args.basis)
+    basis = lattice.hermite_normal_form(_basis_columns(args.basis))
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars is not None else None
-    _refuse_inadmissible(basis, args.kind)
+    # admissibility is decided from the basis alone, before Q_N is built;
+    # when it holds, k_action checks it on the quiver's basis
+    if basis.det < 2 or not lattice.is_admissible(basis, args.kind):
+        lattice.check_admissible(basis, args.kind)
     # No skew multiplicity depends on the kind-D scalars (see mckay.skew),
     # so they are validated and printed here and never reach the action.
     m = args.root_order if args.root_order is not None else {"C": 1, "D": 2}[args.kind]
@@ -319,8 +308,9 @@ def _cmd_skew(args) -> dict:
 def _cmd_unskew_roundtrip(args) -> dict:
     from . import cuts, lattice, mckay_quiver, skew
 
-    basis = _parse_basis(args.basis)
-    _refuse_inadmissible(basis, "C")
+    basis = lattice.hermite_normal_form(_basis_columns(args.basis))
+    if basis.det < 2 or not lattice.is_admissible(basis, "C"):
+        lattice.check_admissible(basis, "C")
     cuts.symmetric_type(basis)  # 3 | det(B), also decided before Q_N is built
     q = mckay_quiver.build_quiver(lattice.AbelianQuotient(basis))
     report = skew.unskew_round_trip(q)
