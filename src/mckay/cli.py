@@ -261,8 +261,9 @@ def _cmd_skew(args) -> dict:
 
     basis = lattice.hermite_normal_form(_basis_columns(args.basis))
     scalars = _parse_triple(args.scalars, "scalars") if args.scalars is not None else None
-    # admissibility is decided from the basis alone, before Q_N is built;
-    # when it holds, k_action checks it on the quiver's basis
+    # Admissibility is decided from the basis alone, before Q_N is built;
+    # check_admissible runs here only to raise, since k_action runs it on
+    # the quiver's basis.
     if basis.det < 2 or not lattice.is_admissible(basis, args.kind):
         lattice.check_admissible(basis, args.kind)
     # No skew multiplicity depends on the kind-D scalars (see mckay.skew),

@@ -2,10 +2,10 @@
 class, method and module-level name the package defines, the package stays
 exact (no floating point, complex numbers or true division), it imports no
 module kept out of its start-up, nothing outside the standard library and
-no module-level cache, each command loads only the layers it runs, it raises only the three errors of its exit-code
-contract, only the command line and the matrix group read the kind-D
-scalars, and the README names only what the package has and its library
-example runs."""
+no module-level cache, each command loads only the layers it runs, it
+raises only the three errors of its exit-code contract, only the command
+line and the matrix group read the kind-D scalars, and the README names
+only what the package has and its library example runs."""
 from __future__ import annotations
 
 import ast
